@@ -8,16 +8,19 @@ file + rename).  Reals are serialized with ``repr``, which round-trips
 doubles exactly; rerunning a manifest reproduces every table byte for
 byte, for any ``--threads`` value.
 
-Exit codes: 0 ok, 2 configuration problem (one-line reason on stderr),
-3 runtime error (module error token on stderr).
+Exit codes: 0 ok, 2 configuration problem or malformed input file
+(one-line reason on stderr), 3 runtime error (module error token on
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +61,10 @@ class ConfigError(Exception):
     """Invalid command-line configuration (exit code 2)."""
 
 
+# module error tokens that mean a bad input file, reported as exit code 2
+_INPUT_TOKENS = frozenset({"empty-table", "malformed-input"})
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """What one run produced: config echo, named tables, scalar summary."""
@@ -71,11 +78,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path: Path, text: str) -> None:
+    """Write through a fresh temp file in the target directory, then rename.
+
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the 0o600 of ``mkstemp``.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / (path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_text(path: str) -> str:
@@ -97,11 +122,16 @@ def _make_permutation(pattern: str, n: int):
         return identity_permutation(n)
     if pattern == "reverse":
         return reverse_permutation(n)
-    if pattern.startswith("block:"):
-        return block_interleave_permutation(n, int(pattern.split(":", 1)[1]))
-    if pattern.startswith("random:"):
-        return random_permutation(n, int(pattern.split(":", 1)[1]))
-    raise ConfigError(f"unknown permutation pattern {pattern!r}")
+    kind, _, arg = pattern.partition(":")
+    if kind not in ("block", "random"):
+        raise ConfigError(f"unknown permutation pattern {pattern!r}")
+    try:
+        value = int(arg)
+    except ValueError:
+        raise ConfigError(f"permutation pattern {pattern!r} needs an integer after ':'") from None
+    if kind == "block":
+        return block_interleave_permutation(n, value)
+    return random_permutation(n, value)
 
 
 def _theorem(name: str):
@@ -412,7 +442,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LabError as exc:
-        if exc.token == "empty-table":
+        if exc.token in _INPUT_TOKENS:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         print(f"error: {exc.token}: {exc}", file=sys.stderr)

@@ -381,20 +381,23 @@ def model_to_json(model: ExchangeableModel) -> str:
 
 
 def model_from_json(text: str) -> ExchangeableModel:
-    obj = json.loads(text)
-    atoms = tuple(
-        (float(a["prob"]), measure_from_csv(a["law_csv"])) for a in obj["atoms"]
-    )
-    perturb = None
-    if obj.get("perturb"):
-        perturb = PerturbSpec(
-            tuple(float(e) for e in obj["perturb"]["eps"]),
-            float(obj["perturb"]["outlier_prob"]),
-            float(obj["perturb"]["outlier_size"]),
+    """Parse a model; JSON of the wrong shape raises ``malformed-input``."""
+    try:
+        obj = json.loads(text)
+        atoms = tuple(
+            (float(a["prob"]), measure_from_csv(a["law_csv"])) for a in obj["atoms"]
         )
-    return ExchangeableModel(
-        atoms,
-        float(obj.get("bad_mass", 0.0)),
-        perturb,
-        float(obj.get("grid", DEFAULT_GRID)),
-    )
+        perturb = None
+        if obj.get("perturb"):
+            perturb = PerturbSpec(
+                tuple(float(e) for e in obj["perturb"]["eps"]),
+                float(obj["perturb"]["outlier_prob"]),
+                float(obj["perturb"]["outlier_size"]),
+            )
+        bad_mass = float(obj.get("bad_mass", 0.0))
+        grid = float(obj.get("grid", DEFAULT_GRID))
+    except KeyError as exc:
+        raise LabError("malformed-input", f"model JSON: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise LabError("malformed-input", f"model JSON: {exc}") from None
+    return ExchangeableModel(atoms, bad_mass, perturb, grid)

@@ -15,6 +15,34 @@ Summation order in all sums is canonicalized (frequencies sorted
 ascending), so the floating-point value is exactly invariant under
 permuting the summands, isolating distributional questions from float
 noise.
+
+``frac_mul`` and the scalar sums work on Python integers.  ``clt_sample``
+evaluates the same reduction for a whole chunk of samples at once with a
+numpy kernel on 32-bit limbs, and its values equal, bit for bit, those of
+the per-sample bigint computation
+``float((n * x mod 2**B) >> (B - 64)) * 2**-64``:
+
+* x is held as ``ceil(B/32)`` rows of 32-bit limbs (one column per sample)
+  in uint64 arrays; each frequency's nonzero 32-bit limbs are found once
+  per call, so a power of two has a single limb.
+* A single-limb frequency ``f_j`` is multiplied into the accumulator rows
+  ``i + j`` whole: one product is at most ``(2**32 - 1)**2`` and a carry
+  stays below ``2**32``, so no row can overflow.  A frequency with several
+  limbs adds, for each of its limbs, the low half of every product
+  ``x_i f_j`` to row ``i + j`` and the high half to row ``i + j + 1`` (the
+  low half is added as the whole product minus the high half shifted
+  back, in uint64 arithmetic mod ``2**64``).  A row then receives at most
+  ``2 * (nonzero limbs of f)`` addends below ``2**32``, so the true row
+  value is below ``2**64`` for any B the precision guard allows, and
+  arithmetic mod ``2**64`` yields it exactly.
+* One carry pass from the lowest nonzero limb of f upward normalizes the
+  rows.  Rows above those of x are never formed, and reading bits
+  ``[B - 64, B)`` from the two or three top rows into one uint64 drops
+  the rest: that is the reduction mod ``2**B``.
+* numpy converts uint64 to float64 with round-to-nearest-even, exactly as
+  Python's ``float(int)`` does (a top word of all ones rounds to 2**64).
+
+Each chunk's working memory is a few ``ceil(B/32) x CHUNK`` uint64 arrays.
 """
 
 from __future__ import annotations
@@ -138,19 +166,79 @@ def f_sum(f: FourierFunction, seq_prefix, x: FixedPointX) -> float:
     return total
 
 
-def _assemble_xs(seed: int, start: int, count: int, words: int, bits: int) -> list[int]:
-    """Fixed-point sample values for sample indices [start, start+count)."""
+_M32 = _U(0xFFFFFFFF)
+
+
+def _freq_plan(f: int) -> tuple[tuple[int, np.uint64], ...]:
+    """Nonzero 32-bit limbs of f as ``(limb index, limb value)`` pairs."""
+    plan = []
+    j = 0
+    while f:
+        if f & 0xFFFFFFFF:
+            plan.append((j, _U(f & 0xFFFFFFFF)))
+        f >>= 32
+        j += 1
+    return tuple(plan)
+
+
+def _x_limbs(seed: int, start: int, count: int, bits: int) -> np.ndarray:
+    """32-bit limbs of the B-bit sample points of sample indices [start, start+count).
+
+    Row ``i`` holds bits ``[32 i, 32 i + 32)`` of every sample's x.  The x of
+    sample ``s`` is the little-endian concatenation of draws ``1..ceil(B/64)``
+    of the stream ``derive_seed(seed, "clt-x", s)``, masked to B bits.
+    """
+    words = (bits + 63) // 64
     seeds = derive_seed_vec(seed, np.arange(start, start + count), "clt-x")
-    cols = (np.arange(1, words + 1, dtype=np.uint64)) * _U(GOLDEN)
-    u = mix64_vec(seeds[:, None] + cols[None, :])
-    mask = (1 << bits) - 1
-    out = []
-    for row in u:
-        v = 0
-        for w in range(words):
-            v |= int(row[w]) << (64 * w)
-        out.append(v & mask)
-    return out
+    cols = np.arange(1, words + 1, dtype=np.uint64) * _U(GOLDEN)
+    u = mix64_vec(cols[:, None] + seeds[None, :])
+    limbs = np.empty((2 * words, count), dtype=np.uint64)
+    np.bitwise_and(u, _M32, out=limbs[0::2])
+    np.right_shift(u, _U(32), out=limbs[1::2])
+    limbs = limbs[: (bits + 31) // 32]
+    if bits % 32:
+        limbs[-1] &= _U((1 << (bits % 32)) - 1)
+    return limbs
+
+
+def _frac_tops(xl: np.ndarray, plan, bits: int, work: np.ndarray | None = None) -> np.ndarray:
+    """Bits ``[B-64, B)`` of ``f * x mod 2**B``, as doubles, for every column of xl.
+
+    ``xl`` holds the limbs of x (:func:`_x_limbs`), ``plan`` those of f
+    (:func:`_freq_plan`); ``work`` is an optional ``(2,) + xl.shape`` uint64
+    scratch array.  See the module docstring for why the result is exact.
+    """
+    nl = xl.shape[0]
+    if work is None:
+        work = np.empty((2,) + xl.shape, dtype=np.uint64)
+    acc, prod = work
+    j0, f0 = plan[0]
+    if len(plan) == 1:
+        np.multiply(xl[: nl - j0], f0, out=acc[j0:])
+    else:
+        acc[j0:] = 0
+        for j, fj in plan:
+            n = nl - j
+            p = prod[:n]
+            np.multiply(xl[:n], fj, out=p)
+            acc[j:] += p
+            p >>= _U(32)
+            acc[j + 1 :] += p[: n - 1]
+            p <<= _U(32)
+            acc[j:] -= p
+    row = prod[0]
+    for k in range(j0, nl - 1):
+        np.right_shift(acc[k], _U(32), out=row)
+        acc[k + 1] += row
+    lo, r = divmod(bits - 64, 32)
+    top = acc[lo] & _M32
+    if r == 0:
+        top |= acc[lo + 1] << _U(32)
+    else:
+        top >>= _U(r)
+        top |= (acc[lo + 1] & _M32) << _U(32 - r)
+        top |= acc[lo + 2] << _U(64 - r)
+    return top.astype(np.float64)
 
 
 def clt_sample(
@@ -192,18 +280,14 @@ def clt_sample(
     b = bits if bits is not None else required_bits(freqs[-1])
     if ceil_log2(freqs[-1]) >= b - 64:
         raise LabError("precision-exhausted", "bits too small for max frequency")
-    words = (b + 63) // 64
-    mask = (1 << b) - 1
-    shift = b - 64
+    plans = [_freq_plan(f) for f in freqs]
 
     def run(start: int, count: int) -> np.ndarray:
-        xs = _assemble_xs(seed, start, count, words, b)
+        xl = _x_limbs(seed, start, count, b)
+        work = np.empty((2,) + xl.shape, dtype=np.uint64)
         acc = np.zeros(count)
-        for f in freqs:
-            tops = np.fromiter(
-                (((f * x) & mask) >> shift for x in xs), dtype=np.float64, count=count
-            )
-            acc += np.sin(TWO_PI * (tops * 2.0**-64))
+        for plan in plans:
+            acc += np.sin(TWO_PI * (_frac_tops(xl, plan, b, work) * 2.0**-64))
         return acc / divisor
 
     values = map_chunks(m, run, threads)

@@ -292,13 +292,20 @@ def measure_to_csv(measure: DiscreteMeasure) -> str:
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:
+    """Parse ``position,mass`` lines; a malformed line raises ``malformed-input``."""
     atoms = []
-    for line in text.strip().splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        p, m = line.split(",")
-        atoms.append((float(p), float(m)))
+        try:
+            p, m = line.split(",")
+            atoms.append((float(p), float(m)))
+        except ValueError:
+            raise LabError(
+                "malformed-input",
+                f"measure CSV line {number}: expected 'position,mass', got {line!r}",
+            ) from None
     return DiscreteMeasure(tuple(atoms))
 
 

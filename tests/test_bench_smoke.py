@@ -1,0 +1,34 @@
+"""Smoke run of the benchmark's lacunary workload at the pinned seed.
+
+At seed 0 the benchmark checks every table of the ``clt`` and
+``permute-clt`` commands against the sha256 digests in
+``bench/pinned.json``, at ``--threads`` 1 and 2, so this test fails when
+either table changes by a single byte.  It never asserts a timing.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_lacunary_workload_correct_at_pinned_seed():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "lacunary-mc",
+         "--seed", "0", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from permutalab import cli as cli_module
 from permutalab.cli import main
 from permutalab.exchangeable import ExchangeableModel, model_to_json
 from permutalab.measures import DiscreteMeasure, measure_to_csv
@@ -243,3 +244,60 @@ class TestExitCodes:
             "--c", "0", "--N-list", "5", "--out-dir", str(tmp_path),
         )
         assert rc == 2
+
+    def _assert_config_error(self, rc, capsys, *needles):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+        for needle in needles:
+            assert needle in err
+
+    @pytest.mark.parametrize("pattern", ["block:x", "random:y", "block:"])
+    def test_perm_pattern_without_integer(self, tmp_path, seq_file, capsys, pattern):
+        rc = run_cli(
+            "permute-clt", "--seq", str(seq_file), "--N", "4", "--M", "10",
+            "--perm", pattern, "--out-dir", str(tmp_path / "out"),
+        )
+        self._assert_config_error(rc, capsys, repr(pattern))
+
+    @pytest.mark.parametrize("bad_line", ["0.5", "0.5,0.25,0.25", "0.5,half"])
+    def test_measure_csv_line_without_one_comma(self, tmp_path, capsys, bad_line):
+        mu = tmp_path / "mu.csv"
+        mu.write_text(f"0.0,0.5\n\n{bad_line}\n")
+        rc = run_cli("prohorov", "--mu", str(mu), "--nu", str(mu), "--out-dir", str(tmp_path))
+        self._assert_config_error(rc, capsys, "line 3", repr(bad_line))
+
+    def test_model_json_without_atoms(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"bad_mass": 0.0, "grid": 0.0}))
+        rc = run_cli(
+            "strong-law", "--model", str(model), "--p", "1.0", "--N", "10",
+            "--out-dir", str(tmp_path),
+        )
+        self._assert_config_error(rc, capsys, "'atoms'")
+
+
+class TestAtomicWrite:
+    GEN = ("gen-seq", "--kind", "hadamard", "--q", "2", "--N", "5")
+
+    def test_stale_tmp_directory_does_not_break_write(self, tmp_path):
+        (tmp_path / "summary.json.tmp").mkdir()
+        assert run_cli(*self.GEN, "--out-dir", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["n_terms"] == 5
+
+    def test_no_temp_file_left_after_success(self, tmp_path):
+        assert run_cli(*self.GEN, "--out-dir", str(tmp_path)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "seq.csv", "summary.json",
+        ]
+
+    def test_temp_file_removed_on_failure(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli_module.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            cli_module._atomic_write(tmp_path / "table.csv", "1\n")
+        assert list(tmp_path.iterdir()) == []

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from permutalab import (
     FixedPointX,
@@ -22,9 +24,21 @@ from permutalab import (
     lil_trajectory,
     trig_sum,
 )
-from permutalab.lacunary import ceil_log2, required_bits
-from permutalab.rng import Stream
-from permutalab.sequences import block_interleave_permutation, reverse_permutation
+from permutalab.lacunary import (
+    TWO_PI,
+    _frac_tops,
+    _freq_plan,
+    _x_limbs,
+    ceil_log2,
+    required_bits,
+)
+from permutalab.parallel import map_chunks
+from permutalab.rng import GOLDEN, Stream, derive_seed_vec, mix64_vec
+from permutalab.sequences import (
+    IndexSequence,
+    block_interleave_permutation,
+    reverse_permutation,
+)
 
 
 class TestFixedPoint:
@@ -182,6 +196,162 @@ class TestCltSample:
         with pytest.raises(LabError) as err:
             clt_sample(self.SEQ, 4, 10, norm="none", seed=1)
         assert err.value.token == "bad-norm"
+
+
+# -- bigint oracle of the limb kernel ------------------------------------
+# Per-sample Python-int computation of clt_sample's values: the reference
+# that its limb kernel must match bit for bit.
+
+_U = np.uint64
+
+
+def _assemble_xs(seed: int, start: int, count: int, words: int, bits: int) -> list[int]:
+    """Fixed-point sample values for sample indices [start, start+count)."""
+    seeds = derive_seed_vec(seed, np.arange(start, start + count), "clt-x")
+    cols = (np.arange(1, words + 1, dtype=np.uint64)) * _U(GOLDEN)
+    u = mix64_vec(seeds[:, None] + cols[None, :])
+    mask = (1 << bits) - 1
+    out = []
+    for row in u:
+        v = 0
+        for w in range(words):
+            v |= int(row[w]) << (64 * w)
+        out.append(v & mask)
+    return out
+
+
+def _clt_bigint_reference(seq, n, m, perm=None, seed=0, bits=None, threads=1):
+    """Values of ``clt_sample(seq, n, m, perm=perm, seed=seed, bits=bits)``."""
+    indices = range(1, n + 1) if perm is None else perm.image[:n]
+    freqs = sorted(seq.values[i - 1] for i in indices)
+    b = bits if bits is not None else required_bits(freqs[-1])
+    divisor = math.sqrt(n / 2.0)
+    words = (b + 63) // 64
+    mask = (1 << b) - 1
+    shift = b - 64
+
+    def run(start: int, count: int) -> np.ndarray:
+        xs = _assemble_xs(seed, start, count, words, b)
+        acc = np.zeros(count)
+        for f in freqs:
+            tops = np.fromiter(
+                (((f * x) & mask) >> shift for x in xs), dtype=np.float64, count=count
+            )
+            acc += np.sin(TWO_PI * (tops * 2.0**-64))
+        return acc / divisor
+
+    values = map_chunks(m, run, threads)
+    return tuple(float(v) for v in values)
+
+
+DOUBLING = gen_hadamard(2, 1, 512)
+Q15 = gen_hadamard(1.5, 1, 512)
+
+
+def _all_limbs_sequence(bits: int) -> IndexSequence:
+    """Small frequencies plus 2**(bits-65) - 1, whose 32-bit limbs are all nonzero."""
+    top = 2 ** (bits - 65) - 1
+    assert len(_freq_plan(top)) == (bits - 65 + 31) // 32
+    return IndexSequence((1, 3, 5, 2**40 + 7, top))
+
+
+@pytest.mark.parametrize(
+    "seq, n, perm, bits, m, threads",
+    [
+        (DOUBLING, 128, None, None, 4096, 1),
+        (DOUBLING, 128, None, None, 8193, 2),
+        (Q15, 128, block_interleave_permutation(512, 32), None, 4097, 2),
+        (Q15, 128, block_interleave_permutation(512, 32), None, 1, 1),
+        (Q15, 256, None, None, 4095, 1),
+        (DOUBLING, 64, None, 200, 4097, 1),
+        (Q15, 128, None, 200, 4096, 2),
+        (DOUBLING, 128, None, 333, 1, 2),
+        (Q15, 128, None, 333, 4095, 2),
+        (_all_limbs_sequence(256), 5, None, None, 4097, 2),
+        (_all_limbs_sequence(333), 5, None, 333, 4095, 1),
+    ],
+    ids=[
+        "doubling-N128-M4096-t1",
+        "doubling-N128-M8193-t2",
+        "q1.5-block32-M4097-t2",
+        "q1.5-block32-M1-t1",
+        "q1.5-N256-M4095-t1",
+        "doubling-bits200-M4097-t1",
+        "q1.5-bits200-M4096-t2",
+        "doubling-bits333-M1-t2",
+        "q1.5-bits333-M4095-t2",
+        "all-limbs-bits256-M4097-t2",
+        "all-limbs-bits333-M4095-t1",
+    ],
+)
+def test_clt_sample_matches_bigint_oracle(seq, n, perm, bits, m, threads):
+    got = clt_sample(seq, n, m, perm=perm, seed=7, bits=bits, threads=threads)
+    want = _clt_bigint_reference(seq, n, m, perm=perm, seed=7, bits=bits, threads=threads)
+    assert got.values == want
+
+
+@pytest.mark.parametrize("bits", [65, 200, 256, 333, 384])
+def test_x_limbs_reassemble_to_bigint_points(bits):
+    xl = _x_limbs(5, 4090, 9, bits)
+    assert xl.shape == ((bits + 31) // 32, 9)
+    got = [sum(int(v) << (32 * i) for i, v in enumerate(col)) for col in xl.T]
+    assert got == _assemble_xs(5, 4090, 9, (bits + 63) // 64, bits)
+
+
+def _limbs(xs: list[int], bits: int) -> np.ndarray:
+    rows = (bits + 31) // 32
+    return np.array(
+        [[(x >> (32 * i)) & 0xFFFFFFFF for x in xs] for i in range(rows)], dtype=np.uint64
+    )
+
+
+def _top_floats(xs: list[int], f: int, bits: int) -> list[float]:
+    return [float(frac_mul(FixedPointX(x, bits), f).value >> (bits - 64)) for x in xs]
+
+
+@st.composite
+def _limb_cases(draw):
+    """(bits, f, xs) with f allowed by the precision guard at bits."""
+    bits = draw(st.integers(65, 640))
+    f_max = 2 ** (bits - 65)
+    f = draw(st.one_of(st.just(f_max), st.integers(1, f_max)))
+    x = st.one_of(st.just(2**bits - 1), st.just(0), st.integers(0, 2**bits - 1))
+    xs = draw(st.lists(x, min_size=1, max_size=5))
+    return bits, f, xs
+
+
+class TestLimbKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_limb_cases())
+    def test_matches_frac_mul(self, case):
+        bits, f, xs = case
+        got = _frac_tops(_limbs(xs, bits), _freq_plan(f), bits)
+        assert got.tolist() == _top_floats(xs, f, bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(65, 640), st.data())
+    def test_top_word_all_ones_rounds_to_two_to_64(self, bits, data):
+        # pick x so that f * x mod 2**B has 64 leading ones, whatever the rest
+        f = data.draw(st.integers(1, 2 ** (bits - 65)))
+        assume(f % 2 == 1)
+        rest = data.draw(st.integers(0, 2 ** (bits - 64) - 1))
+        target = ((2**64 - 1) << (bits - 64)) | rest
+        x = target * pow(f, -1, 2**bits) % 2**bits
+        got = _frac_tops(_limbs([x], bits), _freq_plan(f), bits)
+        assert got.tolist() == _top_floats([x], f, bits) == [2.0**64]
+
+    def test_largest_frequency_and_point(self):
+        for bits in (65, 96, 128, 200, 256, 333, 4160):
+            f = 2 ** (bits - 65)
+            xs = [2**bits - 1, 1, 2 ** (bits - 1)]
+            for g in (f, max(f - 1, 1), min(f, 2 ** ((bits - 65) // 2) + 1)):
+                got = _frac_tops(_limbs(xs, bits), _freq_plan(g), bits)
+                assert got.tolist() == _top_floats(xs, g, bits)
+
+    def test_freq_plan_skips_zero_limbs(self):
+        assert _freq_plan(1) == ((0, 1),)
+        assert _freq_plan(2**100) == ((3, 2**4),)
+        assert _freq_plan(2**64 + 5) == ((0, 5), (2, 1))
 
 
 class TestLilTrajectory:
