@@ -290,11 +290,23 @@ def _cmd_strong_law(args) -> tuple[dict, dict]:
 
 
 def _cmd_plot(args) -> tuple[dict, dict]:
+    need = 2 if args.kind == "trajectory" else 1
     rows = []
-    for line in _read_text(getattr(args, "in")).splitlines():
+    for number, line in enumerate(_read_text(getattr(args, "in")).splitlines(), start=1):
         line = line.strip()
-        if line:
-            rows.append([float(t) for t in line.split(",")])
+        if not line:
+            continue
+        try:
+            row = [float(t) for t in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) < need:
+            raise LabError(
+                "malformed-input",
+                f"table line {number}: expected comma-separated numbers (at least {need}),"
+                f" got {line!r}",
+            )
+        rows.append(row)
     if not rows:
         raise ConfigError("empty table")
     if args.kind == "cdf-overlay":

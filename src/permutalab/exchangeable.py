@@ -15,7 +15,10 @@ distribution-level checks absorb that class through its small total mass.
 
 Atom choice, values, noise flags and noise signs are separate columns of
 one counter-based stream per run, so runs are reproducible per (seed, run
-index) and results never depend on chunking.
+index) and results never depend on chunking.  The flag and sign columns
+are drawn only when the noise can read them, that is when some good atom
+has ``outlier_prob > 0``; the atom and value columns keep their indices
+either way, so the values do not depend on whether the noise is drawn.
 """
 
 from __future__ import annotations
@@ -149,11 +152,24 @@ def _quantize(values: np.ndarray, grid: float) -> np.ndarray:
     return np.round(values / grid) * grid
 
 
-def _noise(model: ExchangeableModel, flags: np.ndarray, signs: np.ndarray, bad: bool):
+def _noise_is_read(model: ExchangeableModel) -> bool:
+    """Whether some good atom draws two-valued noise, so flags and signs are read."""
+    perturb = model.perturb
+    return perturb is not None and perturb.outlier_prob > 0.0 and model.n_bad < len(model.atoms)
+
+
+def _noise(
+    model: ExchangeableModel,
+    shape: tuple[int, ...],
+    flags: np.ndarray | None,
+    signs: np.ndarray | None,
+    bad: bool,
+):
+    """Noise added to Z; flags and signs are None unless :func:`_noise_is_read`."""
     if bad:
-        return np.full(flags.shape, _BAD_ATOM_SHIFT)
-    if model.perturb is None or model.perturb.outlier_prob == 0.0:
-        return np.zeros(flags.shape)
+        return np.full(shape, _BAD_ATOM_SHIFT)
+    if flags is None:
+        return np.zeros(shape)
     hit = flags < model.perturb.outlier_prob
     return hit * np.where(signs < 0.5, -1.0, 1.0) * model.perturb.outlier_size
 
@@ -173,7 +189,10 @@ def draw_sequence(
     atom = min(atom, len(model.atoms) - 1)
     law = model.atoms[atom][1]
     z = law.quantile_many(stream.uniform_block(m))
-    eta = _noise(model, stream.uniform_block(m), stream.uniform_block(m), atom < model.n_bad)
+    flags = signs = None
+    if _noise_is_read(model):
+        flags, signs = stream.uniform_block(m), stream.uniform_block(m)
+    eta = _noise(model, z.shape, flags, signs, atom < model.n_bad)
     x = _quantize(z + eta, model.grid)
     return DrawnSequence(atom, z, x)
 
@@ -199,10 +218,13 @@ def permuted_statistic(
     length = len(perm)
     window_idx = np.array([perm.image[i - 1] - 1 for i in range(p, q + 1)])
     width = len(window_idx)
-    # per-run column layout: 0 atom, 1..L values, L+1..2L flags, 2L+1..3L signs
-    cols = np.concatenate(
-        ([0], 1 + window_idx, 1 + length + window_idx, 1 + 2 * length + window_idx)
-    )
+    # per-run column layout: 0 atom, 1..L values, L+1..2L flags, 2L+1..3L signs;
+    # flags and signs are drawn only when the noise reads them
+    noisy = _noise_is_read(model)
+    blocks = [[0], 1 + window_idx]
+    if noisy:
+        blocks += [1 + length + window_idx, 1 + 2 * length + window_idx]
+    cols = np.concatenate(blocks)
     cum = np.cumsum(model.probs)
     n_bad = model.n_bad
 
@@ -218,12 +240,10 @@ def permuted_statistic(
                 continue
             law = model.atoms[a][1]
             z = law.quantile_many(u[rows, 1 : 1 + width])
-            eta = _noise(
-                model,
-                u[rows, 1 + width : 1 + 2 * width],
-                u[rows, 1 + 2 * width :],
-                a < n_bad,
-            )
+            flags = signs = None
+            if noisy:
+                flags, signs = u[rows, 1 + width : 1 + 2 * width], u[rows, 1 + 2 * width :]
+            eta = _noise(model, z.shape, flags, signs, a < n_bad)
             x = _quantize(z + eta, model.grid)
             out[rows] = T.evaluate(x, law, k)
         return out

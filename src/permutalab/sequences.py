@@ -40,8 +40,18 @@ class IndexSequence:
 
     @classmethod
     def from_csv(cls, text: str) -> "IndexSequence":
-        vals = tuple(int(line) for line in text.split() if line.strip())
-        return cls(vals)
+        """Parse whitespace-separated integers; a non-integer raises ``malformed-input``."""
+        vals = []
+        for number, line in enumerate(text.splitlines(), start=1):
+            for token in line.split():
+                try:
+                    vals.append(int(token))
+                except ValueError:
+                    raise LabError(
+                        "malformed-input",
+                        f"sequence CSV line {number}: expected an integer, got {token!r}",
+                    ) from None
+        return cls(tuple(vals))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Smoke run of the benchmark's lacunary workload at the pinned seed.
+"""Smoke runs of the benchmark's Monte Carlo workloads at the pinned seed.
 
 At seed 0 the benchmark checks every table of the ``clt`` and
-``permute-clt`` commands against the sha256 digests in
-``bench/pinned.json``, at ``--threads`` 1 and 2, so this test fails when
-either table changes by a single byte.  It never asserts a timing.
+``permute-clt`` commands (lacunary-mc) and of the ``exchangeable``,
+``framework-check`` and ``strong-law`` commands (exchangeable-mc) against
+the sha256 digests in ``bench/pinned.json``, at ``--threads`` 1 and 2, so
+this test fails when any of those tables changes by a single byte.  It
+never asserts a timing.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_lacunary_workload_correct_at_pinned_seed():
+@pytest.mark.parametrize("workload", ["lacunary-mc", "exchangeable-mc"])
+def test_workload_correct_at_pinned_seed(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "lacunary-mc",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,

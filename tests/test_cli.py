@@ -278,6 +278,27 @@ class TestExitCodes:
         )
         self._assert_config_error(rc, capsys, "'atoms'")
 
+    def test_sequence_csv_line_not_an_integer(self, tmp_path, capsys):
+        seq = tmp_path / "s.csv"
+        seq.write_text("1\n2\n\nabc\n8\n")
+        rc = run_cli(
+            "clt", "--seq", str(seq), "--N", "2", "--M", "10", "--out-dir", str(tmp_path / "out"),
+        )
+        self._assert_config_error(rc, capsys, "line 4", "'abc'")
+
+    @pytest.mark.parametrize(
+        "kind, bad_line",
+        [("cdf-overlay", "1,x"), ("trajectory", "1,x"), ("trajectory", "0.5")],
+    )
+    def test_plot_table_cell_not_a_number(self, tmp_path, capsys, kind, bad_line):
+        table = tmp_path / "dist.csv"
+        table.write_text(f"0.5,1\n\n{bad_line}\n")
+        rc = run_cli(
+            "plot", "--in", str(table), "--kind", kind, "--out", "t.svg",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        self._assert_config_error(rc, capsys, "line 3", repr(bad_line))
+
 
 class TestAtomicWrite:
     GEN = ("gen-seq", "--kind", "hadamard", "--q", "2", "--N", "5")

@@ -7,13 +7,18 @@ import pytest
 
 from permutalab import (
     DiscreteMeasure,
+    DrawnSequence,
+    EmpiricalSample,
     ExchangeableModel,
     LabError,
+    Permutation,
     PerturbSpec,
+    RegularLimitTheorem,
     conditional_noise_check,
     draw_sequence,
     empirical_measure,
     ks_distance,
+    make_clt,
     make_trimmed_clt,
     model_from_json,
     model_to_json,
@@ -26,7 +31,9 @@ from permutalab import (
     strong_law_trajectory,
     permutation_invariance_check,
 )
-from permutalab.rng import Stream
+from permutalab.exchangeable import _BAD_ATOM_SHIFT, _noise_is_read, _quantize
+from permutalab.parallel import map_chunks
+from permutalab.rng import Stream, derive_seed, derive_seed_vec, uniform_columns
 
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
 WIDE = DiscreteMeasure(((-2.0, 0.5), (2.0, 0.5)))
@@ -235,3 +242,166 @@ def test_conditional_noise_variant():
     lhs, holds = conditional_noise_check(BOUNDED, 0.1, seed=6)
     assert holds
     assert lhs <= 0.2 + 1e-9
+
+
+# -- oracles: every run draws its flag and sign columns ------------------
+#
+# Verbatim copies of ``_noise``, ``draw_sequence`` and ``permuted_statistic``
+# from when every run drew the noise flag and sign columns whether or not
+# the noise read them (only the function names differ).  The library draws
+# those columns only when some good atom has ``outlier_prob > 0``, and must
+# give the same values bit for bit, signed zeros included.
+
+
+def _noise_reference(model: ExchangeableModel, flags: np.ndarray, signs: np.ndarray, bad: bool):
+    if bad:
+        return np.full(flags.shape, _BAD_ATOM_SHIFT)
+    if model.perturb is None or model.perturb.outlier_prob == 0.0:
+        return np.zeros(flags.shape)
+    hit = flags < model.perturb.outlier_prob
+    return hit * np.where(signs < 0.5, -1.0, 1.0) * model.perturb.outlier_size
+
+
+def _draw_sequence_three_block_reference(
+    model: ExchangeableModel, m: int, eps_index: int, seed: int
+) -> DrawnSequence:
+    """Sample an atom, then m conditionally-i.i.d. perturbed values."""
+    if m < 1:
+        raise LabError("bad-count", "need m >= 1")
+    if model.perturb is not None:
+        if not 1 <= eps_index <= len(model.perturb.eps_levels):
+            raise LabError("eps-level", "eps index out of range")
+    stream = Stream(derive_seed(seed, "draw"))
+    cum = np.cumsum(model.probs)
+    atom = int(np.searchsorted(cum, stream.uniform(), side="left"))
+    atom = min(atom, len(model.atoms) - 1)
+    law = model.atoms[atom][1]
+    z = law.quantile_many(stream.uniform_block(m))
+    eta = _noise_reference(model, stream.uniform_block(m), stream.uniform_block(m), atom < model.n_bad)
+    x = _quantize(z + eta, model.grid)
+    return DrawnSequence(atom, z, x)
+
+
+def _permuted_statistic_full_layout_reference(
+    model: ExchangeableModel,
+    T: RegularLimitTheorem,
+    k: int,
+    perm: Permutation,
+    m: int,
+    seed: int,
+    threads: int = 1,
+) -> EmpiricalSample:
+    """Law of f_k over the window of the permuted drawn sequence.
+
+    Each of the m runs draws its own atom and sequence; f_k is evaluated on
+    coordinates p_k..q_k of the permuted sequence with the drawn atom's law
+    as the measure argument.
+    """
+    p, q = T.window(k)
+    if len(perm) < q:
+        raise LabError("perm-size", "permutation shorter than the window end")
+    length = len(perm)
+    window_idx = np.array([perm.image[i - 1] - 1 for i in range(p, q + 1)])
+    width = len(window_idx)
+    # per-run column layout: 0 atom, 1..L values, L+1..2L flags, 2L+1..3L signs
+    cols = np.concatenate(
+        ([0], 1 + window_idx, 1 + length + window_idx, 1 + 2 * length + window_idx)
+    )
+    cum = np.cumsum(model.probs)
+    n_bad = model.n_bad
+
+    def run(start: int, count: int) -> np.ndarray:
+        seeds = derive_seed_vec(seed, np.arange(start, start + count), "perm-stat")
+        u = uniform_columns(seeds, cols)
+        atom = np.searchsorted(cum, u[:, 0], side="left")
+        atom = np.minimum(atom, len(model.atoms) - 1)
+        out = np.empty(count)
+        for a in range(len(model.atoms)):
+            rows = atom == a
+            if not rows.any():
+                continue
+            law = model.atoms[a][1]
+            z = law.quantile_many(u[rows, 1 : 1 + width])
+            eta = _noise_reference(
+                model,
+                u[rows, 1 + width : 1 + 2 * width],
+                u[rows, 1 + 2 * width :],
+                a < n_bad,
+            )
+            x = _quantize(z + eta, model.grid)
+            out[rows] = T.evaluate(x, law, k)
+        return out
+
+    values = map_chunks(m, run, threads)
+    return EmpiricalSample(tuple(float(v) for v in values), tag=f"perm-{T.name}-k{k}", seed=seed)
+
+
+NEG_ZERO = DiscreteMeasure.point(-0.0)
+
+ORACLE_MODELS = {
+    # perturb off, on the default grid and on none
+    "no-perturb": ExchangeableModel(((0.5, RADEMACHER), (0.5, WIDE))),
+    "no-perturb-grid0": TWO_ATOM,
+    # z = -0.0 and eta = +0.0 give x = +0.0, which skipping the sum would not
+    "no-perturb-signed-zero": ExchangeableModel(((0.5, NEG_ZERO), (0.5, SMALL_A)), grid=0.0),
+    "outlier-prob-0": ExchangeableModel(
+        ((0.5, SMALL_A), (0.5, SMALL_B)), perturb=PerturbSpec((0.25,), 0.0, 0.5)
+    ),
+    # the only model whose noise reads flags and signs
+    "noisy-bad-and-good": ExchangeableModel(
+        ((0.1, NEG_ZERO), (0.3, SMALL_A), (0.6, SMALL_B)),
+        bad_mass=0.1,
+        perturb=PerturbSpec((0.25, 0.2), 0.2, 0.5),
+    ),
+    "noisy-all-bad": ExchangeableModel(
+        ((0.5, SMALL_A), (0.5, SMALL_B)),
+        bad_mass=1.0,
+        perturb=PerturbSpec((1.0,), 0.5, 0.5),
+    ),
+}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestNoiseColumnsOracle:
+    K = 16
+
+    def test_models_cover_each_noise_case(self):
+        read = {name: _noise_is_read(model) for name, model in ORACLE_MODELS.items()}
+        assert [name for name, r in read.items() if r] == ["noisy-bad-and-good"]
+        assert ORACLE_MODELS["noisy-bad-and-good"].n_bad == 1
+        assert ORACLE_MODELS["noisy-all-bad"].n_bad == 2
+
+    @pytest.mark.parametrize("perm_kind", ["identity", "reverse", "random"])
+    @pytest.mark.parametrize("theorem", [make_clt, make_trimmed_clt], ids=["clt", "trimmed-clt"])
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_permuted_statistic_matches_full_layout(self, name, theorem, perm_kind):
+        model, T = ORACLE_MODELS[name], theorem()
+        perm = {
+            "identity": identity_permutation(self.K),
+            "reverse": reverse_permutation(self.K),
+            # longer than the window end, so the old flag columns start past it
+            "random": random_permutation(self.K + 9, seed=77),
+        }[perm_kind]
+        for m in (1, 4095, 4096, 4097):
+            for threads in (1, 2):
+                want = _permuted_statistic_full_layout_reference(model, T, self.K, perm, m, 31, threads)
+                got = permuted_statistic(model, T, self.K, perm, m, 31, threads)
+                assert _bits(got.values) == _bits(want.values), (m, threads)
+                assert (got.tag, got.seed) == (want.tag, want.seed)
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_draw_sequence_matches_three_blocks(self, name):
+        model = ORACLE_MODELS[name]
+        atoms_seen = set()
+        for m in (1, 4095, 4096, 4097):
+            for seed in range(20):
+                want = _draw_sequence_three_block_reference(model, m, 1, seed)
+                got = draw_sequence(model, m, 1, seed)
+                assert got.atom_index == want.atom_index
+                assert _bits(got.z) == _bits(want.z), (m, seed)
+                assert _bits(got.x) == _bits(want.x), (m, seed)
+                atoms_seen.add(got.atom_index)
+        assert atoms_seen == set(range(len(model.atoms)))
