@@ -3,9 +3,8 @@
 Prohorov distance is computed through its coupling characterization: for a
 threshold ``d``, let ``deficit(d)`` be the probability mass that cannot be
 transported between the two measures using only atom pairs within distance
-``d``.  The distance is ``min over candidate thresholds d of
-max(d, deficit(d))`` where the candidates are 0 and all pairwise atom
-distances.  Two conventions make this scan exact and finite:
+``d``.  The distance is the infimum over ``d >= 0`` of
+``max(d, deficit(d))``.  Two conventions make this exact and finite:
 
 * closed balls everywhere (the infimum is the same as with the open-ball
   definition, and the deficit becomes a step function of ``d``);
@@ -14,11 +13,34 @@ distances.  Two conventions make this scan exact and finite:
   decided in integer arithmetic.  The induced distortion of any reported
   mass or distance is below 1e-11.
 
+A pair ``(x_i, y_j)`` is within distance ``d`` when its rounded distance
+``|fl(x_i - y_j)|`` is at most ``d``.  The candidates are 0 and these
+rounded distances.  The deficit is nonincreasing in ``d`` and constant from
+one candidate up to the next, so the predicate ``deficit(t) <= t`` is false
+below some double and true from it on.  The distance is **the smallest
+double t >= 0 with deficit(t) <= t**: if the predicate is false at a
+candidate ``c_lo`` and true at the next one ``c_hi``, the deficit on
+``[c_lo, c_hi)`` is ``deficit(c_lo) > c_lo``, so that double is
+``min(deficit(c_lo), c_hi)``, which is the infimum of ``max(d, deficit(d))``.
+``prohorov_distance`` finds it without listing the candidates: it bisects on
+the IEEE bit pattern (for nonnegative doubles the int64 order is the float
+order, so at most 63 halvings are needed, and the integer midpoint never
+rounds onto an end as ``0.5 * (a + b)`` can), and snaps each probe to the
+candidates on either side of it.
+
 Because atoms are sorted, the pairs within distance ``d`` form contiguous
-column windows whose endpoints are nondecreasing in the row index.  On such
-a staircase bipartite graph the leftmost-first greedy assignment attains
-the maximum flow (exchange argument: a later row can always take over a
-right column from an earlier row, never the converse), which is what
+column windows ``[lo_i, hi_i]`` whose endpoints are nondecreasing in the
+row index: ``fl(x_i - y_j)`` is nondecreasing in ``x_i`` and nonincreasing
+in ``y_j``.  ``_windows`` finds them in one two-pointer pass in O(n + m)
+time and memory, testing the very predicate the candidates come from:
+``fl(x_i - y_j) <= d`` left of ``x_i`` and ``fl(y_j - x_i) <= d`` right of
+it (``fl(y_j - x_i)`` is exactly ``-fl(x_i - y_j)``).  It never compares
+``y_j`` with a re-rounded ``x_i +- d``, which misclassifies boundary pairs.
+The same pass returns the largest distance inside the windows and the
+smallest outside them: the candidates next to ``d``.  On such a staircase
+bipartite graph the leftmost-first greedy assignment attains the maximum
+flow (exchange argument: a later row can always take over a right column
+from an earlier row, never the converse), which is what
 ``_greedy_transport`` implements in O(rows + cols) after the window scan.
 
 ``prohorov_oracle`` is the independent verification path: it enumerates
@@ -28,6 +50,7 @@ subsets of the supports and bisects on the defining inequalities directly.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,22 +113,47 @@ def _integer_masses(mass: np.ndarray, scale: int = MASS_SCALE) -> np.ndarray:
     return base
 
 
-def _windows(dist: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row index range [lo, hi] of columns with dist[i, j] <= d.
+def _windows(
+    x: list[float], y: list[float], d: float
+) -> tuple[list[int], list[int], float, float]:
+    """Per-row column windows ``[lo, hi]`` of the pairs with ``|fl(x_i - y_j)| <= d``.
 
-    The bounds come from the same rounded distance matrix that supplies the
-    candidate thresholds and the violation counts, so a pair at distance
-    exactly d is never misclassified by re-rounding x +- d.  Each row's
-    allowed set is contiguous and the bounds are nondecreasing down the
-    rows (rounding is monotone, exact distances are unimodal per row).
+    ``x`` and ``y`` are the sorted positions as Python floats.  Returns the
+    lists ``lo`` and ``hi`` (``lo[i] > hi[i]`` for an empty row), the largest
+    pair distance ``<= d`` (0.0 if there is none) and the smallest pair
+    distance ``> d`` (inf if there is none).
     """
-    mask = dist <= d
-    lo = mask.argmax(axis=1)
-    hi = dist.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
-    empty = ~mask.any(axis=1)
-    lo[empty] = 1
-    hi[empty] = 0
-    return lo, hi
+    m = len(y)
+    los: list[int] = []
+    his: list[int] = []
+    inside, outside = 0.0, math.inf
+    lo = end = 0
+    for xi in x:
+        while lo < m and xi - y[lo] > d:
+            lo += 1
+        while end < m and y[end] - xi <= d:
+            end += 1
+        # the row's window is [lo, end - 1]; its distances peak at the two
+        # ends, and lo - 1 and end are the nearest columns outside it
+        # (compared inline: max/min calls double the cost of the pass)
+        if lo < end:
+            v = xi - y[lo]
+            if v > inside:
+                inside = v
+            v = y[end - 1] - xi
+            if v > inside:
+                inside = v
+        if lo > 0:
+            v = xi - y[lo - 1]
+            if v < outside:
+                outside = v
+        if end < m:
+            v = y[end] - xi
+            if v < outside:
+                outside = v
+        los.append(lo)
+        his.append(end - 1)
+    return los, his, inside, outside
 
 
 def _greedy_transport(
@@ -152,45 +200,57 @@ def _greedy_transport(
 
 
 def _prepare(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    x = mu.positions
-    y = nu.positions
-    if x.size * y.size > 2 * 10**8:
-        raise LabError("too-large", "atom count product too large for exact scan")
-    dist = np.abs(x[:, None] - y[None, :])
-    ia = _integer_masses(mu.masses)
-    ib = _integer_masses(nu.masses)
-    return dist, ia, ib
+    return (
+        mu.positions.tolist(),
+        nu.positions.tolist(),
+        _integer_masses(mu.masses),
+        _integer_masses(nu.masses),
+    )
 
 
-def _deficit_int(dist, ia, ib, d: float) -> int:
-    lo, hi = _windows(dist, d)
-    return MASS_SCALE - _greedy_transport(ia, ib, lo, hi)
+def _bits(t: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", t))[0]
+
+
+def _from_bits(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k))[0]
 
 
 def prohorov_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Prohorov distance between two atomic measures, exact up to 1e-11.
 
-    Scans ``max(d, deficit(d))`` over the candidate thresholds; since the
-    deficit is nonincreasing and the candidates increase, the minimum sits
-    at the first candidate where ``deficit(d) <= d``, located by bisection.
+    Returns the smallest double ``t >= 0`` with ``deficit(t) <= t`` (see the
+    module docstring), found by bisection on the bit pattern between the
+    next candidate above the last failing probe and a candidate where the
+    predicate holds.  Time O((n + m) * 64), memory O(n + m).
     """
-    dist, ia, ib = _prepare(mu, nu)
-    cands = np.unique(np.concatenate(([0.0], dist.ravel())))
+    x, y, ia, ib = _prepare(mu, nu)
 
-    def deficit(d: float) -> float:
-        return _deficit_int(dist, ia, ib, d) / MASS_SCALE
+    def probe(t: float) -> tuple[float, float, float]:
+        lo, hi, inside, outside = _windows(x, y, t)
+        return (MASS_SCALE - _greedy_transport(ia, ib, lo, hi)) / MASS_SCALE, inside, outside
 
-    lo_i, hi_i = 0, len(cands) - 1
-    # invariant: predicate deficit(c) <= c is False before lo_i, True at hi_i
-    if deficit(float(cands[0])) <= float(cands[0]):
-        return float(cands[0])
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if deficit(float(cands[mid])) <= float(cands[mid]):
-            hi_i = mid
+    deficit, _, nxt = probe(0.0)
+    if deficit <= 0.0:
+        return 0.0
+    # Invariant: the predicate failed at the last failing probe, and the
+    # deficit stays ``deficit`` from there up to the next candidate nxt; so
+    # it fails everywhere below nxt, unless deficit < nxt, which is then the
+    # answer.  It holds at the candidate b: at the largest pair distance
+    # every pair is inside its window and the deficit is 0.
+    b = max(x[-1] - y[0], y[-1] - x[0])
+    while nxt < b and deficit >= nxt:
+        mid = _from_bits((_bits(nxt) + _bits(b)) // 2)
+        d_mid, inside, outside = probe(mid)
+        if d_mid <= mid:
+            if d_mid > inside:
+                # false at the candidate below mid, true at mid: the
+                # deficit between them is d_mid
+                return d_mid
+            b = inside
         else:
-            lo_i = mid
-    return float(min(deficit(float(cands[lo_i])), float(cands[hi_i])))
+            deficit, nxt = d_mid, outside
+    return min(deficit, b)
 
 
 def prohorov_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -247,20 +307,22 @@ def strassen_coupling(
     """
     if eps < 0:
         raise LabError("bad-eps", "eps must be >= 0")
-    dist, ia, ib = _prepare(mu, nu)
-    lo, hi = _windows(dist, eps)
+    if mu.positions.size * nu.positions.size > 2 * 10**8:
+        raise LabError("too-large", "atom count product too large for a dense coupling matrix")
+    x, y, ia, ib = _prepare(mu, nu)
+    lo, hi, _, _ = _windows(x, y, float(eps))
     flow, triples = _greedy_transport(ia, ib, lo, hi, collect=True)
     deficit = MASS_SCALE - flow
     if deficit / MASS_SCALE > eps:
         return None
 
-    grid = np.zeros(dist.shape, dtype=np.int64)
+    grid = np.zeros((len(x), len(y)), dtype=np.int64)
     for i, j, t in triples:
         grid[i, j] += t
     res_row = ia - grid.sum(axis=1)
     res_col = ib - grid.sum(axis=0)
     i = j = 0
-    nrows, ncols = dist.shape
+    nrows, ncols = grid.shape
     while i < nrows and j < ncols:
         if res_row[i] == 0:
             i += 1

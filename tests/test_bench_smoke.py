@@ -1,11 +1,12 @@
 """Smoke runs of the benchmark's Monte Carlo workloads at the pinned seed.
 
 At seed 0 the benchmark checks every table of the ``clt`` and
-``permute-clt`` commands (lacunary-mc) and of the ``exchangeable``,
-``framework-check`` and ``strong-law`` commands (exchangeable-mc) against
-the sha256 digests in ``bench/pinned.json``, at ``--threads`` 1 and 2, so
-this test fails when any of those tables changes by a single byte.  It
-never asserts a timing.
+``permute-clt`` commands (lacunary-mc), of the ``exchangeable``,
+``framework-check`` and ``strong-law`` commands (exchangeable-mc) and of
+the ``prohorov``, ``lil`` and ``dio-count`` commands plus the 250 mixture
+verdicts (exact-serial) against the sha256 digests in
+``bench/pinned.json``, at ``--threads`` 1 and 2, so this test fails when any
+of those tables changes by a single byte.  It never asserts a timing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["lacunary-mc", "exchangeable-mc"])
+@pytest.mark.parametrize("workload", ["lacunary-mc", "exchangeable-mc", "exact-serial"])
 def test_workload_correct_at_pinned_seed(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,

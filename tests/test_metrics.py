@@ -3,12 +3,15 @@
 The maximal in-range transport (the core of the distance scan) is checked
 against an LP solved by scipy on random instances; the quantile-coupling
 Wasserstein integral is checked against the LP transport optimum; the
-distance itself is checked against the subset-enumeration oracle.
+distance itself is checked against the subset-enumeration oracle, and
+against the dense candidate scan it replaced (``_prohorov_dense_reference``)
+for exact equality.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,7 +32,13 @@ from permutalab import (
     wasserstein2,
 )
 from permutalab.measures import EmpiricalSample
-from permutalab.metrics import MASS_SCALE, _greedy_transport, _integer_masses, _windows
+from permutalab.metrics import (
+    MASS_SCALE,
+    _greedy_transport,
+    _integer_masses,
+    _prepare,
+    _windows,
+)
 from permutalab.rng import Stream
 
 from conftest import perturbed_measure, random_discrete_measure
@@ -84,12 +93,177 @@ def lp_quadratic_transport(mu, nu):
     return math.sqrt(max(res.fun, 0.0))
 
 
+def _dense_windows(dist: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row index range [lo, hi] of columns with dist[i, j] <= d (dense mask)."""
+    mask = dist <= d
+    lo = mask.argmax(axis=1)
+    hi = dist.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    empty = ~mask.any(axis=1)
+    lo[empty] = 1
+    hi[empty] = 0
+    return lo, hi
+
+
+def _dense_prepare(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    x = mu.positions
+    y = nu.positions
+    if x.size * y.size > 2 * 10**8:
+        raise LabError("too-large", "atom count product too large for exact scan")
+    dist = np.abs(x[:, None] - y[None, :])
+    ia = _integer_masses(mu.masses)
+    ib = _integer_masses(nu.masses)
+    return dist, ia, ib
+
+
+def _dense_deficit_int(dist, ia, ib, d: float) -> int:
+    lo, hi = _dense_windows(dist, d)
+    return MASS_SCALE - _greedy_transport(ia, ib, lo, hi)
+
+
+def _prohorov_dense_reference(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """The dense scan: every pair distance is a candidate, bisected by index.
+
+    Since the deficit is nonincreasing and the candidates increase, the
+    minimum of max(d, deficit(d)) sits at the first candidate where
+    deficit(d) <= d.  O(n*m) memory.
+    """
+    dist, ia, ib = _dense_prepare(mu, nu)
+    cands = np.unique(np.concatenate(([0.0], dist.ravel())))
+
+    def deficit(d: float) -> float:
+        return _dense_deficit_int(dist, ia, ib, d) / MASS_SCALE
+
+    lo_i, hi_i = 0, len(cands) - 1
+    # invariant: predicate deficit(c) <= c is False before lo_i, True at hi_i
+    if deficit(float(cands[0])) <= float(cands[0]):
+        return float(cands[0])
+    while hi_i - lo_i > 1:
+        mid = (lo_i + hi_i) // 2
+        if deficit(float(cands[mid])) <= float(cands[mid]):
+            hi_i = mid
+        else:
+            lo_i = mid
+    return float(min(deficit(float(cands[lo_i])), float(cands[hi_i])))
+
+
+def _scan_windows(mu, nu, d):
+    """The two-pointer windows as arrays, empty rows written as (1, 0)."""
+    x, y, _, _ = _prepare(mu, nu)
+    lo, hi, inside, outside = _windows(x, y, d)
+    lo, hi = np.array(lo), np.array(hi)
+    empty = lo > hi
+    lo[empty] = 1
+    hi[empty] = 0
+    return lo, hi, inside, outside
+
+
+def _law(stream: Stream, n: int, position) -> DiscreteMeasure:
+    """n distinct positions from position(stream), random positive masses."""
+    positions = set()
+    while len(positions) < n:
+        positions.add(position(stream))
+    masses = np.array([stream.uniform() + 1e-3 for _ in range(n)])
+    masses /= masses.sum()
+    return DiscreteMeasure(tuple(zip(sorted(positions), masses)))
+
+
+def _tied_law(stream: Stream, n: int) -> DiscreteMeasure:
+    """Equal masses on a 1/8 grid: many shared positions and repeated distances."""
+    cells = sorted({stream.below(17) for _ in range(n)})
+    return DiscreteMeasure(tuple(((c - 8) / 8.0, 1.0 / len(cells)) for c in cells))
+
+
+def _wide(stream: Stream) -> float:
+    return (2.0 * stream.uniform() - 1.0) * 10.0 ** (15.0 * stream.uniform() - 12.0)
+
+
+def _cluster(stream: Stream) -> float:
+    return 1e-7 * stream.uniform()
+
+
+def _normal_law(seed: int, n: int, shift: float, scale: float) -> DiscreteMeasure:
+    """n distinct normal draws of mass 1/n, as the benchmark's Prohorov input."""
+    rnd = random.Random(f"normal-law:{seed}:{shift}")
+    positions: set[float] = set()
+    while len(positions) < n:
+        positions.add(shift + scale * rnd.gauss(0.0, 1.0))
+    return DiscreteMeasure(tuple((p, 1.0 / n) for p in sorted(positions)))
+
+
+class TestProhorovAgainstDenseScan:
+    """The two-pointer bisection must return exactly the dense scan's double."""
+
+    def _pairs(self, seed, draw, count):
+        stream = Stream(seed)
+        for _ in range(count):
+            yield draw(stream), draw(stream)
+
+    @pytest.mark.parametrize(
+        "seed, draw",
+        [
+            (1, lambda s: _tied_law(s, 1 + s.below(17))),
+            (2, lambda s: _law(s, 1 + s.below(29), _wide)),
+            (3, lambda s: _law(s, 1 + s.below(29), _cluster)),
+            (4, lambda s: random_discrete_measure(s, max_atoms=29)),
+        ],
+        ids=["ties", "wide-magnitudes", "1e-7-clusters", "uniform"],
+    )
+    def test_equal_on_random_instances(self, seed, draw):
+        for mu, nu in self._pairs(seed, draw, 150):
+            assert prohorov_distance(mu, nu) == _prohorov_dense_reference(mu, nu)
+
+    def test_single_atom(self):
+        stream = Stream(5)
+        for _ in range(40):
+            point = DiscreteMeasure.point(2.0 * stream.uniform() - 1.0)
+            other = _law(stream, 1 + stream.below(12), lambda t: 2.0 * t.uniform() - 1.0)
+            for mu, nu in ((point, other), (other, point), (point, point)):
+                assert prohorov_distance(mu, nu) == _prohorov_dense_reference(mu, nu)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equal_on_benchmark_sized_normal_pair(self, seed):
+        mu = _normal_law(seed, 2000, 0.0, 1.0)
+        nu = _normal_law(seed, 2000, 0.05, 1.1)
+        got = prohorov_distance(mu, nu)
+        assert 0.0 < got < 1.0
+        assert got == _prohorov_dense_reference(mu, nu)
+
+    @pytest.mark.parametrize("draw", [_wide, _cluster, lambda t: t.below(17) / 8.0])
+    def test_windows_equal_dense_mask(self, draw):
+        stream = Stream(6)
+        for _ in range(100):
+            mu = _law(stream, 1 + stream.below(12), draw)
+            nu = _law(stream, 1 + stream.below(12), draw)
+            dist = np.abs(mu.positions[:, None] - nu.positions[None, :])
+            cands = np.unique(np.concatenate(([0.0], dist.ravel())))
+            exact = float(cands[stream.below(len(cands))])
+            for d in (exact, float(dist.max()) * stream.uniform()):
+                lo, hi, inside, outside = _scan_windows(mu, nu, d)
+                want_lo, want_hi = _dense_windows(dist, d)
+                assert lo.tolist() == want_lo.tolist()
+                assert hi.tolist() == want_hi.tolist()
+                # the candidates on either side of d
+                assert inside == float(cands[cands <= d].max())
+                above = cands[cands > d]
+                assert outside == (float(above.min()) if above.size else math.inf)
+
+    def test_no_atom_pair_limit(self):
+        # 2.25e8 pairs: the dense scan refuses them, the two-pointer scan
+        # needs O(n + m) memory
+        mu = _normal_law(7, 15_000, 0.0, 1.0)
+        nu = _normal_law(7, 15_000, 0.02, 1.05)
+        with pytest.raises(LabError) as err:
+            _dense_prepare(mu, nu)
+        assert err.value.token == "too-large"
+        got = prohorov_distance(mu, nu)
+        assert 0.0 < got < 1.0
+        assert got == prohorov_distance(nu, mu)
+
+
 class TestGreedyTransportAgainstLP:
     def _check(self, mu, nu, d):
-        ia = _integer_masses(mu.masses)
-        ib = _integer_masses(nu.masses)
-        dist = np.abs(mu.positions[:, None] - nu.positions[None, :])
-        lo, hi = _windows(dist, d)
+        x, y, ia, ib = _prepare(mu, nu)
+        lo, hi, _, _ = _windows(x, y, d)
         flow = _greedy_transport(ia, ib, lo, hi) / MASS_SCALE
         want = lp_max_inrange_mass(mu, nu, d)
         assert abs(flow - want) <= 1e-7
@@ -190,6 +364,12 @@ class TestStrassenCoupling:
         assert c is not None
         assert c.matrix.tolist() == [[0.5], [0.5]]
         assert c.violation(0.5) == pytest.approx(0.5, abs=1e-12)
+
+    def test_too_large_for_dense_matrix(self):
+        big = DiscreteMeasure(tuple((float(i), 1.0 / 15_000) for i in range(15_000)))
+        with pytest.raises(LabError) as err:
+            strassen_coupling(big, big, 0.1)
+        assert err.value.token == "too-large"
 
     def test_feasible_at_distance_plus(self):
         stream = Stream(2718)
