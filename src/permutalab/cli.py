@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import LabError
 from .exchangeable import model_from_json, strong_law_trajectory, permutation_invariance_check
-from .framework import limit_convergence_check, make_clt, make_trimmed_clt
+from .framework import THEOREMS, limit_convergence_check, make_theorem
 from .lacunary import FixedPointX, clt_sample, lil_trajectory, required_bits
 from .measures import MixedNormal, empirical_measure, measure_from_csv
 from .metrics import (
@@ -134,14 +134,6 @@ def _make_permutation(pattern: str, n: int):
     return random_permutation(n, value)
 
 
-def _theorem(name: str):
-    if name == "clt":
-        return make_clt()
-    if name == "trimmed-clt":
-        return make_trimmed_clt()
-    raise ConfigError(f"unknown theorem {name!r}")
-
-
 # -- subcommand handlers ------------------------------------------------
 # each returns (tables: {filename: text}, summary: dict)
 
@@ -185,7 +177,7 @@ def _cmd_clt(args) -> tuple[dict, dict]:
     sample = clt_sample(
         seq, args.N, args.M, norm=args.norm, perm=perm, seed=args.seed, threads=args.threads
     )
-    arr = sample.as_array()
+    arr = sample.values
     ks = ks_distance(empirical_measure(sample), MixedNormal.standard())
     summary = {
         "ks_to_normal": ks,
@@ -195,7 +187,7 @@ def _cmd_clt(args) -> tuple[dict, dict]:
         "M": args.M,
         "perm": args.perm,
     }
-    text = "\n".join(_fmt(v) for v in sample.values) + "\n"
+    text = "\n".join(_fmt(v) for v in arr.tolist()) + "\n"
     return {args.out: text}, summary
 
 
@@ -250,7 +242,7 @@ def _cmd_prohorov(args) -> tuple[dict, dict]:
 
 
 def _cmd_framework_check(args) -> tuple[dict, dict]:
-    T = _theorem(args.theorem)
+    T = make_theorem(args.theorem)
     mu = measure_from_csv(_read_text(args.mu))
     rows = limit_convergence_check(
         T, mu, _parse_ints(args.k_list), args.M, args.seed, threads=args.threads
@@ -262,7 +254,7 @@ def _cmd_framework_check(args) -> tuple[dict, dict]:
 
 def _cmd_exchangeable(args) -> tuple[dict, dict]:
     model = model_from_json(_read_text(args.model))
-    T = _theorem(args.theorem)
+    T = make_theorem(args.theorem)
     _, q = T.window(args.k)
     perm_n = args.perm_n if args.perm_n is not None else q
     perms = [_make_permutation(s.strip(), perm_n) for s in args.perms.split(",") if s.strip()]
@@ -386,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", default=None, help="write the coupling matrix CSV")
 
     p = sub.add_parser("framework-check", parents=[common], help="limit-theorem convergence table")
-    p.add_argument("--theorem", required=True, choices=["clt", "trimmed-clt"])
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--mu", required=True)
     p.add_argument("--k-list", dest="k_list", required=True)
     p.add_argument("--M", type=int, required=True)
@@ -394,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exchangeable", parents=[common], help="permuted-statistic report")
     p.add_argument("--model", required=True)
-    p.add_argument("--theorem", required=True, choices=["clt", "trimmed-clt"])
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--perms", required=True)
     p.add_argument("--perm-n", dest="perm_n", type=int, default=None)

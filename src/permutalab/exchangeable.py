@@ -6,7 +6,8 @@ from its law, perturbs each value with a two-valued noise (0, or plus or
 minus ``outlier_size`` with probability ``outlier_prob``) and snaps the
 result to a quantization grid.  By construction the perturbed values take
 finitely many values and stay within any level eps of Z except with
-probability at most ``outlier_prob <= eps``.
+probability at most ``outlier_prob <= eps``.  The levels eps_m only bound
+``outlier_prob`` and ``bad_mass``; a draw does not depend on them.
 
 ``bad_mass`` designates a prefix of atoms (by cumulative probability) as
 the exceptional class: on those atoms the drawn values are shifted by a
@@ -174,15 +175,10 @@ def _noise(
     return hit * np.where(signs < 0.5, -1.0, 1.0) * model.perturb.outlier_size
 
 
-def draw_sequence(
-    model: ExchangeableModel, m: int, eps_index: int, seed: int
-) -> DrawnSequence:
+def draw_sequence(model: ExchangeableModel, m: int, seed: int) -> DrawnSequence:
     """Sample an atom, then m conditionally-i.i.d. perturbed values."""
     if m < 1:
         raise LabError("bad-count", "need m >= 1")
-    if model.perturb is not None:
-        if not 1 <= eps_index <= len(model.perturb.eps_levels):
-            raise LabError("eps-level", "eps index out of range")
     stream = Stream(derive_seed(seed, "draw"))
     cum = np.cumsum(model.probs)
     atom = int(np.searchsorted(cum, stream.uniform(), side="left"))
@@ -212,6 +208,8 @@ def permuted_statistic(
     coordinates p_k..q_k of the permuted sequence with the drawn atom's law
     as the measure argument.
     """
+    if m < 1:
+        raise LabError("bad-count", "need M >= 1")
     p, q = T.window(k)
     if len(perm) < q:
         raise LabError("perm-size", "permutation shorter than the window end")
@@ -248,8 +246,7 @@ def permuted_statistic(
             out[rows] = T.evaluate(x, law, k)
         return out
 
-    values = map_chunks(m, run, threads)
-    return EmpiricalSample(tuple(float(v) for v in values), tag=f"perm-{T.name}-k{k}", seed=seed)
+    return EmpiricalSample(map_chunks(m, run, threads))
 
 
 @dataclass(frozen=True)
@@ -306,16 +303,13 @@ def mixture_approximation_check(
 
     lhs: Prohorov distance between the empirical law of f_k on a permuted
     drawn window and the P(A)-weighted mixture of per-atom simulated f_k
-    laws.  rhs: ``3 eps_{r_k}^alpha q_k + 1/r_k`` evaluated exactly from
+    laws.  rhs: ``3 eps_{r_k} q_k + 1/r_k`` evaluated exactly from
     the plan.  holds allows the fixed Monte Carlo slack.
     """
     r_k = plan.r_at(k)
     eps_rk = plan.eps_at(r_k)
     _, q = T.window(k)
-    if plan.alpha == 1.0:
-        rhs = float(3 * Fraction(eps_rk) * q + Fraction(1, r_k))
-    else:
-        rhs = 3.0 * eps_rk**plan.alpha * q + 1.0 / r_k
+    rhs = float(3 * Fraction(eps_rk) * q + Fraction(1, r_k))
     if perm is None:
         perm = random_permutation(q, derive_seed(seed, "prop-perm"))
     emp = empirical_measure(
@@ -356,7 +350,7 @@ def conditional_noise_check(
 
 
 def strong_law_trajectory(
-    model: ExchangeableModel, p: float, n: int, seed: int, eps_index: int = 1
+    model: ExchangeableModel, p: float, n: int, seed: int
 ) -> tuple[tuple[int, float], ...]:
     """Running strong-law statistic along one drawn sequence.
 
@@ -368,7 +362,7 @@ def strong_law_trajectory(
         raise LabError("bad-p", "need 0 < p <= 2")
     if n < 1:
         raise LabError("bad-count", "need N >= 1")
-    drawn = draw_sequence(model, n, eps_index, seed)
+    drawn = draw_sequence(model, n, seed)
     mean = model.atoms[drawn.atom_index][1].mean_var()[0]
     idx = np.arange(1, n + 1, dtype=float)
     sums = np.cumsum(drawn.x)

@@ -1,13 +1,14 @@
 """Windowed limit-theorem objects, their CLT instances, and checks.
 
 A :class:`RegularLimitTheorem` packages the statistic family f_k (window
-bounds p_k <= q_k, Hoelder exponent alpha, modulus omega_k, a vectorized
-evaluator), the membership predicate for input laws, and the limit law
-G(mu).  The two concrete instances are the plain normalized-sum CLT
-(window (1, k)) and its trimmed variant (window (floor(k^(1/4)), k)),
-both with modulus sqrt(k) and alpha = 1; their limits are kept symbolic
-as centered normals so distribution distances against them use the
-erfc-based CDF rather than a discretization.
+bounds p_k <= q_k, Lipschitz modulus omega_k, a vectorized evaluator) and
+the limit law G(mu); every law with finitely many atoms is an admissible
+input.  :func:`make_theorem` builds the two concrete instances, the plain
+normalized-sum CLT ``clt`` (window (1, k)) and its trimmed variant
+``trimmed-clt`` (window (floor(k^(1/4)), k)), both with modulus sqrt(k):
+|f_k(x) - f_k(y)| <= (1/omega_k) sum |x_i - y_i|.  Their limits are kept
+symbolic as centered normals so distribution distances against them use
+the erfc-based CDF rather than a discretization.
 
 ``mc_tolerance(M) = 3 sqrt(ln M / M)`` is the fixed slack added to every
 Monte Carlo bound comparison (a DKW-style envelope, conservative).
@@ -35,18 +36,16 @@ def mc_tolerance(m: int) -> float:
 
 @dataclass(frozen=True)
 class RegularLimitTheorem:
-    """Statistic family with finite windows and a Hoelder-Lipschitz modulus.
+    """Statistic family with finite windows and a Lipschitz modulus.
 
     ``evaluate(x, mu, k)`` maps an (m, q_k - p_k + 1) array of window
     coordinates to the m statistic values; it must be pure.
     """
 
     name: str
-    alpha: float
     window: Callable[[int], tuple[int, int]]
     modulus: Callable[[int], float]
     evaluate: Callable[[np.ndarray, DiscreteMeasure, int], np.ndarray]
-    member: Callable[[DiscreteMeasure], bool]
     limit: Callable[[DiscreteMeasure], MixedNormal]
 
     def window_width(self, k: int) -> int:
@@ -60,28 +59,34 @@ def _centered_sum(x: np.ndarray, mu: DiscreteMeasure, k: int) -> np.ndarray:
     return (x.sum(axis=1) - k * mean) / math.sqrt(k)
 
 
-def make_clt() -> RegularLimitTheorem:
-    """Normalized centered sum over the full window (1, k)."""
-    return RegularLimitTheorem(
-        name="clt",
-        alpha=1.0,
-        window=lambda k: (1, k),
-        modulus=lambda k: math.sqrt(k),
-        evaluate=_centered_sum,
-        member=lambda mu: True,
-        limit=lambda mu: MixedNormal.normal(mu.mean_var()[1]),
-    )
+# window start p_k of each theorem; the window end is q_k = k
+_WINDOW_START = {
+    "clt": lambda k: 1,
+    "trimmed-clt": lambda k: max(1, math.isqrt(math.isqrt(k))),
+}
+THEOREMS = tuple(_WINDOW_START)
 
 
-def make_trimmed_clt() -> RegularLimitTheorem:
-    """Same statistic with the first floor(k^(1/4)) - 1 coordinates dropped."""
+def make_theorem(name: str) -> RegularLimitTheorem:
+    """The normalized centered sum over the window (p_k, k), modulus sqrt(k).
+
+    ``clt`` takes the full window, p_k = 1; ``trimmed-clt`` drops the first
+    floor(k^(1/4)) - 1 coordinates.  The window rejects k < 1.
+    """
+    if name not in _WINDOW_START:
+        raise LabError("bad-theorem", f"unknown theorem {name!r}")
+    start = _WINDOW_START[name]
+
+    def window(k: int) -> tuple[int, int]:
+        if k < 1:
+            raise LabError("bad-count", f"need k >= 1, got {k}")
+        return start(k), k
+
     return RegularLimitTheorem(
-        name="trimmed-clt",
-        alpha=1.0,
-        window=lambda k: (max(1, math.isqrt(math.isqrt(k))), k),
-        modulus=lambda k: math.sqrt(k),
+        name=name,
+        window=window,
+        modulus=math.sqrt,
         evaluate=_centered_sum,
-        member=lambda mu: True,
         limit=lambda mu: MixedNormal.normal(mu.mean_var()[1]),
     )
 
@@ -95,8 +100,6 @@ def simulate_fk(
     threads: int = 1,
 ) -> EmpiricalSample:
     """m independent evaluations of f_k on i.i.d. window draws from mu."""
-    if not T.member(mu):
-        raise LabError("outside-S", "law outside the theorem's domain")
     if m < 1:
         raise LabError("bad-count", "need M >= 1")
     p, q = T.window(k)
@@ -108,8 +111,7 @@ def simulate_fk(
         draws = mu.quantile_many(us)
         return T.evaluate(draws, mu, k)
 
-    values = map_chunks(m, run, threads)
-    return EmpiricalSample(tuple(float(v) for v in values), tag=f"fk-{T.name}-k{k}", seed=seed)
+    return EmpiricalSample(map_chunks(m, run, threads))
 
 
 def limit_convergence_check(
@@ -129,7 +131,7 @@ def limit_convergence_check(
 
 
 def lipschitz_probe(T: RegularLimitTheorem, k: int, trials: int, seed: int) -> float:
-    """Max observed |delta f| / ((1/omega_k) sum |delta x_i|^alpha) over random pairs."""
+    """Max observed |delta f| / ((1/omega_k) sum |delta x_i|) over random pairs."""
     if trials < 1:
         raise LabError("bad-count", "need trials >= 1")
     width = T.window_width(k)
@@ -145,7 +147,7 @@ def lipschitz_probe(T: RegularLimitTheorem, k: int, trials: int, seed: int) -> f
         scale = 2.0 ** (2 * int(stream.below(4)) - 4)  # magnitudes 1/16 .. 4
         mask = stream.uniform_block(width) < 0.5
         delta = np.round((2.0 * stream.uniform_block(width) - 1.0) * scale * mask / grid) * grid
-        denom = float(np.sum(np.abs(delta) ** T.alpha)) / omega
+        denom = float(np.sum(np.abs(delta))) / omega
         if denom <= 0.0:
             continue
         pair = np.vstack([base, base + delta])
@@ -167,12 +169,12 @@ def statistic_stability_check(
     """Empirical check that close input laws give close statistic laws.
 
     lhs is the Prohorov distance of the two empirical f_k laws; rhs is
-    ``eps^alpha * q_k + W2(mu, nu)`` with eps the exact Prohorov distance
+    ``eps * q_k + W2(mu, nu)`` with eps the exact Prohorov distance
     of the inputs.  holds allows the fixed Monte Carlo slack.
     """
     eps = prohorov_distance(mu, nu)
     _, q = T.window(k)
-    rhs = eps**T.alpha * q + wasserstein2(mu, nu)
+    rhs = eps * q + wasserstein2(mu, nu)
     emp_mu = empirical_measure(simulate_fk(T, k, mu, m, derive_seed(seed, "A-mu"), threads))
     emp_nu = empirical_measure(simulate_fk(T, k, nu, m, derive_seed(seed, "A-nu"), threads))
     lhs = prohorov_distance(emp_mu, emp_nu)
@@ -185,8 +187,8 @@ class ThinningPlan:
 
     Covers k = k_min..k_max; guarantees, re-verified after construction:
     r_k nondecreasing, r_k <= min(p_k - 1, omega_k^(1/4)),
-    tail(omega_k^(1/(4 alpha)) / 2) <= r_k^(-2) / 2, and
-    eps_{r_k}^alpha * q_k <= 1/k with eps decreasing.
+    tail(omega_k^(1/4) / 2) <= r_k^(-2) / 2, and
+    eps_{r_k} * q_k <= 1/k with eps decreasing.
 
     k_min is the first index where a positive integer rank exists at all;
     for windowed statistics whose window start grows like k^(1/4) that is
@@ -196,7 +198,6 @@ class ThinningPlan:
     k_min: int
     r: tuple[int, ...]
     eps: tuple[float, ...]
-    alpha: float
 
     @property
     def k_max(self) -> int:
@@ -241,7 +242,7 @@ def plan_thinning(
         p, _ = T.window(k)
         omega = T.modulus(k)
         cap = min(p - 1, _int_below_pow(omega, 4))
-        tb = tail_bound(omega ** (1.0 / (4.0 * T.alpha)) / 2.0)
+        tb = tail_bound(omega**0.25 / 2.0)
         if tb > 0.0:
             cap = min(cap, _int_below_pow(1.0 / (2.0 * tb), 2))
         return cap
@@ -261,7 +262,7 @@ def plan_thinning(
     constraint = [math.inf] * (max_m + 1)
     for k in range(k_min, k_max + 1):
         _, q = T.window(k)
-        c = (1.0 / (k * q)) ** (1.0 / T.alpha) * shave
+        c = 1.0 / (k * q) * shave
         m = r[k - k_min]
         constraint[m] = min(constraint[m], c)
     eps = []
@@ -270,7 +271,7 @@ def plan_thinning(
         running = min(running, constraint[m], 1.0 / m)
         eps.append(running)
 
-    plan = ThinningPlan(k_min, tuple(r), tuple(eps), T.alpha)
+    plan = ThinningPlan(k_min, tuple(r), tuple(eps))
     _verify_plan(T, tail_bound, plan)
     return plan
 
@@ -285,9 +286,9 @@ def _verify_plan(T, tail_bound, plan: ThinningPlan) -> None:
             raise LabError("plan-infeasible", f"r not nondecreasing at k={k}")
         if rk > p - 1 or rk**4 > omega:
             raise LabError("plan-infeasible", f"rank cap violated at k={k}")
-        if tail_bound(omega ** (1.0 / (4.0 * T.alpha)) / 2.0) > 0.5 / rk**2:
+        if tail_bound(omega**0.25 / 2.0) > 0.5 / rk**2:
             raise LabError("plan-infeasible", f"tail cap violated at k={k}")
-        if plan.eps_at(rk) ** T.alpha * q > 1.0 / k:
+        if plan.eps_at(rk) * q > 1.0 / k:
             raise LabError("plan-infeasible", f"eps cap violated at k={k}")
         prev = rk
     for e0, e1 in zip(plan.eps, plan.eps[1:]):

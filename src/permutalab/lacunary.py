@@ -57,7 +57,7 @@ from .errors import LabError
 from .measures import EmpiricalSample
 from .parallel import map_chunks
 from .rng import GOLDEN, Stream, derive_seed, derive_seed_vec, mix64_vec
-from .sequences import IndexSequence, Permutation
+from .sequences import IndexSequence, Permutation, apply_permutation
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_BITS = 256
@@ -98,11 +98,6 @@ class FixedPointX:
         num %= den
         value = ((num << bits) + den // 2) // den
         return cls(value & ((1 << bits) - 1), bits)
-
-    @classmethod
-    def from_float(cls, x: float, bits: int = DEFAULT_BITS) -> "FixedPointX":
-        frac = Fraction(x) % 1
-        return cls.from_fraction(frac.numerator, frac.denominator, bits)
 
     @classmethod
     def random(cls, stream: Stream, bits: int = DEFAULT_BITS) -> "FixedPointX":
@@ -268,15 +263,7 @@ def clt_sample(
         divisor = math.sqrt(float(n))
     else:
         raise LabError("bad-norm", f"unknown normalization {norm!r}")
-    if perm is None:
-        indices = range(1, n + 1)
-    else:
-        if n > len(perm):
-            raise LabError("perm-size", "N exceeds permutation length")
-        indices = perm.image[:n]
-        if max(indices) > len(seq):
-            raise LabError("perm-size", "permutation reaches past the sequence")
-    freqs = sorted(seq.values[i - 1] for i in indices)
+    freqs = sorted(seq.values[:n] if perm is None else apply_permutation(seq, perm, n))
     b = bits if bits is not None else required_bits(freqs[-1])
     if ceil_log2(freqs[-1]) >= b - 64:
         raise LabError("precision-exhausted", "bits too small for max frequency")
@@ -290,8 +277,7 @@ def clt_sample(
             acc += np.sin(TWO_PI * (_frac_tops(xl, plan, b, work) * 2.0**-64))
         return acc / divisor
 
-    values = map_chunks(m, run, threads)
-    return EmpiricalSample(tuple(float(v) for v in values), tag="clt", seed=seed)
+    return EmpiricalSample(map_chunks(m, run, threads))
 
 
 @dataclass(frozen=True)

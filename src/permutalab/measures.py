@@ -41,23 +41,22 @@ def _phi(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalSample:
-    """Raw simulation output: values plus provenance (experiment tag, seed)."""
+    """Raw simulation output: a read-only 1-D float64 array of values.
 
-    values: tuple[float, ...]
-    tag: str = ""
-    seed: int = 0
+    ``values`` is a read-only view of the given array (no copy when it is
+    already float64), so the sample cannot be changed through it.
+    """
+
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise LabError("empty-sample", "empirical sample needs at least one value")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=np.float64).view()
+        if values.ndim != 1 or values.size == 0:
+            raise LabError("empty-sample", "empirical sample needs a nonempty 1-D array")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,7 @@ class DiscreteMeasure:
             raise LabError("bad-count", "need m >= 1")
         stream = Stream(derive_seed(seed, "measure-sample"))
         us = stream.uniform_block(m)
-        vals = self.quantile_many(us)
-        return EmpiricalSample(tuple(float(v) for v in vals), tag="sample", seed=seed)
+        return EmpiricalSample(self.quantile_many(us))
 
     def mean_var(self) -> tuple[float, float]:
         """Exact first moment and central second moment."""
@@ -164,7 +162,7 @@ class DiscreteMeasure:
 
 def empirical_measure(sample: EmpiricalSample) -> DiscreteMeasure:
     """Counting measure of a sample; duplicate values merged, mass 1/M each."""
-    vals = sample.as_array()
+    vals = sample.values
     uniq, counts = np.unique(vals, return_counts=True)
     m = len(vals)
     return DiscreteMeasure(tuple((float(v), float(c) / m) for v, c in zip(uniq, counts)))
@@ -237,7 +235,6 @@ class RandomMeasure:
     """Finite mixture {(weight, DiscreteMeasure)} over atoms A_1..A_r."""
 
     components: tuple[tuple[float, DiscreteMeasure], ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.components) < 1:
@@ -247,16 +244,6 @@ class RandomMeasure:
             raise LabError("bad-random-measure", "weights must be positive")
         if abs(sum(ws) - 1.0) > MASS_TOL:
             raise LabError("bad-random-measure", "weights must sum to 1")
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"A{i+1}" for i in range(len(self.components)))
-            )
-        elif len(self.labels) != len(self.components):
-            raise LabError("bad-random-measure", "label/component count mismatch")
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for w, _ in self.components)
 
     def flatten(self) -> DiscreteMeasure:
         """The mean measure: atoms merged across components, re-sorted."""
@@ -265,18 +252,6 @@ class RandomMeasure:
             for p, m in comp.atoms:
                 pairs.append((p, w * m))
         return DiscreteMeasure.from_pairs(pairs)
-
-    def conditional_cdf(self, atom_subset, t: float) -> float:
-        """Weight-renormalized average of component CDFs over a subset."""
-        idx = sorted(set(atom_subset))
-        if not idx:
-            raise LabError("null-event", "empty atom subset")
-        if any(i < 0 or i >= len(self.components) for i in idx):
-            raise LabError("null-event", "atom index out of range")
-        total = sum(self.components[i][0] for i in idx)
-        if total <= 0.0:
-            raise LabError("null-event", "subset has zero weight")
-        return sum(self.components[i][0] * self.components[i][1].cdf(t) for i in idx) / total
 
 
 # -- serialization ----------------------------------------------------

@@ -157,14 +157,18 @@ def _windows(
 
 
 def _greedy_transport(
-    ia: np.ndarray,
-    ib: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    ia: list[int],
+    ib: list[int],
+    lo: list[int],
+    hi: list[int],
     collect: bool = False,
 ):
-    """Maximum in-window integer transport; optionally the assignment triples."""
-    remaining = [int(v) for v in ib]
+    """Maximum in-window integer transport; optionally the assignment triples.
+
+    ``ia`` and ``ib`` are the integer masses of the rows and columns, ``lo``
+    and ``hi`` the row windows of :func:`_windows`.
+    """
+    remaining = list(ib)
     ncols = len(remaining)
     # nxt[j]: first column >= j with remaining capacity (path-compressed)
     nxt = list(range(ncols + 1))
@@ -179,10 +183,7 @@ def _greedy_transport(
 
     flow = 0
     triples: list[tuple[int, int, int]] = [] if collect else None
-    for i in range(len(ia)):
-        left = int(ia[i])
-        h = int(hi[i])
-        j = int(lo[i])
+    for i, (left, j, h) in enumerate(zip(ia, lo, hi)):
         while left > 0 and j <= h:
             j = find(j)
             if j > h:
@@ -200,11 +201,12 @@ def _greedy_transport(
 
 
 def _prepare(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Positions as Python floats and integer masses as Python ints, as lists."""
     return (
         mu.positions.tolist(),
         nu.positions.tolist(),
-        _integer_masses(mu.masses),
-        _integer_masses(nu.masses),
+        _integer_masses(mu.masses).tolist(),
+        _integer_masses(nu.masses).tolist(),
     )
 
 
@@ -319,8 +321,8 @@ def strassen_coupling(
     grid = np.zeros((len(x), len(y)), dtype=np.int64)
     for i, j, t in triples:
         grid[i, j] += t
-    res_row = ia - grid.sum(axis=1)
-    res_col = ib - grid.sum(axis=0)
+    res_row = np.array(ia) - grid.sum(axis=1)
+    res_col = np.array(ib) - grid.sum(axis=0)
     i = j = 0
     nrows, ncols = grid.shape
     while i < nrows and j < ncols:

@@ -170,8 +170,8 @@ def count_diophantine(seq: IndexSequence, a: int, b: int, c: int, n: int) -> int
     """Exact count of pairs (k, l) in [1, n]^2 with a*n_k + b*n_l = c."""
     if a == 0 or b == 0:
         raise LabError("degenerate-coefficient", "a and b must be nonzero")
-    if n > len(seq):
-        raise LabError("bad-count", "n exceeds sequence length")
+    if not 1 <= n <= len(seq):
+        raise LabError("bad-count", f"need 1 <= n <= {len(seq)} (sequence length), got {n}")
     vals = seq.values[:n]
     index = {v: k for k, v in enumerate(vals)}
     count = 0

@@ -81,7 +81,7 @@ def test_02_strassen_consistency(pair_batch):
 def test_03_hadamard_clt(clt_sample_256):
     sample, elapsed = clt_sample_256
     ks = pl.ks_distance(pl.empirical_measure(sample), pl.MixedNormal.standard())
-    var = float(sample.as_array().var())
+    var = float(sample.values.var())
     ok = ks <= 0.03 and abs(var - 1.0) <= 0.05 and elapsed < 60.0
     _verdict(3, ok, f"doubling-sequence CLT N=256 M=1e5: ks={ks:.4f} <= 0.03, "
                     f"var={var:.4f} within 1+-0.05, runtime {elapsed:.1f}s < 60s")
@@ -112,7 +112,7 @@ def test_05_diophantine_exact_counts():
 
 
 def test_06_framework_clt():
-    T = pl.make_clt()
+    T = pl.make_theorem("clt")
     s1 = pl.simulate_fk(T, 1, RADEMACHER, 100_000, seed=1006)
     ks1 = pl.ks_distance(pl.empirical_measure(s1), T.limit(RADEMACHER))
     want = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))) - 0.5
@@ -125,7 +125,7 @@ def test_06_framework_clt():
 
 def test_07_stability_property_suites():
     # (A): 100 random atomic pairs through the statistic map
-    T = pl.make_clt()
+    T = pl.make_theorem("clt")
     stream = Stream(2027)
     viol_a = 0
     for _ in range(100):
@@ -187,7 +187,7 @@ def test_07_stability_property_suites():
 
 def test_08_exchangeable_permutation_check():
     model = pl.ExchangeableModel(((0.5, RADEMACHER), (0.5, WIDE)))
-    T = pl.make_trimmed_clt()
+    T = pl.make_theorem("trimmed-clt")
     perms = [
         pl.identity_permutation(400),
         pl.reverse_permutation(400),
@@ -202,7 +202,7 @@ def test_08_exchangeable_permutation_check():
 
 
 def test_09_mixture_approximation_bound():
-    T = pl.make_trimmed_clt()
+    T = pl.make_theorem("trimmed-clt")
     stream = Stream(909)
     violations = 0
     for _ in range(50):
@@ -248,7 +248,7 @@ def test_12_determinism(doubling_512, clt_sample_256, tmp_path):
     # kernel level: the criterion-3 run repeated with 8 workers is bit-identical
     base, _ = clt_sample_256
     redo = pl.clt_sample(doubling_512, 256, 100_000, seed=1003, threads=8)
-    kernel_ok = redo.values == base.values
+    kernel_ok = redo.values.tobytes() == base.values.tobytes()
 
     # CLI level: a pipeline rerun twice and under both thread counts gives
     # byte-identical CSV outputs

@@ -299,6 +299,39 @@ class TestExitCodes:
         )
         self._assert_config_error(rc, capsys, "line 3", repr(bad_line))
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("exchangeable", "--M", "0"),
+            ("exchangeable", "--k", "0"),
+            ("framework-check", "--k-list", "0"),
+            ("framework-check", "--k-list", "-3"),
+            ("dio-count", "--N-list", "0"),
+            ("dio-count", "--N-list", "-2"),
+        ],
+    )
+    def test_count_below_one_is_bad_count(self, tmp_path, seq_file, capsys, command, flag, value):
+        rademacher = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(ExchangeableModel(((1.0, rademacher),))))
+        mu = tmp_path / "mu.csv"
+        mu.write_text(measure_to_csv(rademacher))
+        argv = {
+            "exchangeable": {"--model": model, "--theorem": "trimmed-clt", "--k": "16",
+                             "--perms": "identity,reverse", "--M": "100"},
+            "framework-check": {"--theorem": "clt", "--mu": mu, "--k-list": "1", "--M": "100"},
+            "dio-count": {"--seq": seq_file, "--a": "1", "--b": "-2", "--c": "0",
+                          "--N-list": "5"},
+        }[command]
+        argv[flag] = value
+        rc = run_cli(command, *(str(t) for kv in argv.items() for t in kv),
+                     "--out-dir", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: bad-count: ")
+        assert "Traceback" not in err
+
 
 class TestAtomicWrite:
     GEN = ("gen-seq", "--kind", "hadamard", "--q", "2", "--N", "5")
