@@ -74,8 +74,19 @@ class ExperimentResult:
     summary: dict | None
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv(rows) -> str:
+    """A table: one line per row (a tuple), its fields written with ``repr``.
+
+    Fields must be Python ints and floats; convert numpy values with
+    ``tolist()`` first, because numpy 2 writes ``repr(np.float64(x))`` as
+    ``np.float64(x)``.  A table without rows is one newline.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return "\n"
+    fmt = ",".join(["%r"] * len(first)) + "\n"
+    return fmt % first + "".join([fmt % row for row in rows])
 
 
 def _umask() -> int:
@@ -166,8 +177,7 @@ def _cmd_gen_seq(args) -> tuple[dict, dict]:
 def _cmd_dio_count(args) -> tuple[dict, dict]:
     seq = IndexSequence.from_csv(_read_text(args.seq))
     rows = diophantine_growth_scan(seq, args.a, args.b, args.c, _parse_ints(args.N_list))
-    text = "\n".join(f"{n},{cnt},{_fmt(ratio)}" for n, cnt, ratio in rows) + "\n"
-    return {args.out: text}, {"counts": {str(n): cnt for n, cnt, _ in rows}}
+    return {args.out: _csv(rows)}, {"counts": {str(n): cnt for n, cnt, _ in rows}}
 
 
 def _cmd_clt(args) -> tuple[dict, dict]:
@@ -187,8 +197,7 @@ def _cmd_clt(args) -> tuple[dict, dict]:
         "M": args.M,
         "perm": args.perm,
     }
-    text = "\n".join(_fmt(v) for v in arr.tolist()) + "\n"
-    return {args.out: text}, summary
+    return {args.out: _csv(zip(arr.tolist()))}, summary
 
 
 def _cmd_lil(args) -> tuple[dict, dict]:
@@ -197,6 +206,8 @@ def _cmd_lil(args) -> tuple[dict, dict]:
         raise ConfigError("--xs must be >= 1")
     if args.Nmax > len(seq):
         raise ConfigError("--Nmax exceeds sequence length")
+    if args.Nmax < 3:  # before values[Nmax - 1] below reads past the start
+        raise LabError("bad-count", "need N_max >= 3 for log log N")
     bits = required_bits(seq.values[args.Nmax - 1])
     maxes = []
     first_points = None
@@ -206,15 +217,13 @@ def _cmd_lil(args) -> tuple[dict, dict]:
         maxes.append(traj.max_value)
         if first_points is None:
             first_points = traj.points
-    traj_text = "\n".join(f"{n},{_fmt(v)}" for n, v in first_points) + "\n"
-    max_text = "\n".join(f"{i},{_fmt(v)}" for i, v in enumerate(maxes)) + "\n"
     summary = {
         "median_max": float(np.median(maxes)),
         "xs": args.xs,
         "Nmax": args.Nmax,
         "bits": bits,
     }
-    return {args.out: traj_text, "lil_max.csv": max_text}, summary
+    return {args.out: _csv(first_points), "lil_max.csv": _csv(enumerate(maxes))}, summary
 
 
 def _cmd_prohorov(args) -> tuple[dict, dict]:
@@ -233,11 +242,8 @@ def _cmd_prohorov(args) -> tuple[dict, dict]:
             summary["agrees"] = None
     if args.coupling:
         coupling = strassen_coupling(mu, nu, dist + 1e-9)
-        lines = [
-            ",".join(_fmt(v) for v in row) for row in coupling.matrix
-        ]
-        tables[args.coupling] = "\n".join(lines) + "\n"
-    print(_fmt(dist))
+        tables[args.coupling] = _csv(map(tuple, coupling.matrix.tolist()))
+    print(repr(float(dist)))
     return tables, summary
 
 
@@ -247,9 +253,8 @@ def _cmd_framework_check(args) -> tuple[dict, dict]:
     rows = limit_convergence_check(
         T, mu, _parse_ints(args.k_list), args.M, args.seed, threads=args.threads
     )
-    text = "\n".join(f"{k},{_fmt(ks)}" for k, ks in rows) + "\n"
     summary = {"theorem": args.theorem, "ks": {str(k): ks for k, ks in rows}}
-    return {args.out: text}, summary
+    return {args.out: _csv(rows)}, summary
 
 
 def _cmd_exchangeable(args) -> tuple[dict, dict]:
@@ -277,8 +282,7 @@ def _cmd_exchangeable(args) -> tuple[dict, dict]:
 def _cmd_strong_law(args) -> tuple[dict, dict]:
     model = model_from_json(_read_text(args.model))
     traj = strong_law_trajectory(model, args.p, args.N, args.seed)
-    text = "\n".join(f"{n},{_fmt(v)}" for n, v in traj) + "\n"
-    return {args.out: text}, {"p": args.p, "N": args.N, "final": traj[-1][1]}
+    return {args.out: _csv(traj)}, {"p": args.p, "N": args.N, "final": traj[-1][1]}
 
 
 def _cmd_plot(args) -> tuple[dict, dict]:

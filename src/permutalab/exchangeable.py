@@ -39,6 +39,7 @@ from .measures import (
     MixedNormal,
     RandomMeasure,
     empirical_measure,
+    inverse_index,
     measure_from_csv,
     measure_to_csv,
 )
@@ -180,9 +181,7 @@ def draw_sequence(model: ExchangeableModel, m: int, seed: int) -> DrawnSequence:
     if m < 1:
         raise LabError("bad-count", "need m >= 1")
     stream = Stream(derive_seed(seed, "draw"))
-    cum = np.cumsum(model.probs)
-    atom = int(np.searchsorted(cum, stream.uniform(), side="left"))
-    atom = min(atom, len(model.atoms) - 1)
+    atom = int(inverse_index(np.cumsum(model.probs), stream.uniform()))
     law = model.atoms[atom][1]
     z = law.quantile_many(stream.uniform_block(m))
     flags = signs = None
@@ -229,8 +228,7 @@ def permuted_statistic(
     def run(start: int, count: int) -> np.ndarray:
         seeds = derive_seed_vec(seed, np.arange(start, start + count), "perm-stat")
         u = uniform_columns(seeds, cols)
-        atom = np.searchsorted(cum, u[:, 0], side="left")
-        atom = np.minimum(atom, len(model.atoms) - 1)
+        atom = inverse_index(cum, u[:, 0])
         out = np.empty(count)
         for a in range(len(model.atoms)):
             rows = atom == a
@@ -370,7 +368,7 @@ def strong_law_trajectory(
         vals = sums / idx
     else:
         vals = (sums - idx * mean) / idx ** (1.0 / p)
-    return tuple((int(i), float(v)) for i, v in zip(idx, vals))
+    return tuple(zip(range(1, n + 1), vals.tolist()))
 
 
 # -- model (de)serialization -------------------------------------------

@@ -14,7 +14,10 @@ Conventions fixed here and relied on by the metric and simulation modules:
 * normal CDFs go through ``math.erfc``; the absolute error of each mixture
   component is below 1e-12;
 * a variance atom ``y = 0`` contributes a unit step at 0 to the mixed
-  normal CDF.
+  normal CDF;
+* a discrete law is inverted at ``u`` to the first atom ``i`` with
+  ``u <= cum_i`` (so a tie ``u == cum_i`` goes to atom ``i``), and to the
+  last atom when there is none, NaN included (:func:`inverse_index`).
 
 All types are immutable after construction and safe to share across
 threads; sampling takes an explicit seed.
@@ -33,12 +36,44 @@ from .rng import Stream, derive_seed
 
 MASS_TOL = 1e-12
 
+# Laws with at most this many atoms are inverted by counting thresholds,
+# larger ones by binary search; see inverse_index for the measurement.
+_COUNT_MAX_ATOMS = 64
+
 _SQRT2 = math.sqrt(2.0)
 
 
 def _phi(z: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def inverse_index(cum: np.ndarray, us) -> np.ndarray:
+    """Index of the atom each u inverts to, for cumulative masses ``cum``.
+
+    The index is the first ``i`` with ``u <= cum[i]``, or the last index when
+    there is none (``u`` above ``cum[-1]``, which may round below 1, or NaN).
+    It is what ``np.minimum(np.searchsorted(cum, us, "left"), n - 1)`` gives,
+    bit for bit.
+
+    Up to ``_COUNT_MAX_ATOMS`` (64) atoms the index is counted down from
+    ``n - 1``, one ``u <= cum[i]`` per threshold ``i < n - 1``, in a uint8
+    array (sequential search, Devroye 1986, III.2): a comparison that is
+    false for NaN leaves it on the last atom, as ``searchsorted`` sorts NaN
+    last.  The count costs O(n) per draw, ``searchsorted`` O(log n).
+    Measured on 2-vCPU x86-64 with numpy 2.4, on a (2048, 398) block of
+    uniforms: 2 atoms 5 ms against 20 ms, 64 atoms 33 against 63 ms, and the
+    two meet near 128 atoms; so larger laws (large empirical laws in
+    ``wasserstein2`` or a model's ``law_csv``) keep ``searchsorted``.
+    """
+    n = len(cum)
+    if n > _COUNT_MAX_ATOMS:
+        return np.minimum(np.searchsorted(cum, us, side="left"), n - 1)
+    us = np.asarray(us)
+    idx = np.full(us.shape, n - 1, dtype=np.uint8)
+    for c in cum[:-1]:
+        idx -= us <= c
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +166,18 @@ class DiscreteMeasure:
         """Generalized inverse inf{t : F(t) >= u} for u in (0, 1)."""
         if not (0.0 < u < 1.0):
             raise LabError("quantile-domain", f"u={u!r} outside (0,1)")
-        i = int(np.searchsorted(self._cum, u, side="left"))
-        return float(self._pos[min(i, len(self._pos) - 1)])
+        return float(self._pos[inverse_index(self._cum, u)])
 
     def quantile_many(self, us: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._cum, us, side="left")
-        return self._pos[np.minimum(idx, len(self._pos) - 1)]
+        """Positions of the atoms the uniforms ``us`` invert to, in their shape.
+
+        ``u`` goes to the first atom ``i`` whose cumulative mass
+        ``cum_i >= u``; a tie ``u == cum_i`` goes to atom ``i``; a ``u`` above
+        every ``cum_i``, NaN included, goes to the last atom.  Laws of up to
+        64 atoms count thresholds, larger ones use binary search; both give
+        the same atoms (:func:`inverse_index`).
+        """
+        return self._pos.take(inverse_index(self._cum, us))
 
     def sample(self, m: int, seed: int) -> EmpiricalSample:
         """m i.i.d. draws; deterministic for a fixed seed."""

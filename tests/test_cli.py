@@ -308,6 +308,9 @@ class TestExitCodes:
             ("framework-check", "--k-list", "-3"),
             ("dio-count", "--N-list", "0"),
             ("dio-count", "--N-list", "-2"),
+            ("lil", "--Nmax", "-5"),
+            ("lil", "--Nmax", "0"),
+            ("lil", "--Nmax", "2"),  # lil needs N_max >= 3
         ],
     )
     def test_count_below_one_is_bad_count(self, tmp_path, seq_file, capsys, command, flag, value):
@@ -322,6 +325,7 @@ class TestExitCodes:
             "framework-check": {"--theorem": "clt", "--mu": mu, "--k-list": "1", "--M": "100"},
             "dio-count": {"--seq": seq_file, "--a": "1", "--b": "-2", "--c": "0",
                           "--N-list": "5"},
+            "lil": {"--seq": seq_file, "--Nmax": "5", "--xs": "1"},
         }[command]
         argv[flag] = value
         rc = run_cli(command, *(str(t) for kv in argv.items() for t in kv),

@@ -18,6 +18,7 @@ from permutalab import (
     empirical_measure,
 )
 from permutalab.measures import (
+    _COUNT_MAX_ATOMS,
     measure_from_csv,
     measure_to_csv,
     random_measure_from_json,
@@ -29,6 +30,32 @@ from conftest import random_discrete_measure
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
+TENTHS = DiscreteMeasure(tuple((float(i), 0.1) for i in range(10)))  # cum[-1] = 1 - 2**-53
+
+SPECIAL_US = [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]
+
+
+def reference_quantile_many(m: DiscreteMeasure, us: np.ndarray) -> np.ndarray:
+    """Binary-search inversion, clamped to the last atom: the oracle for quantile_many."""
+    idx = np.searchsorted(np.cumsum(m.masses), us, side="left")
+    return m.positions[np.minimum(idx, len(m.positions) - 1)]
+
+
+def assert_quantiles_match_reference(m: DiscreteMeasure, extra_us) -> None:
+    """quantile_many equals the oracle bit for bit at every cumulative mass,
+    its two neighbouring doubles, SPECIAL_US and ``extra_us``, in a 1-D and a
+    2-D block; quantile(u) equals quantile_many([u])[0] at the cumulative
+    masses and ``extra_us`` inside (0, 1)."""
+    cum = np.cumsum(m.masses)
+    us = np.concatenate(
+        [cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf), SPECIAL_US, extra_us]
+    )
+    assert m.quantile_many(us).tobytes() == reference_quantile_many(m, us).tobytes()
+    block = us[: us.size // 2 * 2].reshape(2, -1)
+    assert m.quantile_many(block).tobytes() == reference_quantile_many(m, block).tobytes()
+    for u in cum.tolist() + list(extra_us):
+        if 0.0 < u < 1.0:
+            assert m.quantile(u) == m.quantile_many(np.array([u]))[0]
 
 
 @st.composite
@@ -93,6 +120,32 @@ class TestDiscreteMeasure:
                 if 0.0 < u < 1.0:
                     assert m.quantile(u) == p
             left += w
+
+    # atom counts up to the switch from counting thresholds to binary
+    # search, and just past it; equal masses 1/n often leave cum[-1] below 1
+    @pytest.mark.parametrize(
+        "lo, hi", [(1, _COUNT_MAX_ATOMS), (_COUNT_MAX_ATOMS + 1, _COUNT_MAX_ATOMS + 3)]
+    )
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_quantile_many_matches_binary_search(self, lo, hi, data):
+        n = data.draw(st.integers(lo, hi), label="atoms")
+        if data.draw(st.booleans(), label="equal masses"):
+            masses = [1.0 / n] * n
+        else:
+            raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n), label="raw")
+            masses = (np.array(raw) / sum(raw)).tolist()
+        positions = data.draw(
+            st.lists(st.floats(-10, 10), min_size=n, max_size=n, unique=True), label="positions"
+        )
+        m = DiscreteMeasure(tuple(zip(sorted(positions), masses)))
+        extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20), label="extra us")
+        assert_quantiles_match_reference(m, extra)
+
+    def test_quantile_many_last_cum_below_one(self):
+        assert np.cumsum(TENTHS.masses)[-1] < 1.0
+        assert TENTHS.quantile_many(np.array([1.0]))[0] == 9.0
+        assert_quantiles_match_reference(TENTHS, [0.9999999999999999, 0.95])
 
     def test_sample_point_mass(self):
         s = DiscreteMeasure.point(2.0).sample(5, seed=1)
