@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +62,6 @@ class ConfigError(Exception):
 
 # module error tokens that mean a bad input file, reported as exit code 2
 _INPUT_TOKENS = frozenset({"empty-table", "malformed-input"})
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """What one run produced: config echo, named tables, scalar summary."""
-
-    manifest: dict
-    tables: dict[str, str]
-    summary: dict | None
 
 
 def _csv(rows) -> str:
@@ -123,9 +113,12 @@ def _read_text(path: str) -> str:
 
 def _parse_ints(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        ints = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}") from exc
+    if not ints:
+        raise ConfigError(f"empty integer list {text!r}")
+    return ints
 
 
 def _make_permutation(pattern: str, n: int):
@@ -169,8 +162,7 @@ def _cmd_gen_seq(args) -> tuple[dict, dict]:
         "gap_check": check,
     }
     if len(seq) >= 2:
-        rep = gap_report(seq)
-        summary["min_ratio"] = rep.min_ratio
+        summary["min_ratio"] = gap_report(seq)
     return {args.out: seq.to_csv()}, summary
 
 
@@ -411,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args: argparse.Namespace) -> ExperimentResult:
+def run(args: argparse.Namespace) -> None:
     """Execute one resolved command; write tables, summary and manifest."""
     out_dir = Path(args.out_dir)
     t0 = time.monotonic()
@@ -429,9 +421,7 @@ def run(args: argparse.Namespace) -> ExperimentResult:
         "wall_time_s": wall,
     }
     _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-    if summary is not None:
-        _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
-    return ExperimentResult(manifest, tables, summary)
+    _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
 
 
 def main(argv=None) -> int:

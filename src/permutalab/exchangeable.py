@@ -64,14 +64,14 @@ class PerturbSpec:
     def __post_init__(self):
         if len(self.eps_levels) < 1:
             raise LabError("bad-perturb", "need at least one eps level")
-        if any(e <= 0 for e in self.eps_levels):
-            raise LabError("bad-perturb", "eps levels must be positive")
+        if not all(0 < e < math.inf for e in self.eps_levels):
+            raise LabError("bad-perturb", "eps levels must be finite and positive")
         if any(e1 > e0 for e0, e1 in zip(self.eps_levels, self.eps_levels[1:])):
             raise LabError("bad-perturb", "eps levels must be decreasing")
         if not 0.0 <= self.outlier_prob <= min(self.eps_levels):
             raise LabError("bad-perturb", "outlier probability must be <= every eps level")
-        if self.outlier_size < 0:
-            raise LabError("bad-perturb", "outlier size must be >= 0")
+        if not 0 <= self.outlier_size < math.inf:
+            raise LabError("bad-perturb", "outlier size must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,16 @@ class ExchangeableModel:
         if len(self.atoms) < 1:
             raise LabError("bad-model", "need at least one atom")
         probs = [p for p, _ in self.atoms]
-        if any(p <= 0 for p in probs):
-            raise LabError("bad-model", "atom probabilities must be positive")
+        if not all(0 < p < math.inf for p in probs):
+            raise LabError("bad-model", "atom probabilities must be finite and positive")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise LabError("bad-model", "atom probabilities must sum to 1")
-        if self.bad_mass < 0:
-            raise LabError("bad-model", "bad mass must be >= 0")
+        if not 0 <= self.bad_mass < math.inf:
+            raise LabError("bad-model", "bad mass must be finite and >= 0")
         if self.perturb is not None and self.bad_mass > min(self.perturb.eps_levels):
             raise LabError("bad-model", "bad mass must be <= every eps level")
-        if self.grid < 0:
-            raise LabError("bad-model", "grid must be >= 0")
+        if not 0 <= self.grid < math.inf:
+            raise LabError("bad-model", "grid must be finite and >= 0")
 
     @property
     def probs(self) -> np.ndarray:

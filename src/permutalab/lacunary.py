@@ -123,14 +123,6 @@ def frac_mul(x: FixedPointX, n: int) -> FixedPointX:
     return FixedPointX((n * x.value) & ((1 << x.bits) - 1), x.bits)
 
 
-def trig_sum(seq_prefix, x: FixedPointX) -> float:
-    """Sum of sin(2 pi n x) over the prefix, in canonical (sorted) order."""
-    total = 0.0
-    for n in sorted(seq_prefix):
-        total += math.sin(TWO_PI * frac_mul(x, n).to_float())
-    return total
-
-
 @dataclass(frozen=True)
 class FourierFunction:
     """Mean-zero 1-periodic trigonometric polynomial given by coefficients."""

@@ -9,8 +9,11 @@ canonical limit object for thin subsequences.
 
 Conventions fixed here and relied on by the metric and simulation modules:
 
-* atom positions merge only when bit-identical (no fuzzy dedup), so the
-  exact transport oracles see exactly what the constructor saw;
+* atom positions merge when they are equal as doubles (so ``-0.0`` and
+  ``0.0`` merge; ``from_pairs`` keeps the first one seen,
+  ``empirical_measure`` the one ``np.unique`` sorts first), with no fuzzy
+  dedup, so the exact transport oracles see exactly what the constructor
+  saw;
 * normal CDFs go through ``math.erfc``; the absolute error of each mixture
   component is below 1e-12;
 * a variance atom ``y = 0`` contributes a unit step at 0 to the mixed
@@ -25,7 +28,6 @@ threads; sampling takes an explicit seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -101,7 +103,8 @@ class DiscreteMeasure:
     atoms: tuple[tuple[float, float], ...]
     _pos: np.ndarray = field(init=False, repr=False, compare=False)
     _mass: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    # cumulative masses after a leading 0.0: _cum0[i] = F(t) with i atoms <= t
+    _cum0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.atoms) < 1:
@@ -117,7 +120,8 @@ class DiscreteMeasure:
         total = float(mass.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise LabError("bad-measure", f"masses sum to {total!r}, not 1")
-        for name, arr in (("_pos", pos), ("_mass", mass), ("_cum", np.cumsum(mass))):
+        cum0 = np.concatenate(([0.0], np.cumsum(mass)))
+        for name, arr in (("_pos", pos), ("_mass", mass), ("_cum0", cum0)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -125,7 +129,11 @@ class DiscreteMeasure:
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteMeasure":
-        """Build from unsorted (position, mass) pairs, merging equal positions."""
+        """Build from unsorted (position, mass) pairs, merging equal positions.
+
+        Positions merge when they are equal as doubles; the merged atom keeps
+        the first position seen, so ``(-0.0, a), (0.0, b)`` gives ``-0.0``.
+        """
         merged: dict[float, float] = {}
         for p, m in pairs:
             p = float(p)
@@ -148,25 +156,20 @@ class DiscreteMeasure:
 
     def cdf(self, t: float) -> float:
         """Right-continuous distribution function."""
-        i = int(np.searchsorted(self._pos, t, side="right"))
-        return 0.0 if i == 0 else float(self._cum[i - 1])
+        return float(self._cum0[np.searchsorted(self._pos, t, side="right")])
 
     def cdf_many(self, ts: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._pos, ts, side="right")
-        cum = np.concatenate(([0.0], self._cum))
-        return cum[idx]
+        return self._cum0[np.searchsorted(self._pos, ts, side="right")]
 
     def cdf_left_many(self, ts: np.ndarray) -> np.ndarray:
         """Left limits F(t-)."""
-        idx = np.searchsorted(self._pos, ts, side="left")
-        cum = np.concatenate(([0.0], self._cum))
-        return cum[idx]
+        return self._cum0[np.searchsorted(self._pos, ts, side="left")]
 
     def quantile(self, u: float) -> float:
         """Generalized inverse inf{t : F(t) >= u} for u in (0, 1)."""
         if not (0.0 < u < 1.0):
             raise LabError("quantile-domain", f"u={u!r} outside (0,1)")
-        return float(self._pos[inverse_index(self._cum, u)])
+        return float(self._pos[inverse_index(self._cum0[1:], u)])
 
     def quantile_many(self, us: np.ndarray) -> np.ndarray:
         """Positions of the atoms the uniforms ``us`` invert to, in their shape.
@@ -177,7 +180,7 @@ class DiscreteMeasure:
         64 atoms count thresholds, larger ones use binary search; both give
         the same atoms (:func:`inverse_index`).
         """
-        return self._pos.take(inverse_index(self._cum, us))
+        return self._pos.take(inverse_index(self._cum0[1:], us))
 
     def sample(self, m: int, seed: int) -> EmpiricalSample:
         """m i.i.d. draws; deterministic for a fixed seed."""
@@ -239,27 +242,30 @@ class MixedNormal:
     def normal(cls, variance: float) -> "MixedNormal":
         return cls(((float(variance), 1.0),))
 
-    def cdf(self, t: float) -> float:
-        acc = 0.0
-        for y, w in self.variance_atoms:
-            if y == 0.0:
-                acc += w if t >= 0.0 else 0.0
-            else:
-                acc += w * _phi(t / math.sqrt(y))
-        return acc
+    def _cdf(self, ts, left: bool) -> np.ndarray:
+        """F(t), or the left limit F(t-) when ``left``, at every t in ``ts``.
 
-    def cdf_many(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.cdf(float(t)) for t in ts])
-
-    def cdf_left_many(self, ts: np.ndarray) -> np.ndarray:
+        Each point's value is summed over the variance atoms in order,
+        starting from 0.0, one IEEE addition per atom.
+        """
+        ts = np.asarray(ts, dtype=float)
         out = np.zeros(len(ts))
         for y, w in self.variance_atoms:
             if y == 0.0:
-                out += np.where(np.asarray(ts) > 0.0, w, 0.0)
+                out += np.where(ts > 0.0 if left else ts >= 0.0, w, 0.0)
             else:
                 s = math.sqrt(y)
-                out += np.array([w * _phi(float(t) / s) for t in ts])
+                out += np.array([w * _phi(t / s) for t in ts.tolist()])
         return out
+
+    def cdf(self, t: float) -> float:
+        return float(self._cdf([t], False)[0])
+
+    def cdf_many(self, ts: np.ndarray) -> np.ndarray:
+        return self._cdf(ts, False)
+
+    def cdf_left_many(self, ts: np.ndarray) -> np.ndarray:
+        return self._cdf(ts, True)
 
     def jump_points(self) -> np.ndarray:
         if any(y == 0.0 for y, _ in self.variance_atoms):
@@ -324,19 +330,3 @@ def measure_from_csv(text: str) -> DiscreteMeasure:
             ) from None
     return DiscreteMeasure(tuple(atoms))
 
-
-def random_measure_to_json(rm: RandomMeasure) -> str:
-    obj = {
-        "weights": [w for w, _ in rm.components],
-        "measures": [[[p, m] for p, m in comp.atoms] for _, comp in rm.components],
-    }
-    return json.dumps(obj)
-
-
-def random_measure_from_json(text: str) -> RandomMeasure:
-    obj = json.loads(text)
-    comps = tuple(
-        (float(w), DiscreteMeasure(tuple((float(p), float(m)) for p, m in atoms)))
-        for w, atoms in zip(obj["weights"], obj["measures"])
-    )
-    return RandomMeasure(comps)

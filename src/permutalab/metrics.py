@@ -68,12 +68,10 @@ _KS_GRID_STEP = 1e-4
 
 @dataclass(frozen=True)
 class Coupling:
-    """Joint mass matrix with the two atomic marginals it couples."""
+    """Joint mass matrix with the two atomic marginals it couples (rows mu)."""
 
-    row_positions: tuple[float, ...]
-    row_masses: tuple[float, ...]
-    col_positions: tuple[float, ...]
-    col_masses: tuple[float, ...]
+    mu: DiscreteMeasure
+    nu: DiscreteMeasure
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -81,13 +79,13 @@ class Coupling:
 
     def violation(self, eps: float) -> float:
         """Total mass of pairs further apart than eps."""
-        x = np.asarray(self.row_positions)[:, None]
-        y = np.asarray(self.col_positions)[None, :]
+        x = self.mu.positions[:, None]
+        y = self.nu.positions[None, :]
         return float(self.matrix[np.abs(x - y) > eps].sum())
 
     def max_marginal_error(self) -> float:
-        row_err = np.abs(self.matrix.sum(axis=1) - np.asarray(self.row_masses)).max()
-        col_err = np.abs(self.matrix.sum(axis=0) - np.asarray(self.col_masses)).max()
+        row_err = np.abs(self.matrix.sum(axis=1) - self.mu.masses).max()
+        col_err = np.abs(self.matrix.sum(axis=0) - self.nu.masses).max()
         return float(max(row_err, col_err))
 
 
@@ -336,14 +334,7 @@ def strassen_coupling(
         grid[i, j] += t
         res_row[i] -= t
         res_col[j] -= t
-    matrix = grid.astype(float) / MASS_SCALE
-    return Coupling(
-        tuple(float(v) for v in mu.positions),
-        tuple(float(v) for v in mu.masses),
-        tuple(float(v) for v in nu.positions),
-        tuple(float(v) for v in nu.masses),
-        matrix,
-    )
+    return Coupling(mu, nu, grid.astype(float) / MASS_SCALE)
 
 
 def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

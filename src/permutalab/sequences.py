@@ -68,13 +68,16 @@ class Permutation:
         return len(self.image)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Descriptive gap summary: no asymptotic classification is attempted."""
+def _check_q(q: float) -> None:
+    if not 1 < q < math.inf:
+        raise LabError("bad-q", "q must be finite and exceed 1")
 
-    min_ratio: float
-    hadamard_q: float | None
-    erdos_fit: tuple[float, float] | None
+
+def _check_c_alpha(c: float, alpha: float) -> None:
+    if not 0 < c < math.inf:
+        raise LabError("bad-c", "c must be finite and positive")
+    if not 0 < alpha < 1:
+        raise LabError("bad-alpha", "alpha must be in (0,1)")
 
 
 def _ceil_frac_times(q: Fraction, n: int) -> int:
@@ -85,8 +88,7 @@ def _ceil_frac_times(q: Fraction, n: int) -> int:
 
 def gen_hadamard(q: float, n1: int, count: int) -> IndexSequence:
     """n_{k+1} = max(ceil(q * n_k), n_k + 1) starting from n1."""
-    if not q > 1:
-        raise LabError("bad-q", "q must exceed 1")
+    _check_q(q)
     if n1 < 1 or count < 1:
         raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
     qf = Fraction(q)
@@ -99,10 +101,7 @@ def gen_hadamard(q: float, n1: int, count: int) -> IndexSequence:
 
 def gen_erdos(c: float, alpha: float, n1: int, count: int) -> IndexSequence:
     """n_{k+1} = max(ceil(n_k * (1 + c * k**(-alpha))), n_k + 1)."""
-    if not c > 0:
-        raise LabError("bad-c", "c must be positive")
-    if not 0 < alpha < 1:
-        raise LabError("bad-alpha", "alpha must be in (0,1)")
+    _check_c_alpha(c, alpha)
     if n1 < 1 or count < 1:
         raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
     vals = [n1]
@@ -115,8 +114,7 @@ def gen_erdos(c: float, alpha: float, n1: int, count: int) -> IndexSequence:
 
 def check_hadamard(seq: IndexSequence, q: float) -> bool:
     """True iff n_{k+1}/n_k >= q for every consecutive pair (exact compare)."""
-    if not q > 1:
-        raise LabError("bad-q", "q must exceed 1")
+    _check_q(q)
     if len(seq) < 2:
         raise LabError("too-short", "need at least two terms")
     qf = Fraction(q)
@@ -129,10 +127,7 @@ def check_hadamard(seq: IndexSequence, q: float) -> bool:
 
 def check_erdos(seq: IndexSequence, c: float, alpha: float) -> bool:
     """True iff n_{k+1}/n_k >= 1 + c * k**(-alpha) for all k (exact compare)."""
-    if not c > 0:
-        raise LabError("bad-c", "c must be positive")
-    if not 0 < alpha < 1:
-        raise LabError("bad-alpha", "alpha must be in (0,1)")
+    _check_c_alpha(c, alpha)
     if len(seq) < 2:
         raise LabError("too-short", "need at least two terms")
     vals = seq.values
@@ -143,27 +138,11 @@ def check_erdos(seq: IndexSequence, c: float, alpha: float) -> bool:
     return True
 
 
-def gap_report(seq: IndexSequence) -> GapReport:
+def gap_report(seq: IndexSequence) -> float:
+    """Smallest consecutive ratio n_{k+1}/n_k, as a float; descriptive only."""
     if len(seq) < 2:
         raise LabError("too-short", "need at least two terms")
-    ratios = [v1 / v0 for v0, v1 in zip(seq.values, seq.values[1:])]
-    min_ratio = min(ratios)
-    hadamard_q = min_ratio if min_ratio > 1.0 else None
-    # least-squares fit of log(ratio_k - 1) = log c - alpha log k, descriptive only
-    erdos_fit = None
-    if all(r > 1.0 for r in ratios):
-        xs = [math.log(k) for k in range(1, len(ratios) + 1)]
-        ys = [math.log(r - 1.0) for r in ratios]
-        n = len(xs)
-        sx, sy = sum(xs), sum(ys)
-        sxx = sum(x * x for x in xs)
-        sxy = sum(x * y for x, y in zip(xs, ys))
-        denom = n * sxx - sx * sx
-        if denom > 0:
-            slope = (n * sxy - sx * sy) / denom
-            intercept = (sy - slope * sx) / n
-            erdos_fit = (math.exp(intercept), -slope)
-    return GapReport(min_ratio, hadamard_q, erdos_fit)
+    return min(v1 / v0 for v0, v1 in zip(seq.values, seq.values[1:]))
 
 
 def count_diophantine(seq: IndexSequence, a: int, b: int, c: int, n: int) -> int:

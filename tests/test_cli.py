@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,32 @@ class TestExitCodes:
         for needle in needles:
             assert needle in err
 
+    def _assert_runtime_error(self, rc, capsys, token):
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {token}: ")
+        assert "Traceback" not in err
+
+    def _argv(self, tmp_path, seq_file, command, **flags):
+        """A small valid command line for ``command``, with ``flags`` overridden."""
+        rademacher = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(ExchangeableModel(((1.0, rademacher),))))
+        mu = tmp_path / "mu.csv"
+        mu.write_text(measure_to_csv(rademacher))
+        argv = {
+            "exchangeable": {"--model": model, "--theorem": "trimmed-clt", "--k": "16",
+                             "--perms": "identity,reverse", "--M": "100"},
+            "framework-check": {"--theorem": "clt", "--mu": mu, "--k-list": "1", "--M": "100"},
+            "dio-count": {"--seq": seq_file, "--a": "1", "--b": "-2", "--c": "0",
+                          "--N-list": "5"},
+            "lil": {"--seq": seq_file, "--Nmax": "5", "--xs": "1"},
+        }[command]
+        argv.update(flags)
+        return [command, *(str(t) for kv in argv.items() for t in kv),
+                "--out-dir", str(tmp_path / "out")]
+
     @pytest.mark.parametrize("pattern", ["block:x", "random:y", "block:"])
     def test_perm_pattern_without_integer(self, tmp_path, seq_file, capsys, pattern):
         rc = run_cli(
@@ -314,27 +341,47 @@ class TestExitCodes:
         ],
     )
     def test_count_below_one_is_bad_count(self, tmp_path, seq_file, capsys, command, flag, value):
-        rademacher = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
+        rc = run_cli(*self._argv(tmp_path, seq_file, command, **{flag: value}))
+        self._assert_runtime_error(rc, capsys, "bad-count")
+
+    @pytest.mark.parametrize(
+        "command, flag", [("dio-count", "--N-list"), ("framework-check", "--k-list")]
+    )
+    @pytest.mark.parametrize("value", [",", " , ,"])
+    def test_empty_integer_list_is_config_error(
+        self, tmp_path, seq_file, capsys, command, flag, value
+    ):
+        rc = run_cli(*self._argv(tmp_path, seq_file, command, **{flag: value}))
+        self._assert_config_error(rc, capsys, "empty integer list", repr(value))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["--kind", "hadamard", "--q", "inf"], "bad-q"),
+            (["--kind", "hadamard", "--q", "nan"], "bad-q"),
+            (["--kind", "erdos", "--c", "inf", "--alpha", "0.5"], "bad-c"),
+            (["--kind", "erdos", "--c", "nan", "--alpha", "0.5"], "bad-c"),
+        ],
+    )
+    def test_gen_seq_non_finite_gap_parameter(self, tmp_path, capsys, argv, token):
+        rc = run_cli("gen-seq", *argv, "--N", "5", "--out-dir", str(tmp_path / "out"))
+        self._assert_runtime_error(rc, capsys, token)
+
+    @pytest.mark.parametrize("field", ["prob", "bad_mass", "grid"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_model_field_is_bad_model(self, tmp_path, capsys, field, value):
+        law = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
+        obj = json.loads(model_to_json(ExchangeableModel(((1.0, law),))))
+        if field == "prob":
+            obj["atoms"][0]["prob"] = value
+        else:
+            obj[field] = value
         model = tmp_path / "model.json"
-        model.write_text(model_to_json(ExchangeableModel(((1.0, rademacher),))))
-        mu = tmp_path / "mu.csv"
-        mu.write_text(measure_to_csv(rademacher))
-        argv = {
-            "exchangeable": {"--model": model, "--theorem": "trimmed-clt", "--k": "16",
-                             "--perms": "identity,reverse", "--M": "100"},
-            "framework-check": {"--theorem": "clt", "--mu": mu, "--k-list": "1", "--M": "100"},
-            "dio-count": {"--seq": seq_file, "--a": "1", "--b": "-2", "--c": "0",
-                          "--N-list": "5"},
-            "lil": {"--seq": seq_file, "--Nmax": "5", "--xs": "1"},
-        }[command]
-        argv[flag] = value
-        rc = run_cli(command, *(str(t) for kv in argv.items() for t in kv),
+        model.write_text(json.dumps(obj))  # writes NaN / Infinity, which json reads back
+        rc = run_cli("strong-law", "--model", str(model), "--p", "1.0", "--N", "10",
                      "--out-dir", str(tmp_path / "out"))
-        err = capsys.readouterr().err
-        assert rc == 3
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: bad-count: ")
-        assert "Traceback" not in err
+        self._assert_runtime_error(rc, capsys, "bad-model")
 
 
 class TestAtomicWrite:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,23 @@ class TestModel:
             PerturbSpec((0.1, 0.2), 0.05, 1.0)  # not decreasing
         with pytest.raises(LabError):
             PerturbSpec((0.2, 0.1), 0.15, 1.0)  # outlier prob above min eps
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_perturb_is_bad_perturb(self, value):
+        for args in (((0.1, value), 0.05, 1.0), ((value,), 0.05, 1.0),
+                     ((0.1,), value, 1.0), ((0.1,), 0.05, value)):
+            with pytest.raises(LabError) as err:
+                PerturbSpec(*args)
+            assert err.value.token == "bad-perturb"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_model_is_bad_model(self, value):
+        for kwargs in ({"atoms": ((value, RADEMACHER), (0.5, WIDE))},
+                       {"atoms": ((0.5, RADEMACHER), (value, WIDE))},
+                       {"bad_mass": value}, {"grid": value}):
+            with pytest.raises(LabError) as err:
+                ExchangeableModel(**{"atoms": TWO_ATOM.atoms, **kwargs})
+            assert err.value.token == "bad-model"
 
     def test_bad_mass_bounded_by_eps(self):
         spec = PerturbSpec((0.1,), 0.05, 1.0)

@@ -22,7 +22,6 @@ from permutalab import (
     gen_hadamard,
     ks_distance,
     lil_trajectory,
-    trig_sum,
 )
 from permutalab.lacunary import (
     TWO_PI,
@@ -82,29 +81,47 @@ class TestFixedPoint:
         assert [ceil_log2(n) for n in (1, 2, 3, 8, 9)] == [0, 1, 2, 3, 4]
 
 
+UNIT_SINE = FourierFunction(sin_coeffs=(1.0,))
+
+
+def sine_sum_loop(freqs, x: FixedPointX) -> float:
+    """Sum of sin(2 pi n x) over sorted frequencies, written out as a loop."""
+    total = 0.0
+    for n in sorted(freqs):
+        total += math.sin(TWO_PI * frac_mul(x, n).to_float())
+    return total
+
+
 class TestTrigSum:
+    """The sine sum is ``f_sum`` of the unit sine."""
+
     def test_x_zero(self):
-        assert trig_sum([1, 5, 9], FixedPointX(0)) == 0.0
+        assert f_sum(UNIT_SINE, [1, 5, 9], FixedPointX(0)) == 0.0
 
     def test_x_half(self):
         # sin of integer multiples of pi
-        assert abs(trig_sum([3, 7, 11], FixedPointX.from_fraction(1, 2))) < 1e-12
+        assert abs(f_sum(UNIT_SINE, [3, 7, 11], FixedPointX.from_fraction(1, 2))) < 1e-12
 
     def test_hand_value_third(self):
         # sin(4 pi/3) + sin(8 pi/3) = 0
-        assert abs(trig_sum([2, 4], FixedPointX.from_fraction(1, 3))) < 1e-9
+        assert abs(f_sum(UNIT_SINE, [2, 4], FixedPointX.from_fraction(1, 3))) < 1e-9
 
     def test_order_invariance_exact(self):
         x = FixedPointX.from_fraction(17, 97)
         freqs = [3, 1, 16, 9, 27]
-        assert trig_sum(freqs, x) == trig_sum(list(reversed(freqs)), x)
-        assert trig_sum(freqs, x) == trig_sum(sorted(freqs), x)
+        assert f_sum(UNIT_SINE, freqs, x) == f_sum(UNIT_SINE, list(reversed(freqs)), x)
+        assert f_sum(UNIT_SINE, freqs, x) == f_sum(UNIT_SINE, sorted(freqs), x)
 
     def test_fourier_consistency_with_sine(self):
-        f = FourierFunction(sin_coeffs=(1.0,))
+        # 0.0 + 1.0 * s differs from s only at s = -0.0, and a total that
+        # starts at +0.0 never becomes -0.0, so the two sums agree exactly
+        stream = Stream(21)
+        for _ in range(300):
+            x = FixedPointX.random(stream, 512)
+            freqs = [1 + stream.bits(1 + stream.below(400)) for _ in range(1 + stream.below(12))]
+            assert f_sum(UNIT_SINE, freqs, x) == sine_sum_loop(freqs, x)
         x = FixedPointX.from_fraction(5, 13)
-        freqs = [1, 2, 4, 8]
-        assert f_sum(f, freqs, x) == pytest.approx(trig_sum(freqs, x), abs=1e-12)
+        assert f_sum(UNIT_SINE, [1, 2, 4, 8], x) == sine_sum_loop([1, 2, 4, 8], x)
 
     def test_pure_sine_at_zero(self):
         f = FourierFunction(sin_coeffs=(0.3, 0.7))

@@ -19,10 +19,9 @@ from permutalab import (
 )
 from permutalab.measures import (
     _COUNT_MAX_ATOMS,
+    _phi,
     measure_from_csv,
     measure_to_csv,
-    random_measure_from_json,
-    random_measure_to_json,
 )
 from permutalab.rng import Stream
 
@@ -33,6 +32,7 @@ RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
 TENTHS = DiscreteMeasure(tuple((float(i), 0.1) for i in range(10)))  # cum[-1] = 1 - 2**-53
 
 SPECIAL_US = [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]
+SPECIAL_TS = [0.0, -0.0, math.nan, math.inf, -math.inf]
 
 
 def reference_quantile_many(m: DiscreteMeasure, us: np.ndarray) -> np.ndarray:
@@ -164,6 +164,12 @@ class TestDiscreteMeasure:
         text = measure_to_csv(COIN)
         assert measure_from_csv(text) == COIN
 
+    def test_from_pairs_merges_equal_doubles_keeping_first(self):
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            m = DiscreteMeasure.from_pairs([(first, 0.5), (second, 0.5)])
+            assert m.atoms == ((0.0, 1.0),)
+            assert math.copysign(1.0, m.atoms[0][0]) == math.copysign(1.0, first)
+
 
 class TestEmpiricalMeasure:
     def test_counting(self):
@@ -258,7 +264,126 @@ class TestRandomMeasure:
             want_mean = sum(w * c.mean_var()[0] for w, c in comps)
             assert abs(flat.mean_var()[0] - want_mean) <= 1e-12
 
-    def test_json_round_trip(self):
-        rm = RandomMeasure(((0.5, COIN), (0.5, RADEMACHER)))
-        back = random_measure_from_json(random_measure_to_json(rm))
-        assert back.components == rm.components
+
+
+# -- CDF oracles: the three separate routines each law had before they
+# shared one path, copied verbatim (the private ``_cum`` and ``_pos`` of a
+# discrete law read as ``np.cumsum(m.masses)`` and ``m.positions``)
+
+
+def reference_discrete_cdf(m: DiscreteMeasure, t: float) -> float:
+    i = int(np.searchsorted(m.positions, t, side="right"))
+    return 0.0 if i == 0 else float(np.cumsum(m.masses)[i - 1])
+
+
+def reference_discrete_cdf_many(m: DiscreteMeasure, ts: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(m.positions, ts, side="right")
+    cum = np.concatenate(([0.0], np.cumsum(m.masses)))
+    return cum[idx]
+
+
+def reference_discrete_cdf_left_many(m: DiscreteMeasure, ts: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(m.positions, ts, side="left")
+    cum = np.concatenate(([0.0], np.cumsum(m.masses)))
+    return cum[idx]
+
+
+def reference_mixed_cdf(mn: MixedNormal, t: float) -> float:
+    acc = 0.0
+    for y, w in mn.variance_atoms:
+        if y == 0.0:
+            acc += w if t >= 0.0 else 0.0
+        else:
+            acc += w * _phi(t / math.sqrt(y))
+    return acc
+
+
+def reference_mixed_cdf_many(mn: MixedNormal, ts: np.ndarray) -> np.ndarray:
+    return np.array([reference_mixed_cdf(mn, float(t)) for t in ts])
+
+
+def reference_mixed_cdf_left_many(mn: MixedNormal, ts: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(ts))
+    for y, w in mn.variance_atoms:
+        if y == 0.0:
+            out += np.where(np.asarray(ts) > 0.0, w, 0.0)
+        else:
+            s = math.sqrt(y)
+            out += np.array([w * _phi(float(t) / s) for t in ts])
+    return out
+
+
+def cdf_points(anchors, extra) -> np.ndarray:
+    """The anchors, both neighbouring doubles of each, SPECIAL_TS and ``extra``."""
+    anchors = np.asarray(anchors, dtype=float)
+    return np.concatenate(
+        [anchors, np.nextafter(anchors, -np.inf), np.nextafter(anchors, np.inf),
+         SPECIAL_TS, np.asarray(extra, dtype=float)]
+    )
+
+
+def assert_cdfs_match(law, ts: np.ndarray, cdf, cdf_many, cdf_left_many) -> None:
+    """``cdf``, ``cdf_many`` and ``cdf_left_many`` of ``law`` equal the
+    reference routines bit for bit at every point of ``ts``."""
+    assert law.cdf_many(ts).tobytes() == cdf_many(law, ts).tobytes()
+    assert law.cdf_left_many(ts).tobytes() == cdf_left_many(law, ts).tobytes()
+    got = np.array([law.cdf(t) for t in ts.tolist()])
+    want = np.array([cdf(law, t) for t in ts.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def mixed_normals(draw, zero_atom: bool):
+    n = draw(st.integers(min_value=1, max_value=4))
+    ys = draw(st.lists(st.floats(1e-6, 100.0), min_size=n, max_size=n))
+    if zero_atom:
+        ys[draw(st.integers(0, n - 1))] = 0.0
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    ws = (np.array(raw) / sum(raw)).tolist()
+    return MixedNormal(tuple(zip(ys, ws)))
+
+
+class TestCdfOracles:
+    @pytest.mark.parametrize("zero_atom", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_normal_matches_reference(self, zero_atom, data):
+        mn = data.draw(mixed_normals(zero_atom), label="law")
+        extra = data.draw(st.lists(st.floats(-50.0, 50.0), max_size=30), label="extra ts")
+        roots = [math.sqrt(y) for y, _ in mn.variance_atoms]
+        ts = cdf_points([0.0] + roots + [-r for r in roots], extra)
+        assert_cdfs_match(
+            mn, ts, reference_mixed_cdf, reference_mixed_cdf_many, reference_mixed_cdf_left_many
+        )
+
+    def test_mixed_normal_fixed_laws(self):
+        stream = Stream(5)
+        extra = [20.0 * stream.uniform() - 10.0 for _ in range(500)]
+        for mn in (MixedNormal.standard(), MixedNormal.normal(0.0),
+                   MixedNormal(((1.0, 0.5), (4.0, 0.5))),
+                   MixedNormal(((0.0, 0.25), (1.0, 0.5), (4.0, 0.25))),
+                   MixedNormal(((4.0, 0.25), (0.0, 0.5), (1.0, 0.25)))):
+            assert_cdfs_match(
+                mn, cdf_points([0.0, 1.0, -2.0], extra), reference_mixed_cdf,
+                reference_mixed_cdf_many, reference_mixed_cdf_left_many,
+            )
+
+    @given(m=measures(), extra=st.lists(st.floats(-20.0, 20.0), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_discrete_matches_reference(self, m, extra):
+        assert_cdfs_match(
+            m, cdf_points(m.positions, extra), reference_discrete_cdf,
+            reference_discrete_cdf_many, reference_discrete_cdf_left_many,
+        )
+
+    def test_discrete_empirical_and_signed_zero_laws(self):
+        stream = Stream(6)
+        sample = EmpiricalSample(np.array([round(6.0 * stream.uniform() - 3.0, 2)
+                                           for _ in range(2000)]))
+        extra = [8.0 * stream.uniform() - 4.0 for _ in range(300)]
+        for m in (empirical_measure(sample), TENTHS, DiscreteMeasure.point(-0.0),
+                  DiscreteMeasure.from_pairs([(-0.0, 0.5), (0.0, 0.5)])):
+            assert_cdfs_match(
+                m, cdf_points(m.positions, extra), reference_discrete_cdf,
+                reference_discrete_cdf_many, reference_discrete_cdf_left_many,
+            )

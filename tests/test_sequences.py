@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from permutalab import (
@@ -79,10 +81,29 @@ class TestCheckers:
         assert err.value.token == "too-short"
 
     def test_gap_report(self):
-        rep = gap_report(gen_hadamard(2, 1, 20))
-        assert rep.min_ratio == 2.0
-        assert rep.hadamard_q == 2.0
-        assert rep.erdos_fit is not None
+        assert gap_report(gen_hadamard(2, 1, 20)) == 2.0
+        assert gap_report(IndexSequence((2, 3, 9))) == 1.5
+        with pytest.raises(LabError) as err:
+            gap_report(IndexSequence((5,)))
+        assert err.value.token == "too-short"
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan, 1.0])
+    def test_q_must_be_finite_above_one(self, q):
+        with pytest.raises(LabError) as err:
+            gen_hadamard(q, 1, 5)
+        assert err.value.token == "bad-q"
+        with pytest.raises(LabError) as err:
+            check_hadamard(IndexSequence((1, 2, 4)), q)
+        assert err.value.token == "bad-q"
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.0])
+    def test_c_must_be_finite_positive(self, c):
+        with pytest.raises(LabError) as err:
+            gen_erdos(c, 0.5, 1, 5)
+        assert err.value.token == "bad-c"
+        with pytest.raises(LabError) as err:
+            check_erdos(IndexSequence((1, 2, 4)), c, 0.5)
+        assert err.value.token == "bad-c"
 
 
 class TestDiophantine:
