@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -288,10 +289,10 @@ def _cmd_plot(args) -> tuple[dict, dict]:
             row = [float(t) for t in line.split(",")]
         except ValueError:
             row = []
-        if len(row) < need:
+        if len(row) < need or not all(map(math.isfinite, row)):
             raise LabError(
                 "malformed-input",
-                f"table line {number}: expected comma-separated numbers (at least {need}),"
+                f"table line {number}: expected comma-separated finite numbers (at least {need}),"
                 f" got {line!r}",
             )
         rows.append(row)

@@ -16,10 +16,12 @@ distribution-level checks absorb that class through its small total mass.
 
 Atom choice, values, noise flags and noise signs are separate columns of
 one counter-based stream per run, so runs are reproducible per (seed, run
-index) and results never depend on chunking.  The flag and sign columns
-are drawn only when the noise can read them, that is when some good atom
-has ``outlier_prob > 0``; the atom and value columns keep their indices
-either way, so the values do not depend on whether the noise is drawn.
+index) and results never depend on chunking.  The column layout is defined
+once, in ``_draw``, which both :func:`draw_sequence` and
+:func:`permuted_statistic` use.  The flag and sign columns are drawn only
+when the noise can read them, that is when some good atom has
+``outlier_prob > 0``; the atom and value columns keep their indices either
+way, so the values do not depend on whether the noise is drawn.
 """
 
 from __future__ import annotations
@@ -160,36 +162,49 @@ def _noise_is_read(model: ExchangeableModel) -> bool:
     return perturb is not None and perturb.outlier_prob > 0.0 and model.n_bad < len(model.atoms)
 
 
-def _noise(
-    model: ExchangeableModel,
-    shape: tuple[int, ...],
-    flags: np.ndarray | None,
-    signs: np.ndarray | None,
-    bad: bool,
-):
-    """Noise added to Z; flags and signs are None unless :func:`_noise_is_read`."""
-    if bad:
-        return np.full(shape, _BAD_ATOM_SHIFT)
-    if flags is None:
-        return np.zeros(shape)
-    hit = flags < model.perturb.outlier_prob
-    return hit * np.where(signs < 0.5, -1.0, 1.0) * model.perturb.outlier_size
+def _draw(model: ExchangeableModel, seeds: np.ndarray, length: int, window_idx: np.ndarray):
+    """Draw one run per seed, grouped by atom: yields ``(atom, rows, law, z, x)``.
+
+    ``rows`` is the boolean mask of the runs that drew ``atom``; ``z`` holds
+    their values at the 0-based positions ``window_idx`` of a sequence of
+    ``length``, and ``x`` the observed values.  This is the one place that
+    knows the per-run column layout: 0 atom, ``1 + i`` value i, and, only
+    when :func:`_noise_is_read`, ``1 + length + i`` flag i and
+    ``1 + 2 * length + i`` sign i.
+    """
+    noisy = _noise_is_read(model)
+    blocks = [[0], 1 + window_idx]
+    if noisy:
+        blocks += [1 + length + window_idx, 1 + 2 * length + window_idx]
+    u = uniform_columns(seeds, np.concatenate(blocks))
+    width = len(window_idx)
+    atom = inverse_index(np.cumsum(model.probs), u[:, 0])
+    n_bad = model.n_bad
+    for a, (_, law) in enumerate(model.atoms):
+        rows = atom == a
+        if not rows.any():
+            continue
+        z = law.quantile_many(u[rows, 1 : 1 + width])
+        # a scalar eta adds the same IEEE sums as a constant array (so
+        # z = -0.0 still gives x = +0.0) without allocating one
+        if a < n_bad:
+            eta = _BAD_ATOM_SHIFT
+        elif noisy:
+            flags, signs = u[rows, 1 + width : 1 + 2 * width], u[rows, 1 + 2 * width :]
+            hit = flags < model.perturb.outlier_prob
+            eta = hit * np.where(signs < 0.5, -1.0, 1.0) * model.perturb.outlier_size
+        else:
+            eta = 0.0
+        yield a, rows, law, z, _quantize(z + eta, model.grid)
 
 
 def draw_sequence(model: ExchangeableModel, m: int, seed: int) -> DrawnSequence:
     """Sample an atom, then m conditionally-i.i.d. perturbed values."""
     if m < 1:
         raise LabError("bad-count", "need m >= 1")
-    stream = Stream(derive_seed(seed, "draw"))
-    atom = int(inverse_index(np.cumsum(model.probs), stream.uniform()))
-    law = model.atoms[atom][1]
-    z = law.quantile_many(stream.uniform_block(m))
-    flags = signs = None
-    if _noise_is_read(model):
-        flags, signs = stream.uniform_block(m), stream.uniform_block(m)
-    eta = _noise(model, z.shape, flags, signs, atom < model.n_bad)
-    x = _quantize(z + eta, model.grid)
-    return DrawnSequence(atom, z, x)
+    seeds = np.array([derive_seed(seed, "draw")], dtype=np.uint64)
+    ((atom, _, _, z, x),) = _draw(model, seeds, m, np.arange(m))
+    return DrawnSequence(atom, z[0], x[0])
 
 
 def permuted_statistic(
@@ -212,35 +227,12 @@ def permuted_statistic(
     p, q = T.window(k)
     if len(perm) < q:
         raise LabError("perm-size", "permutation shorter than the window end")
-    length = len(perm)
     window_idx = np.array([perm.image[i - 1] - 1 for i in range(p, q + 1)])
-    width = len(window_idx)
-    # per-run column layout: 0 atom, 1..L values, L+1..2L flags, 2L+1..3L signs;
-    # flags and signs are drawn only when the noise reads them
-    noisy = _noise_is_read(model)
-    blocks = [[0], 1 + window_idx]
-    if noisy:
-        blocks += [1 + length + window_idx, 1 + 2 * length + window_idx]
-    cols = np.concatenate(blocks)
-    cum = np.cumsum(model.probs)
-    n_bad = model.n_bad
 
     def run(start: int, count: int) -> np.ndarray:
         seeds = derive_seed_vec(seed, np.arange(start, start + count), "perm-stat")
-        u = uniform_columns(seeds, cols)
-        atom = inverse_index(cum, u[:, 0])
         out = np.empty(count)
-        for a in range(len(model.atoms)):
-            rows = atom == a
-            if not rows.any():
-                continue
-            law = model.atoms[a][1]
-            z = law.quantile_many(u[rows, 1 : 1 + width])
-            flags = signs = None
-            if noisy:
-                flags, signs = u[rows, 1 + width : 1 + 2 * width], u[rows, 1 + 2 * width :]
-            eta = _noise(model, z.shape, flags, signs, a < n_bad)
-            x = _quantize(z + eta, model.grid)
+        for _, rows, law, _, x in _draw(model, seeds, len(perm), window_idx):
             out[rows] = T.evaluate(x, law, k)
         return out
 

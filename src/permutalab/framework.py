@@ -1,12 +1,14 @@
 """Windowed limit-theorem objects, their CLT instances, and checks.
 
-A :class:`RegularLimitTheorem` packages the statistic family f_k (window
-bounds p_k <= q_k, Lipschitz modulus omega_k, a vectorized evaluator) and
-the limit law G(mu); every law with finitely many atoms is an admissible
-input.  :func:`make_theorem` builds the two concrete instances, the plain
-normalized-sum CLT ``clt`` (window (1, k)) and its trimmed variant
-``trimmed-clt`` (window (floor(k^(1/4)), k)), both with modulus sqrt(k):
-|f_k(x) - f_k(y)| <= (1/omega_k) sum |x_i - y_i|.  Their limits are kept
+A :class:`RegularLimitTheorem` is a named type whose methods give the
+statistic family f_k: ``window(k)`` (bounds p_k <= q_k), ``modulus(k)``
+(the Lipschitz modulus omega_k), ``evaluate(x, mu, k)`` (vectorized over
+rows) and ``limit(mu)`` (the limit law G(mu)); every law with finitely
+many atoms is an admissible input.  Its one field, ``name``, picks one of
+two instances: the plain normalized-sum CLT ``clt`` (window (1, k)) and its
+trimmed variant ``trimmed-clt`` (window (floor(k^(1/4)), k)), both with
+modulus sqrt(k): |f_k(x) - f_k(y)| <= (1/omega_k) sum |x_i - y_i|.
+:func:`make_theorem` is the constructor by name.  The limits are kept
 symbolic as centered normals so distribution distances against them use
 the erfc-based CDF rather than a discretization.
 
@@ -34,31 +36,6 @@ def mc_tolerance(m: int) -> float:
     return 3.0 * math.sqrt(math.log(m) / m)
 
 
-@dataclass(frozen=True)
-class RegularLimitTheorem:
-    """Statistic family with finite windows and a Lipschitz modulus.
-
-    ``evaluate(x, mu, k)`` maps an (m, q_k - p_k + 1) array of window
-    coordinates to the m statistic values; it must be pure.
-    """
-
-    name: str
-    window: Callable[[int], tuple[int, int]]
-    modulus: Callable[[int], float]
-    evaluate: Callable[[np.ndarray, DiscreteMeasure, int], np.ndarray]
-    limit: Callable[[DiscreteMeasure], MixedNormal]
-
-    def window_width(self, k: int) -> int:
-        p, q = self.window(k)
-        return q - p + 1
-
-
-def _centered_sum(x: np.ndarray, mu: DiscreteMeasure, k: int) -> np.ndarray:
-    # centering always uses k * E mu, also for windows shorter than k
-    mean, _ = mu.mean_var()
-    return (x.sum(axis=1) - k * mean) / math.sqrt(k)
-
-
 # window start p_k of each theorem; the window end is q_k = k
 _WINDOW_START = {
     "clt": lambda k: 1,
@@ -67,28 +44,46 @@ _WINDOW_START = {
 THEOREMS = tuple(_WINDOW_START)
 
 
-def make_theorem(name: str) -> RegularLimitTheorem:
+@dataclass(frozen=True)
+class RegularLimitTheorem:
     """The normalized centered sum over the window (p_k, k), modulus sqrt(k).
 
-    ``clt`` takes the full window, p_k = 1; ``trimmed-clt`` drops the first
-    floor(k^(1/4)) - 1 coordinates.  The window rejects k < 1.
+    ``name`` is one of :data:`THEOREMS`: ``clt`` takes the full window,
+    p_k = 1; ``trimmed-clt`` drops the first floor(k^(1/4)) - 1 coordinates.
+    The window rejects k < 1.
     """
-    if name not in _WINDOW_START:
-        raise LabError("bad-theorem", f"unknown theorem {name!r}")
-    start = _WINDOW_START[name]
 
-    def window(k: int) -> tuple[int, int]:
+    name: str
+
+    def __post_init__(self):
+        if self.name not in _WINDOW_START:
+            raise LabError("bad-theorem", f"unknown theorem {self.name!r}")
+
+    def window(self, k: int) -> tuple[int, int]:
         if k < 1:
             raise LabError("bad-count", f"need k >= 1, got {k}")
-        return start(k), k
+        return _WINDOW_START[self.name](k), k
 
-    return RegularLimitTheorem(
-        name=name,
-        window=window,
-        modulus=math.sqrt,
-        evaluate=_centered_sum,
-        limit=lambda mu: MixedNormal.normal(mu.mean_var()[1]),
-    )
+    def window_width(self, k: int) -> int:
+        p, q = self.window(k)
+        return q - p + 1
+
+    def modulus(self, k: int) -> float:
+        return math.sqrt(k)
+
+    def evaluate(self, x: np.ndarray, mu: DiscreteMeasure, k: int) -> np.ndarray:
+        """f_k on an (m, window width) array of window coordinates, per row."""
+        # centering always uses k * E mu, also for windows shorter than k
+        mean, _ = mu.mean_var()
+        return (x.sum(axis=1) - k * mean) / math.sqrt(k)
+
+    def limit(self, mu: DiscreteMeasure) -> MixedNormal:
+        return MixedNormal.normal(mu.mean_var()[1])
+
+
+def make_theorem(name: str) -> RegularLimitTheorem:
+    """The theorem called ``name``; an unknown name raises ``bad-theorem``."""
+    return RegularLimitTheorem(name)
 
 
 def simulate_fk(

@@ -56,7 +56,7 @@ import numpy as np
 from .errors import LabError
 from .measures import EmpiricalSample
 from .parallel import map_chunks
-from .rng import GOLDEN, Stream, derive_seed, derive_seed_vec, mix64_vec
+from .rng import GOLDEN, Stream, derive_seed_vec, mix64_vec
 from .sequences import IndexSequence, Permutation, apply_permutation
 
 TWO_PI = 2.0 * math.pi

@@ -227,10 +227,10 @@ class MixedNormal:
             raise LabError("bad-mixed-normal", "needs at least one variance atom")
         ys = [y for y, _ in self.variance_atoms]
         ws = [w for _, w in self.variance_atoms]
-        if any(y < 0 for y in ys):
-            raise LabError("bad-mixed-normal", "variances must be >= 0")
-        if any(w <= 0 for w in ws):
-            raise LabError("bad-mixed-normal", "weights must be positive")
+        if not all(0 <= y < math.inf for y in ys):
+            raise LabError("bad-mixed-normal", "variances must be finite and >= 0")
+        if not all(0 < w < math.inf for w in ws):
+            raise LabError("bad-mixed-normal", "weights must be finite and positive")
         if abs(sum(ws) - 1.0) > MASS_TOL:
             raise LabError("bad-mixed-normal", "weights must sum to 1")
 
@@ -287,8 +287,8 @@ class RandomMeasure:
         if len(self.components) < 1:
             raise LabError("bad-random-measure", "needs at least one component")
         ws = [w for w, _ in self.components]
-        if any(w <= 0 for w in ws):
-            raise LabError("bad-random-measure", "weights must be positive")
+        if not all(0 < w < math.inf for w in ws):
+            raise LabError("bad-random-measure", "weights must be finite and positive")
         if abs(sum(ws) - 1.0) > MASS_TOL:
             raise LabError("bad-random-measure", "weights must sum to 1")
 

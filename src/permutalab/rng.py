@@ -116,9 +116,9 @@ class Stream:
         return v & ((1 << nbits) - 1)
 
     def below(self, n: int) -> int:
-        """Unbiased uniform integer in [0, n) via rejection."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
+        """Unbiased uniform integer in [0, n) via rejection, for 1 <= n <= 2**64."""
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError("below() needs 1 <= n <= 2**64")
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:
             u = self.u64()

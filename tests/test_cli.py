@@ -315,7 +315,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "kind, bad_line",
-        [("cdf-overlay", "1,x"), ("trajectory", "1,x"), ("trajectory", "0.5")],
+        [("cdf-overlay", "1,x"), ("trajectory", "1,x"), ("trajectory", "0.5"),
+         ("cdf-overlay", "nan"), ("trajectory", "2,inf")],
     )
     def test_plot_table_cell_not_a_number(self, tmp_path, capsys, kind, bad_line):
         table = tmp_path / "dist.csv"

@@ -33,6 +33,7 @@ from permutalab import (
     permutation_invariance_check,
 )
 from permutalab.exchangeable import _BAD_ATOM_SHIFT, _noise_is_read, _quantize
+from permutalab.measures import _COUNT_MAX_ATOMS
 from permutalab.parallel import map_chunks
 from permutalab.rng import Stream, derive_seed, derive_seed_vec, uniform_columns
 
@@ -257,7 +258,7 @@ def test_conditional_noise_variant():
 
 # -- oracles: every run draws its flag and sign columns ------------------
 #
-# Verbatim copies of ``_noise``, ``draw_sequence`` and ``permuted_statistic``
+# Verbatim copies of the noise helper, ``draw_sequence`` and ``permuted_statistic``
 # from when every run drew the noise flag and sign columns whether or not
 # the noise read them (only the function names differ, and the permuted
 # statistic's sample holds its values alone).  The library draws
@@ -348,6 +349,8 @@ def _permuted_statistic_full_layout_reference(
 
 
 NEG_ZERO = DiscreteMeasure.point(-0.0)
+# more atoms than _COUNT_MAX_ATOMS, so its quantiles take the binary search
+WIDE_100 = DiscreteMeasure(tuple((i / 8.0 - 6.0, 0.01) for i in range(100)))
 
 ORACLE_MODELS = {
     # perturb off, on the default grid and on none
@@ -355,6 +358,7 @@ ORACLE_MODELS = {
     "no-perturb-grid0": TWO_ATOM,
     # z = -0.0 and eta = +0.0 give x = +0.0, which skipping the sum would not
     "no-perturb-signed-zero": ExchangeableModel(((0.5, NEG_ZERO), (0.5, SMALL_A)), grid=0.0),
+    "no-perturb-100-atom-law": ExchangeableModel(((0.5, WIDE_100), (0.5, SMALL_B)), grid=2.0**-4),
     "outlier-prob-0": ExchangeableModel(
         ((0.5, SMALL_A), (0.5, SMALL_B)), perturb=PerturbSpec((0.25,), 0.0, 0.5)
     ),
@@ -384,6 +388,8 @@ class TestNoiseColumnsOracle:
         assert [name for name, r in read.items() if r] == ["noisy-bad-and-good"]
         assert ORACLE_MODELS["noisy-bad-and-good"].n_bad == 1
         assert ORACLE_MODELS["noisy-all-bad"].n_bad == 2
+        law_sizes = {len(law.atoms) for model in ORACLE_MODELS.values() for _, law in model.atoms}
+        assert min(law_sizes) <= _COUNT_MAX_ATOMS < max(law_sizes)
 
     @pytest.mark.parametrize("perm_kind", ["identity", "reverse", "random"])
     @pytest.mark.parametrize("theorem", ["clt", "trimmed-clt"])

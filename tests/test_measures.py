@@ -227,6 +227,16 @@ class TestMixedNormal:
         vals = mn.cdf_many(grid)
         assert np.all(np.diff(vals) >= 0.0)
 
+    @pytest.mark.parametrize("atoms", [
+        (), ((-1.0, 1.0),), ((1.0, 0.0), (4.0, 1.0)), ((1.0, 0.5), (4.0, 0.4)),
+        ((math.nan, 1.0),), ((math.inf, 1.0),), ((1.0, math.nan),), ((1.0, math.inf),),
+        ((1.0, 0.5), (4.0, math.nan)),
+    ])
+    def test_validation(self, atoms):
+        with pytest.raises(LabError) as err:
+            MixedNormal(atoms)
+        assert err.value.token == "bad-mixed-normal"
+
     def test_phi_accuracy(self):
         # erfc route vs the direct erf expression at a few points
         mn = MixedNormal.standard()
@@ -248,6 +258,14 @@ class TestRandomMeasure:
     def test_flatten_two_points(self):
         rm = RandomMeasure(((0.5, DiscreteMeasure.point(0.0)), (0.5, DiscreteMeasure.point(1.0))))
         assert rm.flatten() == COIN
+
+    @pytest.mark.parametrize("weights", [
+        (), (0.0, 1.0), (-0.5, 1.5), (0.5, 0.4), (math.nan,), (math.inf,), (0.5, math.nan),
+    ])
+    def test_validation(self, weights):
+        with pytest.raises(LabError) as err:
+            RandomMeasure(tuple((w, COIN) for w in weights))
+        assert err.value.token == "bad-random-measure"
 
     def test_flatten_preserves_mass_and_mean(self):
         stream = Stream(99)
