@@ -8,9 +8,9 @@ file + rename).  Reals are serialized with ``repr``, which round-trips
 doubles exactly; rerunning a manifest reproduces every table byte for
 byte, for any ``--threads`` value.
 
-Exit codes: 0 ok, 2 configuration problem or malformed input file
-(one-line reason on stderr), 3 runtime error (module error token on
-stderr).
+Exit codes: 0 ok, 2 configuration problem, malformed or unreadable input
+file, or unwritable ``--out-dir`` (one-line reason on stderr), 3 runtime
+error (module error token on stderr).
 """
 
 from __future__ import annotations
@@ -106,10 +106,13 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"input file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    """The UTF-8 text of an input file; an unreadable file is a ``ConfigError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"input file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc}") from None
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -410,8 +413,6 @@ def run(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     tables, summary = _HANDLERS[args.command](args)
     wall = time.monotonic() - t0
-    for name, text in tables.items():
-        _atomic_write(out_dir / name, text)
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("command",)
     }
@@ -421,8 +422,16 @@ def run(args: argparse.Namespace) -> None:
         "artifact_version": __version__,
         "wall_time_s": wall,
     }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-    _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
+    files = [
+        *tables.items(),
+        ("manifest.json", json.dumps(manifest, indent=2) + "\n"),
+        ("summary.json", json.dumps(summary, indent=2) + "\n"),
+    ]
+    for name, text in files:
+        try:
+            _atomic_write(out_dir / name, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_dir / name}: {exc}") from None
 
 
 def main(argv=None) -> int:

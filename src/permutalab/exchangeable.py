@@ -117,12 +117,6 @@ class ExchangeableModel:
                 break
         return n
 
-    def as_random_measure(self) -> RandomMeasure:
-        return RandomMeasure(self.atoms)
-
-    def flatten(self) -> DiscreteMeasure:
-        return self.as_random_measure().flatten()
-
     def tail_bound(self, t: float) -> float:
         """Upper bound for sup_j P(|X_j| >= t) under this model."""
         margin = self.grid / 2.0
@@ -130,7 +124,7 @@ class ExchangeableModel:
             margin += self.perturb.outlier_size
         if self.n_bad > 0:
             margin += _BAD_ATOM_SHIFT
-        return self.flatten().tail_prob(t - margin)
+        return DiscreteMeasure.mixture(self.atoms).tail_prob(t - margin)
 
     def limit_mixed_normal(self) -> MixedNormal:
         """The mixture of centered normals with the atom variances."""
@@ -286,22 +280,20 @@ def mixture_approximation_check(
     plan: ThinningPlan,
     m: int,
     seed: int,
-    perm: Permutation | None = None,
     threads: int = 1,
 ) -> tuple[float, float, bool]:
     """Distance of a permuted statistic law to the atomwise mixture law.
 
-    lhs: Prohorov distance between the empirical law of f_k on a permuted
-    drawn window and the P(A)-weighted mixture of per-atom simulated f_k
-    laws.  rhs: ``3 eps_{r_k} q_k + 1/r_k`` evaluated exactly from
-    the plan.  holds allows the fixed Monte Carlo slack.
+    lhs: Prohorov distance between the empirical law of f_k on the drawn
+    window under a seeded random permutation of 1..q_k and the P(A)-weighted
+    mixture of per-atom simulated f_k laws.  rhs: ``3 eps_{r_k} q_k + 1/r_k``
+    evaluated exactly from the plan.  holds allows the fixed Monte Carlo slack.
     """
     r_k = plan.r_at(k)
     eps_rk = plan.eps_at(r_k)
     _, q = T.window(k)
     rhs = float(3 * Fraction(eps_rk) * q + Fraction(1, r_k))
-    if perm is None:
-        perm = random_permutation(q, derive_seed(seed, "prop-perm"))
+    perm = random_permutation(q, derive_seed(seed, "prop-perm"))
     emp = empirical_measure(
         permuted_statistic(model, T, k, perm, m, derive_seed(seed, "prop-x"), threads)
     )
@@ -309,8 +301,7 @@ def mixture_approximation_check(
     for a, (p_a, law) in enumerate(model.atoms):
         sample = simulate_fk(T, k, law, m, derive_seed(seed, "prop-mix", a), threads)
         comps.append((p_a, empirical_measure(sample)))
-    mixture = RandomMeasure(tuple(comps)).flatten()
-    lhs = prohorov_distance(emp, mixture)
+    lhs = prohorov_distance(emp, DiscreteMeasure.mixture(comps))
     return lhs, rhs, lhs <= rhs + mc_tolerance(m)
 
 
@@ -326,7 +317,6 @@ def conditional_noise_check(
     if eps_n <= 0:
         raise LabError("bad-eps", "eps_n must be positive")
     stream = Stream(derive_seed(seed, "cond-noise"))
-    base = model.as_random_measure()
     noisy = []
     budget = eps_n
     for p, law in model.atoms:
@@ -336,7 +326,9 @@ def conditional_noise_check(
         else:
             shift = eps_n * 0.4 * stream.uniform()
         noisy.append((p, DiscreteMeasure(tuple((x + shift, w) for x, w in law.atoms))))
-    return random_measure_bound_check(base, RandomMeasure(tuple(noisy)), eps_n)
+    return random_measure_bound_check(
+        RandomMeasure(model.atoms), RandomMeasure(tuple(noisy)), eps_n
+    )
 
 
 def strong_law_trajectory(

@@ -71,10 +71,10 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def required_bits(max_n: int, floor: int = DEFAULT_BITS) -> int:
-    """Smallest multiple of 64 (and >= floor) usable with frequency max_n."""
+def required_bits(max_n: int) -> int:
+    """Smallest multiple of 64 (and >= DEFAULT_BITS) usable with frequency max_n."""
     need = ceil_log2(max_n) + 65
-    return max(floor, ((need + 63) // 64) * 64)
+    return max(DEFAULT_BITS, ((need + 63) // 64) * 64)
 
 
 @dataclass(frozen=True)

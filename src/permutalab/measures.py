@@ -141,6 +141,11 @@ class DiscreteMeasure:
         return cls(tuple(sorted(merged.items())))
 
     @classmethod
+    def mixture(cls, components) -> "DiscreteMeasure":
+        """The mixture sum_i w_i law_i of ``(w, law)`` pairs, via :meth:`from_pairs`."""
+        return cls.from_pairs((p, w * m) for w, law in components for p, m in law.atoms)
+
+    @classmethod
     def point(cls, c: float) -> "DiscreteMeasure":
         return cls(((float(c), 1.0),))
 
@@ -294,11 +299,7 @@ class RandomMeasure:
 
     def flatten(self) -> DiscreteMeasure:
         """The mean measure: atoms merged across components, re-sorted."""
-        pairs = []
-        for w, comp in self.components:
-            for p, m in comp.atoms:
-                pairs.append((p, w * m))
-        return DiscreteMeasure.from_pairs(pairs)
+        return DiscreteMeasure.mixture(self.components)
 
 
 # -- serialization ----------------------------------------------------

@@ -45,6 +45,10 @@ from an earlier row, never the converse), which is what
 
 ``prohorov_oracle`` is the independent verification path: it enumerates
 subsets of the supports and bisects on the defining inequalities directly.
+
+The stability bound (component laws within eps outside a weight of at most
+eps give mixtures within 2 eps) is checked once, in ``_stability_bound``;
+both public checks validate their inputs and pass them on.
 """
 
 from __future__ import annotations
@@ -89,12 +93,12 @@ class Coupling:
         return float(max(row_err, col_err))
 
 
-def _integer_masses(mass: np.ndarray, scale: int = MASS_SCALE) -> np.ndarray:
-    """Scale masses to integers summing exactly to ``scale`` (largest remainder)."""
-    exact = mass * float(scale)
+def _integer_masses(mass: np.ndarray) -> np.ndarray:
+    """Scale masses to integers summing exactly to ``MASS_SCALE`` (largest remainder)."""
+    exact = mass * float(MASS_SCALE)
     base = np.floor(exact).astype(np.int64)
     remainder = exact - base
-    short = scale - int(base.sum())
+    short = MASS_SCALE - int(base.sum())
     while short > 0:
         order = np.argsort(-remainder, kind="stable")
         k = min(short, len(base))
@@ -384,6 +388,20 @@ def ks_distance(f: CdfEvaluable, g: CdfEvaluable) -> float:
     return float(max(d_right.max(), d_left.max()))
 
 
+def _stability_bound(left, right, eps: float, token: str) -> tuple[float, bool]:
+    """The stability bound on two aligned ``(w, law)`` lists of mixture components.
+
+    The weight of the pairs with prohorov(a_i, b_i) >= eps, summed from
+    ``left``, must be at most eps (else ``token``).  Returns the Prohorov
+    distance of the two mixtures and whether it is <= 2*eps (+1e-9 slack).
+    """
+    heavy = sum(w for (w, a), (_, b) in zip(left, right) if prohorov_distance(a, b) >= eps)
+    if heavy > eps + 1e-12:
+        raise LabError(token, f"weight {heavy!r} of far components exceeds eps={eps!r}")
+    lhs = prohorov_distance(DiscreteMeasure.mixture(left), DiscreteMeasure.mixture(right))
+    return lhs, lhs <= 2.0 * eps + 1e-9
+
+
 def mixture_bound_check(
     pairs: list[tuple[float, DiscreteMeasure, DiscreteMeasure]], eps: float
 ) -> tuple[float, bool]:
@@ -391,26 +409,15 @@ def mixture_bound_check(
 
     ``pairs`` are (weight, mu_i, nu_i); requires weights summing to 1 and
     the total weight of pairs with prohorov(mu_i, nu_i) >= eps to be at
-    most eps.  Returns the Prohorov distance between the two mixtures and
-    whether it is <= 2*eps (+1e-9 slack).
+    most eps; pairs of weight 0 are dropped.  Returns the Prohorov distance
+    between the two mixtures and whether it is <= 2*eps (+1e-9 slack).
     """
     cs = np.array([c for c, _, _ in pairs], dtype=float)
     if np.any(cs < 0) or abs(cs.sum() - 1.0) > 1e-9:
         raise LabError("bad-weights", "weights must be >= 0 and sum to 1")
-    heavy = sum(
-        c for c, m, n in pairs if c > 0 and prohorov_distance(m, n) >= eps
-    )
-    if heavy > eps + 1e-12:
-        raise LabError(
-            "mixture-bound-precondition",
-            f"weight {heavy!r} of far pairs exceeds eps={eps!r}",
-        )
-    mix_mu = [(p, c * m) for c, a, _ in pairs if c > 0 for p, m in a.atoms]
-    mix_nu = [(p, c * m) for c, _, b in pairs if c > 0 for p, m in b.atoms]
-    lhs = prohorov_distance(
-        DiscreteMeasure.from_pairs(mix_mu), DiscreteMeasure.from_pairs(mix_nu)
-    )
-    return lhs, lhs <= 2.0 * eps + 1e-9
+    left = [(c, a) for c, a, _ in pairs if c > 0]
+    right = [(c, b) for c, _, b in pairs if c > 0]
+    return _stability_bound(left, right, eps, "mixture-bound-precondition")
 
 
 def random_measure_bound_check(rm1, rm2, eps: float) -> tuple[float, bool]:
@@ -419,7 +426,8 @@ def random_measure_bound_check(rm1, rm2, eps: float) -> tuple[float, bool]:
     The components must live on the same atom index set with the same
     weights; requires the total weight of atoms where the component laws
     are >= eps apart to be at most eps.  Returns the Prohorov distance of
-    the two mean measures and whether it is <= 2*eps (+1e-9 slack).
+    the two mean measures (each mixed with its own weights) and whether it
+    is <= 2*eps (+1e-9 slack).
     """
     if len(rm1.components) != len(rm2.components):
         raise LabError("atom-mismatch", "component counts differ")
@@ -427,15 +435,6 @@ def random_measure_bound_check(rm1, rm2, eps: float) -> tuple[float, bool]:
     w2 = np.array([w for w, _ in rm2.components])
     if np.max(np.abs(w1 - w2)) > 1e-12:
         raise LabError("atom-mismatch", "component weights differ")
-    heavy = sum(
-        w
-        for (w, a), (_, b) in zip(rm1.components, rm2.components)
-        if prohorov_distance(a, b) >= eps
+    return _stability_bound(
+        rm1.components, rm2.components, eps, "random-measure-bound-precondition"
     )
-    if heavy > eps + 1e-12:
-        raise LabError(
-            "random-measure-bound-precondition",
-            f"weight {heavy!r} of far atoms exceeds eps={eps!r}",
-        )
-    lhs = prohorov_distance(rm1.flatten(), rm2.flatten())
-    return lhs, lhs <= 2.0 * eps + 1e-9

@@ -43,8 +43,7 @@ def mix64(z: int) -> int:
 
 def mix64_vec(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` on a uint64 array."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> _U(30)
+    z = z ^ (z >> _U(30))
     z *= _U(_MIX_M1)
     z ^= z >> _U(27)
     z *= _U(_MIX_M2)

@@ -80,62 +80,53 @@ def _check_c_alpha(c: float, alpha: float) -> None:
         raise LabError("bad-alpha", "alpha must be in (0,1)")
 
 
-def _ceil_frac_times(q: Fraction, n: int) -> int:
-    num = q.numerator * n
-    den = q.denominator
-    return -((-num) // den)
+def _grow(bound, n1: int, count: int) -> IndexSequence:
+    """n_{k+1} = max(ceil(n_k * bound(k)), n_k + 1) from n1, for a Fraction ``bound``."""
+    if n1 < 1 or count < 1:
+        raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
+    vals = [n1]
+    for k in range(1, count):
+        r = bound(k)
+        vals.append(max(-((-r.numerator * vals[-1]) // r.denominator), vals[-1] + 1))
+    return IndexSequence(tuple(vals))
+
+
+def _holds(seq: IndexSequence, bound) -> bool:
+    """True iff n_{k+1} / n_k >= bound(k) for k = 1, 2, ... (exact compare)."""
+    if len(seq) < 2:
+        raise LabError("too-short", "need at least two terms")
+    vals = seq.values
+    for k in range(1, len(vals)):
+        r = bound(k)
+        if vals[k] * r.denominator < r.numerator * vals[k - 1]:
+            return False
+    return True
 
 
 def gen_hadamard(q: float, n1: int, count: int) -> IndexSequence:
     """n_{k+1} = max(ceil(q * n_k), n_k + 1) starting from n1."""
     _check_q(q)
-    if n1 < 1 or count < 1:
-        raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
     qf = Fraction(q)
-    vals = [n1]
-    for _ in range(count - 1):
-        nxt = max(_ceil_frac_times(qf, vals[-1]), vals[-1] + 1)
-        vals.append(nxt)
-    return IndexSequence(tuple(vals))
+    return _grow(lambda k: qf, n1, count)
 
 
 def gen_erdos(c: float, alpha: float, n1: int, count: int) -> IndexSequence:
     """n_{k+1} = max(ceil(n_k * (1 + c * k**(-alpha))), n_k + 1)."""
     _check_c_alpha(c, alpha)
-    if n1 < 1 or count < 1:
-        raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
-    vals = [n1]
-    for k in range(1, count):
-        factor = Fraction(1.0 + c * k ** (-alpha))
-        nxt = max(_ceil_frac_times(factor, vals[-1]), vals[-1] + 1)
-        vals.append(nxt)
-    return IndexSequence(tuple(vals))
+    return _grow(lambda k: Fraction(1.0 + c * k ** (-alpha)), n1, count)
 
 
 def check_hadamard(seq: IndexSequence, q: float) -> bool:
     """True iff n_{k+1}/n_k >= q for every consecutive pair (exact compare)."""
     _check_q(q)
-    if len(seq) < 2:
-        raise LabError("too-short", "need at least two terms")
     qf = Fraction(q)
-    vals = seq.values
-    return all(
-        vals[k + 1] * qf.denominator >= qf.numerator * vals[k]
-        for k in range(len(vals) - 1)
-    )
+    return _holds(seq, lambda k: qf)
 
 
 def check_erdos(seq: IndexSequence, c: float, alpha: float) -> bool:
     """True iff n_{k+1}/n_k >= 1 + c * k**(-alpha) for all k (exact compare)."""
     _check_c_alpha(c, alpha)
-    if len(seq) < 2:
-        raise LabError("too-short", "need at least two terms")
-    vals = seq.values
-    for k in range(1, len(vals)):
-        bound = Fraction(1.0 + c * k ** (-alpha))
-        if vals[k] * bound.denominator < bound.numerator * vals[k - 1]:
-            return False
-    return True
+    return _holds(seq, lambda k: Fraction(1.0 + c * k ** (-alpha)))
 
 
 def gap_report(seq: IndexSequence) -> float:

@@ -384,6 +384,28 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "out"))
         self._assert_runtime_error(rc, capsys, "bad-model")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("clt", "--N", "2", "--M", "10", "--seq"), ("plot", "--kind", "cdf-overlay", "--in")],
+    )
+    def test_input_path_is_a_directory(self, tmp_path, capsys, argv):
+        rc = run_cli(*argv, str(tmp_path), "--out-dir", str(tmp_path / "out"))
+        self._assert_config_error(rc, capsys, "cannot read input file", str(tmp_path))
+
+    def test_input_file_not_utf8(self, tmp_path, capsys):
+        mu = tmp_path / "mu.csv"
+        mu.write_text("0.0,1.0\n")
+        nu = tmp_path / "f.csv"
+        nu.write_bytes(b"0.0,1.0\n\xff\n")
+        rc = run_cli("prohorov", "--mu", str(mu), "--nu", str(nu), "--out-dir", str(tmp_path))
+        self._assert_config_error(rc, capsys, "cannot read input file", str(nu))
+
+    def test_out_dir_is_a_file(self, tmp_path, seq_file, capsys):
+        rc = run_cli("clt", "--seq", str(seq_file), "--N", "2", "--M", "10",
+                     "--out-dir", str(seq_file))
+        self._assert_config_error(rc, capsys, "cannot write", str(seq_file))
+        assert seq_file.read_text() == "1\n2\n4\n8\n16\n"
+
 
 class TestAtomicWrite:
     GEN = ("gen-seq", "--kind", "hadamard", "--q", "2", "--N", "5")

@@ -267,6 +267,14 @@ class TestRandomMeasure:
             RandomMeasure(tuple((w, COIN) for w in weights))
         assert err.value.token == "bad-random-measure"
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mixture_equals_flatten(self, data):
+        laws = data.draw(st.lists(measures(), min_size=1, max_size=4))
+        raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(laws), max_size=len(laws)))
+        comps = tuple(zip((np.array(raw) / sum(raw)).tolist(), laws))
+        assert DiscreteMeasure.mixture(comps) == RandomMeasure(comps).flatten()
+
     def test_flatten_preserves_mass_and_mean(self):
         stream = Stream(99)
         for _ in range(25):

@@ -15,6 +15,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from permutalab import (
@@ -518,3 +520,177 @@ class TestMixtureBounds:
                 RandomMeasure(tuple(comps1)), RandomMeasure(tuple(comps2)), eps
             )
             assert holds, (lhs, eps)
+
+
+# -- stability-bound oracles: the two checks and ``RandomMeasure.flatten`` as
+# they were before both checks shared ``_stability_bound`` and
+# ``DiscreteMeasure.mixture``, copied verbatim (``rm.flatten()`` reads as
+# ``flatten_reference(rm)``)
+
+
+def flatten_reference(self) -> DiscreteMeasure:
+    """The mean measure: atoms merged across components, re-sorted."""
+    pairs = []
+    for w, comp in self.components:
+        for p, m in comp.atoms:
+            pairs.append((p, w * m))
+    return DiscreteMeasure.from_pairs(pairs)
+
+
+def mixture_bound_check_reference(
+    pairs: list[tuple[float, DiscreteMeasure, DiscreteMeasure]], eps: float
+) -> tuple[float, bool]:
+    cs = np.array([c for c, _, _ in pairs], dtype=float)
+    if np.any(cs < 0) or abs(cs.sum() - 1.0) > 1e-9:
+        raise LabError("bad-weights", "weights must be >= 0 and sum to 1")
+    heavy = sum(
+        c for c, m, n in pairs if c > 0 and prohorov_distance(m, n) >= eps
+    )
+    if heavy > eps + 1e-12:
+        raise LabError(
+            "mixture-bound-precondition",
+            f"weight {heavy!r} of far pairs exceeds eps={eps!r}",
+        )
+    mix_mu = [(p, c * m) for c, a, _ in pairs if c > 0 for p, m in a.atoms]
+    mix_nu = [(p, c * m) for c, _, b in pairs if c > 0 for p, m in b.atoms]
+    lhs = prohorov_distance(
+        DiscreteMeasure.from_pairs(mix_mu), DiscreteMeasure.from_pairs(mix_nu)
+    )
+    return lhs, lhs <= 2.0 * eps + 1e-9
+
+
+def random_measure_bound_check_reference(rm1, rm2, eps: float) -> tuple[float, bool]:
+    if len(rm1.components) != len(rm2.components):
+        raise LabError("atom-mismatch", "component counts differ")
+    w1 = np.array([w for w, _ in rm1.components])
+    w2 = np.array([w for w, _ in rm2.components])
+    if np.max(np.abs(w1 - w2)) > 1e-12:
+        raise LabError("atom-mismatch", "component weights differ")
+    heavy = sum(
+        w
+        for (w, a), (_, b) in zip(rm1.components, rm2.components)
+        if prohorov_distance(a, b) >= eps
+    )
+    if heavy > eps + 1e-12:
+        raise LabError(
+            "random-measure-bound-precondition",
+            f"weight {heavy!r} of far atoms exceeds eps={eps!r}",
+        )
+    lhs = prohorov_distance(flatten_reference(rm1), flatten_reference(rm2))
+    return lhs, lhs <= 2.0 * eps + 1e-9
+
+
+def _outcome(check, *args):
+    """``(repr(lhs), holds)`` of a bound check, or the token it raises."""
+    try:
+        lhs, holds = check(*args)
+    except LabError as exc:
+        return exc.token
+    return repr(lhs), holds
+
+
+@st.composite
+def _small_laws(draw) -> DiscreteMeasure:
+    n = draw(st.integers(1, 4))
+    positions = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n, unique=True))
+    raw = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return DiscreteMeasure(tuple(zip(sorted(positions), (r / sum(raw) for r in raw))))
+
+
+@st.composite
+def _component_pairs(draw, eps: float) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """A law and a partner that is equal, within about eps, unrelated or far."""
+    a = draw(_small_laws())
+    kind = draw(st.sampled_from(["equal", "near", "unrelated", "far"]))
+    if kind == "equal":
+        return a, a
+    if kind == "unrelated":
+        return a, draw(_small_laws())
+    shift = 10.0 if kind == "far" else eps * draw(st.floats(-1.2, 1.2))
+    return a, DiscreteMeasure.from_pairs((p + shift, m) for p, m in a.atoms)
+
+
+@st.composite
+def _mixture_cases(draw):
+    """(pairs, eps) with zero weights, far pairs and, rarely, bad weight sums."""
+    eps = draw(st.floats(0.01, 0.6))
+    k = draw(st.integers(1, 5))
+    raw = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    raw[draw(st.integers(0, k - 1))] += 1
+    scale = draw(st.sampled_from([1.0] * 8 + [1.01, -1.0]))
+    weights = [scale * r / sum(raw) for r in raw]
+    pairs = [(w, *draw(_component_pairs(eps))) for w in weights]
+    return pairs, eps
+
+
+@st.composite
+def _random_measure_cases(draw):
+    """(rm1, rm2, eps) with far components, count and weight mismatches."""
+    eps = draw(st.floats(0.01, 0.6))
+    k = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    ws = [r / sum(raw) for r in raw]
+    comps = [draw(_component_pairs(eps)) for _ in range(k)]
+    side1 = [(w, a) for w, (a, _) in zip(ws, comps)]
+    side2 = [(w, b) for w, (_, b) in zip(ws, comps)]
+    change = draw(st.sampled_from(["none", "none", "weights", "count"]))
+    if change == "weights" and k > 1:
+        # by more than 1e-12 (atom-mismatch) or less (each side keeps its own)
+        d = draw(st.sampled_from([1e-11, 9e-13]))
+        side2[0] = (ws[0] + d, side2[0][1])
+        side2[-1] = (ws[-1] - d, side2[-1][1])
+    elif change == "count":
+        w, b = side2.pop()
+        side2 += [(w / 2, b), (w / 2, b)]
+    return RandomMeasure(tuple(side1)), RandomMeasure(tuple(side2)), eps
+
+
+FAR = DiscreteMeasure.point(9.0)
+# explicit instances of each case the strategies draw at random
+ZERO_WEIGHT = ([(0.0, D0, FAR), (1.0, COIN, RADEMACHER)], 0.5)
+FAR_PAIR = ([(0.3, D0, FAR), (0.7, COIN, COIN)], 0.1)
+COUNT_MISMATCH = (RandomMeasure(((1.0, COIN),)), RandomMeasure(((0.5, COIN), (0.5, COIN))), 0.1)
+WEIGHT_MISMATCH = (
+    RandomMeasure(((0.5, COIN), (0.5, D0))),
+    RandomMeasure(((0.5 + 1e-11, COIN), (0.5 - 1e-11, D0))),
+    0.1,
+)
+FAR_COMPONENT = (
+    RandomMeasure(((0.3, D0), (0.7, COIN))), RandomMeasure(((0.3, FAR), (0.7, COIN))), 0.1
+)
+# weights 9e-13 apart pass; mixed with the first side's weights the second
+# mixture would equal the first and the distance would read 0.0
+OWN_WEIGHTS = (
+    RandomMeasure(((0.5, D0), (0.5, DiscreteMeasure.point(1.0)))),
+    RandomMeasure(((0.5 + 9e-13, D0), (0.5 - 9e-13, DiscreteMeasure.point(1.0)))),
+    0.5,
+)
+
+
+class TestStabilityBoundOracle:
+    """Both bound checks give the old ``repr(lhs)`` and verdict, or its token."""
+
+    @given(case=_mixture_cases())
+    @example(case=ZERO_WEIGHT)
+    @example(case=FAR_PAIR)
+    @settings(max_examples=300, deadline=None)
+    def test_mixture_bound_check(self, case):
+        pairs, eps = case
+        want = _outcome(mixture_bound_check_reference, pairs, eps)
+        assert _outcome(mixture_bound_check, pairs, eps) == want
+
+    @given(case=_random_measure_cases())
+    @example(case=COUNT_MISMATCH)
+    @example(case=WEIGHT_MISMATCH)
+    @example(case=FAR_COMPONENT)
+    @example(case=OWN_WEIGHTS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_measure_bound_check(self, case):
+        want = _outcome(random_measure_bound_check_reference, *case)
+        assert _outcome(random_measure_bound_check, *case) == want
+
+    def test_examples_reach_their_cases(self):
+        assert _outcome(mixture_bound_check, *ZERO_WEIGHT)[1]
+        assert _outcome(mixture_bound_check, *FAR_PAIR) == "mixture-bound-precondition"
+        assert _outcome(random_measure_bound_check, *WEIGHT_MISMATCH) == "atom-mismatch"
+        assert _outcome(random_measure_bound_check, *OWN_WEIGHTS) == ("1e-12", True)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutalab import (
     IndexSequence,
@@ -22,7 +25,7 @@ from permutalab import (
     random_permutation,
     reverse_permutation,
 )
-from permutalab.sequences import gap_report
+from permutalab.sequences import _check_c_alpha, _check_q, gap_report
 from permutalab.rng import Stream
 
 
@@ -104,6 +107,122 @@ class TestCheckers:
         with pytest.raises(LabError) as err:
             check_erdos(IndexSequence((1, 2, 4)), c, 0.5)
         assert err.value.token == "bad-c"
+
+
+# -- gap-condition oracles: the generators and checkers as they were before
+# they shared ``_grow`` and ``_holds``, copied verbatim
+
+
+def _ceil_frac_times_reference(q: Fraction, n: int) -> int:
+    num = q.numerator * n
+    den = q.denominator
+    return -((-num) // den)
+
+
+def gen_hadamard_reference(q: float, n1: int, count: int) -> IndexSequence:
+    _check_q(q)
+    if n1 < 1 or count < 1:
+        raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
+    qf = Fraction(q)
+    vals = [n1]
+    for _ in range(count - 1):
+        nxt = max(_ceil_frac_times_reference(qf, vals[-1]), vals[-1] + 1)
+        vals.append(nxt)
+    return IndexSequence(tuple(vals))
+
+
+def gen_erdos_reference(c: float, alpha: float, n1: int, count: int) -> IndexSequence:
+    _check_c_alpha(c, alpha)
+    if n1 < 1 or count < 1:
+        raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
+    vals = [n1]
+    for k in range(1, count):
+        factor = Fraction(1.0 + c * k ** (-alpha))
+        nxt = max(_ceil_frac_times_reference(factor, vals[-1]), vals[-1] + 1)
+        vals.append(nxt)
+    return IndexSequence(tuple(vals))
+
+
+def check_hadamard_reference(seq: IndexSequence, q: float) -> bool:
+    _check_q(q)
+    if len(seq) < 2:
+        raise LabError("too-short", "need at least two terms")
+    qf = Fraction(q)
+    vals = seq.values
+    return all(
+        vals[k + 1] * qf.denominator >= qf.numerator * vals[k]
+        for k in range(len(vals) - 1)
+    )
+
+
+def check_erdos_reference(seq: IndexSequence, c: float, alpha: float) -> bool:
+    _check_c_alpha(c, alpha)
+    if len(seq) < 2:
+        raise LabError("too-short", "need at least two terms")
+    vals = seq.values
+    for k in range(1, len(vals)):
+        bound = Fraction(1.0 + c * k ** (-alpha))
+        if vals[k] * bound.denominator < bound.numerator * vals[k - 1]:
+            return False
+    return True
+
+
+def _outcome(fn, *args):
+    """The values or verdict ``fn`` returns, or the token it raises."""
+    try:
+        result = fn(*args)
+    except LabError as exc:
+        return exc.token
+    return result.values if isinstance(result, IndexSequence) else result
+
+
+# valid values (2.0, 1.5 and c = 1.0 give ratios exactly on the bound) and
+# each kind of invalid one (bad-q, bad-c, bad-alpha)
+_QS = st.one_of(
+    st.floats(1.0, 4.0), st.sampled_from([2.0, 1.5, 1.0000001, 0.5, math.inf, math.nan])
+)
+_CS = st.one_of(st.floats(0.0, 3.0), st.sampled_from([1.0, 1e-9, math.inf, math.nan]))
+_ALPHAS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-9, 0.999999, math.nan]))
+
+
+class TestGapOracle:
+    """The gap functions give the old sequences, verdicts and tokens."""
+
+    @given(q=_QS, c=_CS, alpha=_ALPHAS, n1=st.integers(-1, 1000), count=st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_generators(self, q, c, alpha, n1, count):
+        assert _outcome(gen_hadamard, q, n1, count) == _outcome(
+            gen_hadamard_reference, q, n1, count
+        )
+        assert _outcome(gen_erdos, c, alpha, n1, count) == _outcome(
+            gen_erdos_reference, c, alpha, n1, count
+        )
+
+    @given(q=_QS, c=_CS, alpha=_ALPHAS, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_checkers(self, q, c, alpha, data):
+        # a sequence generated with the checked bound, one term of it possibly
+        # lowered by 1 (a ratio just below the bound), or an arbitrary one
+        source = data.draw(st.sampled_from(["hadamard", "erdos", "arbitrary"]))
+        n1, count = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 40))
+        try:
+            if source == "hadamard":
+                vals = list(gen_hadamard_reference(q, n1, count).values)
+            elif source == "erdos":
+                vals = list(gen_erdos_reference(c, alpha, n1, count).values)
+        except LabError:
+            source = "arbitrary"
+        if source == "arbitrary":
+            raw = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=30))
+            vals = sorted(set(raw))
+        i = data.draw(st.integers(0, len(vals) - 1))
+        if data.draw(st.booleans()) and vals[i] - 1 > (vals[i - 1] if i else 0):
+            vals[i] -= 1
+        seq = IndexSequence(tuple(vals))
+        assert _outcome(check_hadamard, seq, q) == _outcome(check_hadamard_reference, seq, q)
+        assert _outcome(check_erdos, seq, c, alpha) == _outcome(
+            check_erdos_reference, seq, c, alpha
+        )
 
 
 class TestDiophantine:
