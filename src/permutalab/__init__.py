@@ -40,14 +40,7 @@ from .sequences import (
     random_permutation,
     reverse_permutation,
 )
-from .lacunary import (
-    FixedPointX,
-    FourierFunction,
-    clt_sample,
-    f_sum,
-    frac_mul,
-    lil_trajectory,
-)
+from .lacunary import clt_sample, lil_trajectory
 from .framework import (
     RegularLimitTheorem,
     ThinningPlan,
@@ -102,11 +95,7 @@ __all__ = [
     "identity_permutation",
     "random_permutation",
     "reverse_permutation",
-    "FixedPointX",
-    "FourierFunction",
     "clt_sample",
-    "f_sum",
-    "frac_mul",
     "lil_trajectory",
     "RegularLimitTheorem",
     "ThinningPlan",

@@ -6,7 +6,9 @@ resolved config (plus artifact version and wall time), the named CSV/JSON
 tables, and optional SVG plots.  All files are written atomically (temp
 file + rename).  Reals are serialized with ``repr``, which round-trips
 doubles exactly; rerunning a manifest reproduces every table byte for
-byte, for any ``--threads`` value.
+byte, for any ``--threads`` value.  JSON files never hold a NaN or an
+infinity: such a number stops the run with ``non-finite`` before any file
+is written.
 
 Exit codes: 0 ok, 2 configuration problem, malformed or unreadable input
 file, or unwritable ``--out-dir`` (one-line reason on stderr), 3 runtime
@@ -31,7 +33,7 @@ from . import __version__
 from .errors import LabError
 from .exchangeable import model_from_json, strong_law_trajectory, permutation_invariance_check
 from .framework import THEOREMS, limit_convergence_check, make_theorem
-from .lacunary import FixedPointX, clt_sample, lil_trajectory, required_bits
+from .lacunary import clt_sample, lil_trajectory
 from .measures import MixedNormal, empirical_measure, measure_from_csv
 from .metrics import (
     ORACLE_MAX_ATOMS,
@@ -40,7 +42,6 @@ from .metrics import (
     prohorov_oracle,
     strassen_coupling,
 )
-from .rng import Stream, derive_seed
 from .sequences import (
     IndexSequence,
     block_interleave_permutation,
@@ -78,6 +79,14 @@ def _csv(rows) -> str:
         return "\n"
     fmt = ",".join(["%r"] * len(first)) + "\n"
     return fmt % first + "".join([fmt % row for row in rows])
+
+
+def _json(obj) -> str:
+    """Indented JSON text; a NaN or infinity in ``obj`` raises ``non-finite``."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise LabError("non-finite", f"cannot write a non-finite number as JSON ({exc})") from None
 
 
 def _umask() -> int:
@@ -202,24 +211,18 @@ def _cmd_lil(args) -> tuple[dict, dict]:
         raise ConfigError("--xs must be >= 1")
     if args.Nmax > len(seq):
         raise ConfigError("--Nmax exceeds sequence length")
-    if args.Nmax < 3:  # before values[Nmax - 1] below reads past the start
-        raise LabError("bad-count", "need N_max >= 3 for log log N")
-    bits = required_bits(seq.values[args.Nmax - 1])
-    maxes = []
-    first_points = None
-    for i in range(args.xs):
-        x = FixedPointX.random(Stream(derive_seed(args.seed, "lil-x", i)), bits)
-        traj = lil_trajectory(seq, x, args.Nmax)
-        maxes.append(traj.max_value)
-        if first_points is None:
-            first_points = traj.points
+    traj = lil_trajectory(seq, args.xs, args.Nmax, args.seed)
     summary = {
-        "median_max": float(np.median(maxes)),
+        "median_max": float(np.median(traj.max_values)),
         "xs": args.xs,
         "Nmax": args.Nmax,
-        "bits": bits,
+        "bits": traj.bits,
     }
-    return {args.out: _csv(first_points), "lil_max.csv": _csv(enumerate(maxes))}, summary
+    tables = {
+        args.out: _csv(zip(range(3, args.Nmax + 1), traj.first.tolist())),
+        "lil_max.csv": _csv(enumerate(traj.max_values.tolist())),
+    }
+    return tables, summary
 
 
 def _cmd_prohorov(args) -> tuple[dict, dict]:
@@ -272,7 +275,7 @@ def _cmd_exchangeable(args) -> tuple[dict, dict]:
         "k": args.k,
         "M": args.M,
     }
-    return {args.out: json.dumps(payload, indent=2) + "\n"}, payload
+    return {args.out: _json(payload)}, payload
 
 
 def _cmd_strong_law(args) -> tuple[dict, dict]:
@@ -424,8 +427,8 @@ def run(args: argparse.Namespace) -> None:
     }
     files = [
         *tables.items(),
-        ("manifest.json", json.dumps(manifest, indent=2) + "\n"),
-        ("summary.json", json.dumps(summary, indent=2) + "\n"),
+        ("manifest.json", _json(manifest)),
+        ("summary.json", _json(summary)),
     ]
     for name, text in files:
         try:

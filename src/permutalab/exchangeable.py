@@ -99,6 +99,14 @@ class ExchangeableModel:
             raise LabError("bad-model", "bad mass must be <= every eps level")
         if not 0 <= self.grid < math.inf:
             raise LabError("bad-model", "grid must be finite and >= 0")
+        if self.grid > 0.0:
+            # a bound on |z + eta| of every drawn value, in Python floats so
+            # that an overflow gives inf without a RuntimeWarning
+            reach = max(abs(float(law.atoms[i][0])) for _, law in self.atoms for i in (0, -1))
+            noise = self.perturb.outlier_size if self.perturb is not None else 0.0
+            reach += max(noise, _BAD_ATOM_SHIFT if self.n_bad > 0 else 0.0)
+            if not math.isfinite(reach / self.grid):
+                raise LabError("bad-model", "grid too fine: value / grid overflows")
 
     @property
     def probs(self) -> np.ndarray:
@@ -145,9 +153,13 @@ class DrawnSequence:
 
 
 def _quantize(values: np.ndarray, grid: float) -> np.ndarray:
+    """``round(values / grid) * grid``, in place; ``values`` must be a temporary."""
     if grid <= 0.0:
         return values
-    return np.round(values / grid) * grid
+    values /= grid
+    np.round(values, out=values)
+    values *= grid
+    return values
 
 
 def _noise_is_read(model: ExchangeableModel) -> bool:

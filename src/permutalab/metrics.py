@@ -407,14 +407,15 @@ def mixture_bound_check(
 ) -> tuple[float, bool]:
     """Check the mixture stability bound: close components give 2*eps mixtures.
 
-    ``pairs`` are (weight, mu_i, nu_i); requires weights summing to 1 and
-    the total weight of pairs with prohorov(mu_i, nu_i) >= eps to be at
-    most eps; pairs of weight 0 are dropped.  Returns the Prohorov distance
-    between the two mixtures and whether it is <= 2*eps (+1e-9 slack).
+    ``pairs`` are (weight, mu_i, nu_i); requires finite weights >= 0
+    summing to 1 and the total weight of pairs with prohorov(mu_i, nu_i)
+    >= eps to be at most eps; pairs of weight 0 are dropped.  Returns the
+    Prohorov distance between the two mixtures and whether it is <= 2*eps
+    (+1e-9 slack).
     """
     cs = np.array([c for c, _, _ in pairs], dtype=float)
-    if np.any(cs < 0) or abs(cs.sum() - 1.0) > 1e-9:
-        raise LabError("bad-weights", "weights must be >= 0 and sum to 1")
+    if not all(0 <= c < math.inf for c in cs) or abs(cs.sum() - 1.0) > 1e-9:
+        raise LabError("bad-weights", "weights must be finite, >= 0 and sum to 1")
     left = [(c, a) for c, a, _ in pairs if c > 0]
     right = [(c, b) for c, _, b in pairs if c > 0]
     return _stability_bound(left, right, eps, "mixture-bound-precondition")

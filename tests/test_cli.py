@@ -384,6 +384,29 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "out"))
         self._assert_runtime_error(rc, capsys, "bad-model")
 
+    def test_grid_too_fine_for_the_values_is_bad_model(self, tmp_path, capsys):
+        # value / grid overflows at grid 1e-320: the run used to write NaN
+        obj = json.loads(model_to_json(ExchangeableModel(((1.0, DiscreteMeasure.point(1.0)),))))
+        obj["grid"] = 1e-320
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        rc = run_cli("strong-law", "--model", str(model), "--p", "1.0", "--N", "10",
+                     "--out-dir", str(tmp_path / "out"))
+        self._assert_runtime_error(rc, capsys, "bad-model")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_summary_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        def nan_summary(args):
+            return {"table.csv": "1\n"}, {"final": math.nan}
+
+        monkeypatch.setitem(cli_module._HANDLERS, "strong-law", nan_summary)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = run_cli("strong-law", "--model", "unused.json", "--p", "1.0", "--N", "10",
+                     "--out-dir", str(out))
+        self._assert_runtime_error(rc, capsys, "non-finite")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [("clt", "--N", "2", "--M", "10", "--seq"), ("plot", "--kind", "cdf-overlay", "--in")],

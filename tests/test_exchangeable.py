@@ -81,6 +81,30 @@ class TestModel:
                 ExchangeableModel(**{"atoms": TWO_ATOM.atoms, **kwargs})
             assert err.value.token == "bad-model"
 
+    def test_grid_too_fine_for_the_values_is_bad_model(self):
+        # |z + eta| / grid must stay finite; checked without a RuntimeWarning
+        big = DiscreteMeasure(((-1e10, 0.5), (1.0, 0.5)))
+        spec = PerturbSpec((0.5,), 0.05, 1e300)
+        for kwargs in ({"grid": 1e-320}, {"atoms": ((1.0, big),), "grid": 1e-300},
+                       {"perturb": spec, "grid": 1e-10},
+                       {"atoms": ((0.1, DiscreteMeasure.point(0.0)), (0.9, RADEMACHER)),
+                        "bad_mass": 0.1, "grid": 5e-324}):
+            with pytest.raises(LabError) as err:
+                ExchangeableModel(**{"atoms": TWO_ATOM.atoms, **kwargs})
+            assert err.value.token == "bad-model"
+        ExchangeableModel(TWO_ATOM.atoms, grid=1e-300)
+        ExchangeableModel(((1.0, DiscreteMeasure.point(0.0)),), grid=5e-324)
+
+    def test_quantize_in_place_matches_the_expression(self):
+        stream = Stream(12)
+        values = np.concatenate([
+            (stream.uniform_block(4000) - 0.5) * 10.0,
+            np.array([-0.0, 0.0, 0.5, -0.5, 1.5, 2.5, -2.5, 1e-300, -1e-8]),
+        ])
+        for grid in (2.0**-20, 0.1, 1.0, 3.0, 1e-300):
+            want = np.round(values / grid) * grid
+            assert _quantize(values.copy(), grid).tobytes() == want.tobytes()
+
     def test_bad_mass_bounded_by_eps(self):
         spec = PerturbSpec((0.1,), 0.05, 1.0)
         with pytest.raises(LabError):

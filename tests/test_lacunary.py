@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,33 +13,140 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from permutalab import (
-    FixedPointX,
-    FourierFunction,
     LabError,
     MixedNormal,
     clt_sample,
     empirical_measure,
-    f_sum,
-    frac_mul,
     gen_hadamard,
     ks_distance,
     lil_trajectory,
 )
+from permutalab import lacunary
 from permutalab.lacunary import (
+    DEFAULT_BITS,
     TWO_PI,
     _frac_tops,
-    _freq_plan,
+    _lil_limbs,
     _x_limbs,
     ceil_log2,
     required_bits,
 )
 from permutalab.parallel import map_chunks
-from permutalab.rng import GOLDEN, Stream, derive_seed_vec, mix64_vec
+from permutalab.rng import GOLDEN, Stream, derive_seed, derive_seed_vec, mix64_vec
 from permutalab.sequences import (
     IndexSequence,
     block_interleave_permutation,
     reverse_permutation,
 )
+
+
+# -- bigint oracles ---------------------------------------------------------
+# The per-point Python-integer fixed-point layer the package used before its
+# one limb kernel, kept verbatim: the references that the kernel and the LIL
+# driver must match bit for bit.
+
+
+@dataclass(frozen=True)
+class FixedPointX:
+    """Point of [0, 1) with ``bits`` fractional bits: x = value / 2**bits."""
+
+    value: int
+    bits: int = DEFAULT_BITS
+
+    def __post_init__(self):
+        if self.bits < 64:
+            raise LabError("bad-bits", "need at least 64 fractional bits")
+        if not 0 <= self.value < (1 << self.bits):
+            raise LabError("bad-bits", "value outside [0, 2**bits)")
+
+    @classmethod
+    def from_fraction(cls, num: int, den: int, bits: int = DEFAULT_BITS) -> "FixedPointX":
+        """Nearest fixed-point neighbor of the rational num/den in [0, 1)."""
+        if den <= 0:
+            raise LabError("bad-bits", "denominator must be positive")
+        num %= den
+        value = ((num << bits) + den // 2) // den
+        return cls(value & ((1 << bits) - 1), bits)
+
+    @classmethod
+    def random(cls, stream: Stream, bits: int = DEFAULT_BITS) -> "FixedPointX":
+        return cls(stream.bits(bits), bits)
+
+    def to_float(self) -> float:
+        """Leading 64 bits as a double (error <= 2**-53)."""
+        return float(self.value >> (self.bits - 64)) * 2.0**-64
+
+    def to_fraction(self) -> Fraction:
+        return Fraction(self.value, 1 << self.bits)
+
+
+def frac_mul(x: FixedPointX, n: int) -> FixedPointX:
+    """Fractional part of n*x at the same precision."""
+    if n < 1:
+        raise LabError("bad-count", "need n >= 1")
+    if ceil_log2(n) >= x.bits - 64:
+        raise LabError(
+            "precision-exhausted",
+            f"frequency needs {ceil_log2(n)} bits, x has only {x.bits}",
+        )
+    return FixedPointX((n * x.value) & ((1 << x.bits) - 1), x.bits)
+
+
+@dataclass(frozen=True)
+class FourierFunction:
+    """Mean-zero 1-periodic trigonometric polynomial given by coefficients."""
+
+    cos_coeffs: tuple[float, ...] = ()
+    sin_coeffs: tuple[float, ...] = ()
+
+    def __call__(self, t: float) -> float:
+        val = 0.0
+        for j, a in enumerate(self.cos_coeffs, start=1):
+            val += a * math.cos(TWO_PI * j * t)
+        for j, b in enumerate(self.sin_coeffs, start=1):
+            val += b * math.sin(TWO_PI * j * t)
+        return val
+
+    def l2_norm_sq(self) -> float:
+        """Integral of f^2 over one period."""
+        return 0.5 * (
+            sum(a * a for a in self.cos_coeffs) + sum(b * b for b in self.sin_coeffs)
+        )
+
+
+def f_sum(f: FourierFunction, seq_prefix, x: FixedPointX) -> float:
+    """Sum of f(n x mod 1) over the prefix, in canonical (sorted) order."""
+    total = 0.0
+    for n in sorted(seq_prefix):
+        total += f(frac_mul(x, n).to_float())
+    return total
+
+
+@dataclass(frozen=True)
+class BigintLilTrajectory:
+    """Running law-of-the-iterated-logarithm statistic along one sample point."""
+
+    points: tuple[tuple[int, float], ...]
+    max_value: float
+
+
+def lil_trajectory_bigint(seq: IndexSequence, x: FixedPointX, n_max: int) -> BigintLilTrajectory:
+    """L_N = S_N / sqrt(N log log N) for N = 3..n_max, plus its maximum."""
+    if n_max < 3:
+        raise LabError("bad-count", "need N_max >= 3 for log log N")
+    if n_max > len(seq):
+        raise LabError("bad-count", "N_max exceeds sequence length")
+    s = 0.0
+    points = []
+    best = -math.inf
+    for k in range(1, n_max + 1):
+        s += math.sin(TWO_PI * frac_mul(x, seq.values[k - 1]).to_float())
+        if k >= 3:
+            l_k = s / math.sqrt(k * math.log(math.log(k)))
+            points.append((k, l_k))
+            if l_k > best:
+                best = l_k
+    return BigintLilTrajectory(tuple(points), best)
 
 
 class TestFixedPoint:
@@ -268,7 +377,7 @@ Q15 = gen_hadamard(1.5, 1, 512)
 def _all_limbs_sequence(bits: int) -> IndexSequence:
     """Small frequencies plus 2**(bits-65) - 1, whose 32-bit limbs are all nonzero."""
     top = 2 ** (bits - 65) - 1
-    assert len(_freq_plan(top)) == (bits - 65 + 31) // 32
+    assert all((top >> (32 * j)) & 0xFFFFFFFF for j in range((bits - 65 + 31) // 32))
     return IndexSequence((1, 3, 5, 2**40 + 7, top))
 
 
@@ -309,10 +418,17 @@ def test_clt_sample_matches_bigint_oracle(seq, n, perm, bits, m, threads):
 
 @pytest.mark.parametrize("bits", [65, 200, 256, 333, 384])
 def test_x_limbs_reassemble_to_bigint_points(bits):
-    xl = _x_limbs(5, 4090, 9, bits)
+    xl = _x_limbs(5, "clt-x", 4090, 9, bits)
     assert xl.shape == ((bits + 31) // 32, 9)
     got = [sum(int(v) << (32 * i) for i, v in enumerate(col)) for col in xl.T]
     assert got == _assemble_xs(5, 4090, 9, (bits + 63) // 64, bits)
+
+
+@pytest.mark.parametrize("bits", [256, 333, 4160])
+def test_x_limbs_are_the_stream_bits_of_their_label(bits):
+    xl = _x_limbs(9, "lil-x", 3, 4, bits)
+    got = [sum(int(v) << (32 * i) for i, v in enumerate(col)) for col in xl.T]
+    assert got == [Stream(derive_seed(9, "lil-x", i)).bits(bits) for i in range(3, 7)]
 
 
 def _limbs(xs: list[int], bits: int) -> np.ndarray:
@@ -326,14 +442,74 @@ def _top_floats(xs: list[int], f: int, bits: int) -> list[float]:
     return [float(frac_mul(FixedPointX(x, bits), f).value >> (bits - 64)) for x in xs]
 
 
+@contextlib.contextmanager
+def _counting_recomputes():
+    """Count the columns the kernel hands to its bigint recompute."""
+    original = lacunary._bigint_tops
+    seen = []
+
+    def spy(xl, f, bits):
+        seen.append(xl.shape[1])
+        return original(xl, f, bits)
+
+    lacunary._bigint_tops = spy
+    try:
+        yield seen
+    finally:
+        lacunary._bigint_tops = original
+
+
+_LIMB_VALUES = st.one_of(st.just(0), st.just(0xFFFFFFFF), st.integers(0, 0xFFFFFFFF))
+
+
+@st.composite
+def _limb_runs(draw, bits: int):
+    """A B-bit integer made of runs of equal 32-bit limbs: zeros, all ones or random."""
+    limbs: list[int] = []
+    while len(limbs) < (bits + 31) // 32:
+        limbs += [draw(_LIMB_VALUES)] * draw(st.integers(1, 40))
+    return sum(v << (32 * i) for i, v in enumerate(limbs)) & ((1 << bits) - 1)
+
+
 @st.composite
 def _limb_cases(draw):
     """(bits, f, xs) with f allowed by the precision guard at bits."""
-    bits = draw(st.integers(65, 640))
+    bits = draw(st.integers(65, 4160))
     f_max = 2 ** (bits - 65)
-    f = draw(st.one_of(st.just(f_max), st.integers(1, f_max)))
-    x = st.one_of(st.just(2**bits - 1), st.just(0), st.integers(0, 2**bits - 1))
+    f = draw(
+        st.one_of(
+            st.just(f_max),
+            st.integers(1, f_max),
+            _limb_runs(bits).map(lambda v: 1 + v % f_max),
+        )
+    )
+    x = st.one_of(st.just(2**bits - 1), st.just(0), st.integers(0, 2**bits - 1), _limb_runs(bits))
     xs = draw(st.lists(x, min_size=1, max_size=5))
+    return bits, f, xs
+
+
+@st.composite
+def _guard_cases(draw):
+    """(bits, f, xs) with the guard digit of ``f * x`` in the kernel's slack.
+
+    The kernel's guard row is row ``(B - 64) // 32 - 1`` of the product.
+    Each x is solved from a target ``f * x mod 2**B`` whose guard row is
+    all ones (so that the partial guard digit is at least ``2**32 - 2 m``
+    whatever the skipped carry) or a small value (so that the skipped
+    carry wraps it); the first x always takes the all-ones row.
+    """
+    bits = draw(st.integers(128, 4160))
+    guard = (bits - 64) // 32 - 1
+    s = draw(st.integers(0, min(32 * guard, bits - 65) - 1))
+    u = draw(st.one_of(st.just(1), st.integers(0, 2 ** (bits - 65 - s) - 1))) | 1
+    assume(u << s <= 2 ** (bits - 65))
+    f = u << s
+    digits = st.one_of(st.integers(0, 300), st.integers(2**32 - 300, 2**32 - 1))
+    xs = []
+    for digit in [0xFFFFFFFF] + draw(st.lists(digits, max_size=4)):
+        rest = draw(st.integers(0, 2**bits - 1))
+        target = (rest & ~(0xFFFFFFFF << (32 * guard)) | digit << (32 * guard)) >> s << s
+        xs.append((target >> s) * pow(u, -1, 2 ** (bits - s)) % 2 ** (bits - s))
     return bits, f, xs
 
 
@@ -342,8 +518,25 @@ class TestLimbKernel:
     @given(_limb_cases())
     def test_matches_frac_mul(self, case):
         bits, f, xs = case
-        got = _frac_tops(_limbs(xs, bits), _freq_plan(f), bits)
+        got = _frac_tops(_limbs(xs, bits), f, bits)
         assert got.tolist() == _top_floats(xs, f, bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_guard_cases())
+    def test_guard_digit_in_slack_is_recomputed(self, case):
+        bits, f, xs = case
+        with _counting_recomputes() as seen:
+            got = _frac_tops(_limbs(xs, bits), f, bits)
+        assert got.tolist() == _top_floats(xs, f, bits)
+        assert sum(seen) >= 1
+
+    def test_no_recompute_on_random_points(self):
+        # a guard digit lands in the slack with probability about 2 m / 2**32
+        xl = _x_limbs(3, "clt-x", 0, 4096, 384)
+        with _counting_recomputes() as seen:
+            for f in (1, 3, 2**200 + 12345, 2**319 - 1):
+                _frac_tops(xl, f, 384)
+        assert seen == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(65, 640), st.data())
@@ -354,7 +547,7 @@ class TestLimbKernel:
         rest = data.draw(st.integers(0, 2 ** (bits - 64) - 1))
         target = ((2**64 - 1) << (bits - 64)) | rest
         x = target * pow(f, -1, 2**bits) % 2**bits
-        got = _frac_tops(_limbs([x], bits), _freq_plan(f), bits)
+        got = _frac_tops(_limbs([x], bits), f, bits)
         assert got.tolist() == _top_floats([x], f, bits) == [2.0**64]
 
     def test_largest_frequency_and_point(self):
@@ -362,32 +555,82 @@ class TestLimbKernel:
             f = 2 ** (bits - 65)
             xs = [2**bits - 1, 1, 2 ** (bits - 1)]
             for g in (f, max(f - 1, 1), min(f, 2 ** ((bits - 65) // 2) + 1)):
-                got = _frac_tops(_limbs(xs, bits), _freq_plan(g), bits)
+                got = _frac_tops(_limbs(xs, bits), g, bits)
                 assert got.tolist() == _top_floats(xs, g, bits)
 
-    def test_freq_plan_skips_zero_limbs(self):
-        assert _freq_plan(1) == ((0, 1),)
-        assert _freq_plan(2**100) == ((3, 2**4),)
-        assert _freq_plan(2**64 + 5) == ((0, 5), (2, 1))
+    def test_np_sin_equals_math_sin_on_kernel_outputs(self):
+        # clt and lil sum np.sin of the kernel's outputs; their bytes equal
+        # the math.sin of the bigint oracles only if the two agree bit for bit
+        xl = _x_limbs(11, "clt-x", 0, 4096, 320)
+        t = np.concatenate(
+            [_frac_tops(xl, f, 320) * 2.0**-64 for f in gen_hadamard(1.5, 1, 246).values]
+        )
+        assert t.size >= 10**6
+        got = np.sin(TWO_PI * t)
+        want = np.array([math.sin(TWO_PI * v) for v in t.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+
+def _lil_oracle(seq, n_max: int, xs: list[FixedPointX]) -> tuple[np.ndarray, np.ndarray]:
+    """(first trajectory, maxima) of the bigint loop at the points xs."""
+    trajs = [lil_trajectory_bigint(seq, x, n_max) for x in xs]
+    first = np.array([v for _, v in trajs[0].points])
+    return first, np.array([t.max_value for t in trajs])
 
 
 class TestLilTrajectory:
     SEQ = gen_hadamard(2, 1, 64)
 
+    def _at(self, *xs: FixedPointX):
+        bits = xs[0].bits
+        got = _lil_limbs(self.SEQ.values, _limbs([x.value for x in xs], bits), bits)
+        first, maxes = _lil_oracle(self.SEQ, 64, list(xs))
+        assert got.first.tobytes() == first.tobytes()
+        assert got.max_values.tobytes() == maxes.tobytes()
+        return got
+
     def test_x_zero_all_zero(self):
-        traj = lil_trajectory(self.SEQ, FixedPointX(0), 64)
-        assert all(v == 0.0 for _, v in traj.points)
+        traj = self._at(FixedPointX(0, 256))
+        assert not traj.first.any()
 
     def test_x_half_all_zero(self):
-        traj = lil_trajectory(self.SEQ, FixedPointX.from_fraction(1, 2), 64)
-        assert all(abs(v) < 1e-12 for _, v in traj.points)
+        traj = self._at(FixedPointX.from_fraction(1, 2, 256), FixedPointX(0, 256))
+        assert np.all(np.abs(traj.first) < 1e-12)
 
     def test_needs_three_terms(self):
         with pytest.raises(LabError):
-            lil_trajectory(self.SEQ, FixedPointX(0), 2)
+            lil_trajectory(self.SEQ, 1, 2)
 
     def test_points_range(self):
-        traj = lil_trajectory(self.SEQ, FixedPointX.from_fraction(1, 7), 64)
-        assert traj.points[0][0] == 3
-        assert traj.points[-1][0] == 64
-        assert traj.max_value == max(v for _, v in traj.points)
+        traj = self._at(FixedPointX.from_fraction(1, 7, 256), FixedPointX.from_fraction(1, 2, 256))
+        assert traj.first.shape == (62,)
+        assert traj.max_values[0] == traj.first.max()
+
+    def test_bad_counts(self):
+        for xs, n_max in ((0, 10), (1, 65), (1, -1)):
+            with pytest.raises(LabError) as err:
+                lil_trajectory(self.SEQ, xs, n_max)
+            assert err.value.token == "bad-count"
+
+
+@pytest.mark.parametrize(
+    "q, n_max, xs, seed",
+    [(2, 3, 1, 0), (2, 600, 7, 4), (2, 4096, 3, 77), (1.5, 3, 2, 1), (1.5, 600, 7, 5),
+     (1.5, 4096, 2, 77)],
+)
+def test_lil_matches_bigint_oracle(q, n_max, xs, seed):
+    seq = gen_hadamard(q, 1, 4096)
+    got = lil_trajectory(seq, xs, n_max, seed)
+    assert got.bits == required_bits(seq.values[n_max - 1])
+    points = [
+        FixedPointX.random(Stream(derive_seed(seed, "lil-x", i)), got.bits) for i in range(xs)
+    ]
+    first, maxes = _lil_oracle(seq, n_max, points)
+    assert got.first.tobytes() == first.tobytes()
+    assert got.max_values.tobytes() == maxes.tobytes()
+    # every point's trajectory, not only the first: rerun from each column
+    xl = _x_limbs(seed, "lil-x", 0, xs, got.bits)
+    if n_max <= 600:
+        for i in range(1, xs):
+            rest = _lil_limbs(seq.values[:n_max], xl[:, i:], got.bits)
+            assert rest.first.tobytes() == _lil_oracle(seq, n_max, points[i:i + 1])[0].tobytes()

@@ -453,6 +453,15 @@ class TestMixtureBounds:
             mixture_bound_check([(1.0, D0, far)], 0.05)
         assert err.value.token == "mixture-bound-precondition"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mixture_non_finite_weight(self, bad):
+        # a NaN weight used to pass both weight tests and drop its pair
+        for pairs in ([(bad, D0, DiscreteMeasure.point(9.0)), (1.0, D0, D0)],
+                      [(bad, D0, D0), (0.5, D0, D0)]):
+            with pytest.raises(LabError) as err:
+                mixture_bound_check(pairs, 0.1)
+            assert err.value.token == "bad-weights"
+
     def test_mixture_random_instances(self):
         stream = Stream(5150)
         for _ in range(80):
