@@ -13,25 +13,33 @@ ascending), so the floating-point value is exactly invariant under
 permuting the summands, isolating distributional questions from float
 noise; the LIL sums run in sequence order.
 
-One numpy kernel, ``_frac_tops``, reduces ``n * x mod 1`` for a whole
-block of sample points at once, and its values equal, bit for bit, those
-of the per-point bigint computation
+One numpy kernel, ``_frac_tops``, reduces ``n * x mod 1`` for a block of
+frequencies at a block of sample points at once, and its values equal,
+bit for bit, those of the per-point bigint computation
 ``float((n * x mod 2**B) >> (B - 64)) * 2**-64``:
 
 * x is held as ``ceil(B/32)`` rows of 32-bit limbs (one column per point)
-  in uint64 arrays, and the nonzero 32-bit limbs of n are found once per
-  call, so a power of two has a single limb.
+  in uint64 arrays.  The nonzero 32-bit limbs of every frequency are
+  found once per frequency list (:func:`_blocks`), so a power of two has
+  a single limb.
 * Only the rows that hold bits ``[B - 64, B)`` of the product, one guard
-  row below them and the row below that (at most five rows) are formed,
-  in one gather-multiply of the needed x limbs by the limbs of n.  Row k
-  receives the low half of every limb product ``x_i n_j`` with
-  ``i + j = k`` and the high half of those with ``i + j = k - 1`` (a
-  single-limb n adds its whole products instead, as a whole product plus
-  a carry stays below ``2**64``): at most ``2 * (nonzero limbs of n)``
-  addends below ``2**32``, so a row never overflows uint64, and one
-  ripple carry normalizes the rows.  Reading bits ``[B - 64, B)`` from
-  the two or three top rows drops the rest: that is the reduction mod
-  ``2**B``.
+  row below them and the row below that (at most five rows, R) are
+  formed, in one gather-multiply of the needed x limbs by the limbs of
+  n.  Row k receives the low half of every limb product ``x_i n_j`` with
+  ``i + j = k`` and the high half of those with ``i + j = k - 1`` (when
+  every n of the block has a single limb, the whole products instead, as
+  a whole product plus a carry stays below ``2**64``): at most
+  ``2 * (nonzero limbs of n)`` addends below ``2**32``, so a row never
+  overflows uint64, and one ripple carry normalizes the rows.  Reading
+  bits ``[B - 64, B)`` from the two or three top rows drops the rest:
+  that is the reduction mod ``2**B``.
+* A block of F frequencies is laid out along the column axis: the
+  gather has shape ``(R, m, F * points)``, m the most nonzero limbs of a
+  frequency in the block, and a frequency with fewer limbs has weight 0
+  in the slots past its own.  uint64 sums are exact mod ``2**64``, so
+  the extra zero products change no word, and each column block of
+  ``points`` columns goes through the same sums, carries and reads as a
+  block of one frequency.
 * What the formed rows leave out lies below the guard row: the high
   halves that land in the lowest formed row, and every row below it.
   With ``m`` nonzero limbs of n each row below the guard row sums to less
@@ -40,20 +48,26 @@ of the per-point bigint computation
   they would add to it is at most ``2 m - 1``.  When the guard digit d
   satisfies ``d < 2**32 - 2 m``, ``d + c < 2**32`` and no carry reaches
   the bits read.  A column whose guard digit is within ``2 m`` of
-  ``2**32`` (probability about ``2 m / 2**32`` for a random point) is
-  recomputed with the bigint formula.  When the guard row is row 0,
-  nothing lies below it and the result is exact as it stands.
+  ``2**32`` (probability about ``2 m / 2**32`` for a random point; m
+  counts that column's own frequency) is recomputed with the bigint
+  formula.  When the guard row is row 0, nothing lies below it and the
+  result is exact as it stands.
 * numpy converts uint64 to float64 with round-to-nearest-even, exactly as
   Python's ``float(int)`` does (a top word of all ones rounds to 2**64).
 
-A frequency's working memory is one ``5 x (nonzero limbs of n) x points``
-uint64 array and a few ``5 x points`` ones.
+A block grows, frequency by frequency in order, while its gather
+``R x m x F x points`` stays within ``_BLOCK_ELEMENTS`` (102,400) uint64
+elements; a frequency that alone needs more forms a block of its own, of
+``R x (its nonzero limbs) x points`` elements.  A call's other arrays
+hold ``R x F x points`` elements or fewer.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +82,14 @@ DEFAULT_BITS = 256
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
+# Most uint64 products one kernel call gathers (unless one frequency alone
+# needs more): half the largest single-frequency gather on a 4,096-point
+# chunk (5 rows x 10 limbs x 4,096 points), so that a block's gather and
+# the rows and doubles made from it stay within what one such frequency
+# used.  On 2-vCPU x86-64 the full 5 x 10 x 4,096 budget raised the peak
+# RSS of the lacunary-mc benchmark by about 10% and slowed q = 1.5 clt
+# chunks, whose multi-limb blocks then outgrew the cache.
+_BLOCK_ELEMENTS = 5 * 5 * 4096
 
 
 def ceil_log2(n: int) -> int:
@@ -110,21 +132,68 @@ def _bigint_tops(xl: np.ndarray, f: int, bits: int) -> np.ndarray:
     return np.fromiter((((f * x) & mask) >> (bits - 64) for x in xs), dtype=np.uint64)
 
 
-def _frac_tops(xl: np.ndarray, f: int, bits: int) -> np.ndarray:
-    """Bits ``[B-64, B)`` of ``f * x mod 2**B``, as doubles, for every column of xl.
+class _Block(NamedTuple):
+    """Frequencies that one kernel call reduces, with their nonzero 32-bit limbs.
 
-    ``xl`` holds the limbs of x (:func:`_x_limbs`).  See the module
-    docstring for why the result is exact.
+    Slot s of frequency k holds the s-th nonzero limb of ``fs[k]``: its
+    index in ``limb[s, k]`` and its value in ``weight[s, k]``.  Past its
+    own limbs a frequency has limb 0 and weight 0.  ``slack[k]`` is
+    ``2**32 - 2 m`` for the m nonzero limbs of ``fs[k]``.
+    """
+
+    fs: Sequence[int]
+    limb: np.ndarray
+    weight: np.ndarray
+    slack: np.ndarray
+
+
+def _blocks(fs, bits: int, points: int) -> list[_Block]:
+    """fs in order, cut into the blocks that :func:`_frac_tops` reduces at once.
+
+    A block grows while its gather, ``rows x (nonzero limbs of its widest
+    frequency) x frequencies x points`` uint64 products, stays within
+    ``_BLOCK_ELEMENTS``; a block holds at least one frequency.  The limbs
+    of every frequency are found in one pass over fs.
+    """
+    top = (bits - 1) // 32
+    raw = b"".join(f.to_bytes(4 * top + 4, "little") for f in fs)
+    fl = np.frombuffer(raw, dtype="<u4").reshape(len(fs), top + 1)
+    fk, j = np.nonzero(fl)
+    counts = np.bincount(fk, minlength=len(fs))
+    slot = np.arange(len(fk)) - np.searchsorted(fk, fk)
+    limb = np.zeros((int(counts.max()), len(fs)), dtype=np.intp)
+    weight = np.zeros(limb.shape, dtype=np.uint64)
+    limb[slot, fk] = j
+    weight[slot, fk] = fl[fk, j]
+    slack = (2**32 - 2 * counts).astype(np.uint64)
+    rows = top - max((bits - 64) // 32 - 1, 0) + 2  # the rows _frac_tops forms
+    edges, start, widest = [], 0, 0
+    for k, c in enumerate(counts.tolist()):
+        if k > start and (k + 1 - start) * max(widest, c) * rows * points > _BLOCK_ELEMENTS:
+            edges.append((start, k, widest))
+            start, widest = k, 0
+        widest = max(widest, c)
+    edges.append((start, len(fs), widest))
+    return [_Block(fs[a:b], limb[:w, a:b], weight[:w, a:b], slack[a:b]) for a, b, w in edges]
+
+
+def _frac_tops(xl: np.ndarray, block: _Block, bits: int) -> np.ndarray:
+    """Bits ``[B-64, B)`` of ``f * x mod 2**B``, as doubles, for each f of the block.
+
+    ``xl`` holds the limbs of x (:func:`_x_limbs`); row k of the result
+    holds the values of ``block.fs[k]`` at every column of xl.  See the
+    module docstring for the layout and for why the result is exact.
     """
     lo, r = divmod(bits - 64, 32)
     g = max(lo - 1, 0)  # the guard row
     top = (bits - 1) // 32
-    fl = np.frombuffer(f.to_bytes(4 * top + 4, "little"), dtype="<u4")
-    j = np.flatnonzero(fl)
-    i = np.arange(g - 1, top + 1)[:, None] - j  # x limb of each product position
+    fs, limb, weight, slack = block
+    m, points = len(limb), xl.shape[1]
+    i = np.arange(g - 1, top + 1)[:, None, None] - limb  # x limb of each product position
     prod = xl[np.maximum(i, 0)]
-    prod *= np.where(i >= 0, fl[j], 0).astype(np.uint64)[:, :, None]
-    if len(j) == 1:  # a whole product plus a carry stays below 2**64
+    prod *= np.where(i >= 0, weight, 0)[..., None]
+    prod = prod.reshape(len(i), m, len(fs) * points)
+    if m == 1:  # a whole product plus a carry stays below 2**64
         rows = prod[:, 0]
     else:  # the low halves' sum is the products' sum minus the high halves', mod 2**64
         rows = prod.sum(axis=1)
@@ -142,11 +211,18 @@ def _frac_tops(xl: np.ndarray, f: int, bits: int) -> np.ndarray:
         word >>= _U(r)
         word |= (rows[a + 1] & _M32) << _U(32 - r)
         word |= rows[a + 2] << _U(64 - r)
+    word = word.reshape(len(fs), points)
     if g > 0:
-        near = np.flatnonzero((rows[1] & _M32) >= _U(2**32 - 2 * len(j)))
-        if near.size:
-            word[near] = _bigint_tops(xl[:, near], f, bits)
+        near = np.flatnonzero((rows[1] & _M32).reshape(len(fs), points) >= slack[:, None])
+        for k in set((near // points).tolist()):
+            cols = near[near // points == k] % points
+            word[k, cols] = _bigint_tops(xl[:, cols], fs[k], bits)
     return word.astype(np.float64)
+
+
+def _sines(xl: np.ndarray, block: _Block, bits: int) -> np.ndarray:
+    """``sin(2 pi (f x mod 1))`` for each f of the block, one row per f."""
+    return np.sin(TWO_PI * (_frac_tops(xl, block, bits) * 2.0**-64))
 
 
 def clt_sample(
@@ -184,8 +260,9 @@ def clt_sample(
     def run(start: int, count: int) -> np.ndarray:
         xl = _x_limbs(seed, "clt-x", start, count, b)
         acc = np.zeros(count)
-        for f in freqs:
-            acc += np.sin(TWO_PI * (_frac_tops(xl, f, b) * 2.0**-64))
+        for block in _blocks(freqs, b, count):
+            for row in _sines(xl, block, b):
+                acc += row
         return acc / divisor
 
     return EmpiricalSample(map_chunks(m, run, threads))
@@ -221,14 +298,30 @@ def lil_trajectory(seq: IndexSequence, xs: int, n_max: int, seed: int = 0) -> Li
 
 
 def _lil_limbs(freqs, xl: np.ndarray, bits: int) -> LilTrajectory:
-    """The LIL statistics along freqs, in order, at the points of xl (:func:`_x_limbs`)."""
-    s = np.zeros(xl.shape[1])
-    best = np.full(xl.shape[1], -math.inf)
+    """The LIL statistics along freqs, in order, at the points of xl (:func:`_x_limbs`).
+
+    Each block's running sums are one ``np.cumsum`` seeded with the last
+    sums of the block before, so every S_N is the same sequence of
+    additions as a term-by-term loop; the maximum of each point is its
+    first largest L_N.
+    """
+    points = xl.shape[1]
+    divisors = np.array([math.sqrt(k * math.log(math.log(k))) for k in range(3, len(freqs) + 1)])
     first = np.empty(len(freqs) - 2)
-    for k, f in enumerate(freqs, start=1):
-        s = s + np.sin(TWO_PI * (_frac_tops(xl, f, bits) * 2.0**-64))
-        if k >= 3:
-            l_k = s / math.sqrt(k * math.log(math.log(k)))
-            first[k - 3] = l_k[0]
-            best = np.where(l_k > best, l_k, best)
+    s = np.zeros(points)
+    best = np.full(points, -math.inf)
+    done = 0  # terms summed before the block
+    for block in _blocks(freqs, bits, points):
+        t = _sines(xl, block, bits)
+        t[0] += s
+        t = np.cumsum(t, axis=0)
+        s = t[-1]
+        skip = max(2 - done, 0)  # rows of S_1 and S_2
+        if skip < len(block.fs):
+            span = slice(done + skip - 2, done + len(block.fs) - 2)
+            l_n = t[skip:] / divisors[span, None]
+            first[span] = l_n[:, 0]
+            peak = l_n[l_n.argmax(axis=0), np.arange(points)]
+            best = np.where(peak > best, peak, best)
+        done += len(block.fs)
     return LilTrajectory(first, best, bits)

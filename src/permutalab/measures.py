@@ -113,7 +113,7 @@ class DiscreteMeasure:
         mass = np.array([m for _, m in self.atoms], dtype=float)
         if np.any(~np.isfinite(pos)) or np.any(~np.isfinite(mass)):
             raise LabError("bad-measure", "non-finite atom")
-        if np.any(np.diff(pos) <= 0):
+        if np.any(pos[1:] <= pos[:-1]):
             raise LabError("bad-measure", "positions must be strictly increasing")
         if np.any(mass <= 0):
             raise LabError("bad-measure", "masses must be positive")
@@ -196,9 +196,16 @@ class DiscreteMeasure:
         return EmpiricalSample(self.quantile_many(us))
 
     def mean_var(self) -> tuple[float, float]:
-        """Exact first moment and central second moment."""
-        mean = float(np.dot(self._pos, self._mass))
-        var = float(np.dot((self._pos - mean) ** 2, self._mass))
+        """Exact first moment and central second moment.
+
+        Atoms near the ends of the double range can give a second moment
+        that overflows; that raises ``bad-measure``.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.dot(self._pos, self._mass))
+            var = float(np.dot((self._pos - mean) ** 2, self._mass))
+        if not math.isfinite(var):
+            raise LabError("bad-measure", "second moment overflows the double range")
         return mean, var
 
     def jump_points(self) -> np.ndarray:

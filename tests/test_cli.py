@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -394,6 +395,56 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "out"))
         self._assert_runtime_error(rc, capsys, "bad-model")
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _edge_law_inputs(tmp_path, grid):
+        """A law with atoms at -1e308 and 1e308 as a CSV and as a one-atom model."""
+        law = measure_to_csv(DiscreteMeasure(((-1e308, 0.5), (1e308, 0.5))))
+        (tmp_path / "edge.csv").write_text(law)
+        obj: dict = {"atoms": [{"prob": 1.0, "law_csv": law}]}
+        if grid is not None:
+            obj["grid"] = grid
+        (tmp_path / "edge.json").write_text(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "argv, grid, token",
+        [
+            (("framework-check", "--theorem", "clt", "--mu", "edge.csv", "--k-list", "1",
+              "--M", "100"), None, "bad-measure"),
+            (("exchangeable", "--model", "edge.json", "--theorem", "trimmed-clt", "--k", "16",
+              "--perms", "identity,reverse", "--M", "100"), 0.0, "bad-measure"),
+            (("exchangeable", "--model", "edge.json", "--theorem", "trimmed-clt", "--k", "16",
+              "--perms", "identity,reverse", "--M", "100"), None, "bad-model"),
+            (("strong-law", "--model", "edge.json", "--p", "1.5", "--N", "5"), 0.0, "bad-measure"),
+            (("strong-law", "--model", "edge.json", "--p", "1.5", "--N", "5"), None, "bad-model"),
+        ],
+        ids=["framework-check", "exchangeable-grid0", "exchangeable", "strong-law-grid0",
+             "strong-law"],
+    )
+    def test_atoms_at_the_ends_of_the_double_range(self, tmp_path, capsys, argv, grid, token):
+        # the variance of such a law overflows: these runs used to print
+        # overflow warnings, then stop on a token that blamed the mixed
+        # normal or write inf and nan
+        self._edge_law_inputs(tmp_path, grid)
+        argv = [str(tmp_path / a) if a.startswith("edge.") else a for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
+        assert [str(w.message) for w in caught] == []
+        self._assert_runtime_error(rc, capsys, token)
+        assert not (tmp_path / "out").exists()
+
+    def test_prohorov_of_atoms_at_the_ends_of_the_double_range(self, tmp_path, capsys):
+        self._edge_law_inputs(tmp_path, None)
+        rademacher = tmp_path / "rademacher.csv"
+        rademacher.write_text(measure_to_csv(DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli("prohorov", "--mu", str(tmp_path / "edge.csv"), "--nu", str(rademacher),
+                         "--out-dir", str(tmp_path / "out"))
+        assert [str(w.message) for w in caught] == []
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["distance"] == 1.0
 
     def test_non_finite_summary_writes_no_file(self, tmp_path, capsys, monkeypatch):
         def nan_summary(args):

@@ -25,6 +25,8 @@ from permutalab import lacunary
 from permutalab.lacunary import (
     DEFAULT_BITS,
     TWO_PI,
+    _BLOCK_ELEMENTS,
+    _blocks,
     _frac_tops,
     _lil_limbs,
     _x_limbs,
@@ -442,14 +444,20 @@ def _top_floats(xs: list[int], f: int, bits: int) -> list[float]:
     return [float(frac_mul(FixedPointX(x, bits), f).value >> (bits - 64)) for x in xs]
 
 
+def _one_block(xl: np.ndarray, fs: list[int], bits: int) -> np.ndarray:
+    """``_frac_tops`` of fs as a single block (few points: the budget never splits it)."""
+    [block] = _blocks(fs, bits, xl.shape[1])
+    return _frac_tops(xl, block, bits)
+
+
 @contextlib.contextmanager
 def _counting_recomputes():
-    """Count the columns the kernel hands to its bigint recompute."""
+    """Record (frequency, columns) of each call of the kernel's bigint recompute."""
     original = lacunary._bigint_tops
     seen = []
 
     def spy(xl, f, bits):
-        seen.append(xl.shape[1])
+        seen.append((f, xl.shape[1]))
         return original(xl, f, bits)
 
     lacunary._bigint_tops = spy
@@ -513,12 +521,87 @@ def _guard_cases(draw):
     return bits, f, xs
 
 
+@st.composite
+def _one_limb(draw, bits: int):
+    """A frequency allowed at bits with exactly one nonzero 32-bit limb."""
+    k = draw(st.integers(0, (bits - 65) // 32))
+    return draw(st.integers(1, 2 ** min(32, bits - 65 - 32 * k))) << (32 * k)
+
+
+@st.composite
+def _block_cases(draw, max_bits: int = 1100):
+    """(bits, fs, xs): a block that mixes one-limb and several-limb frequencies."""
+    bits = draw(st.integers(97, max_bits))
+    f_max = 2 ** (bits - 65)
+    many = st.one_of(
+        st.just(f_max - 1), st.integers(2**32, f_max), _limb_runs(bits).map(lambda v: 1 + v % f_max)
+    )
+    fs = draw(st.lists(_one_limb(bits), min_size=1, max_size=4))
+    fs += draw(st.lists(many, min_size=1, max_size=4))
+    fs = draw(st.permutations(fs))
+    x = st.one_of(st.just(2**bits - 1), st.integers(0, 2**bits - 1), _limb_runs(bits))
+    return bits, fs, draw(st.lists(x, min_size=1, max_size=5))
+
+
+def _product_rows(bits: int) -> int:
+    """Rows of the product the kernel forms: guard row - 1 up to the top row."""
+    return (bits - 1) // 32 - max((bits - 64) // 32 - 1, 0) + 2
+
+
 class TestLimbKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_block_cases())
+    def test_block_rows_match_frac_mul(self, case):
+        # frequencies with fewer limbs than the block's widest are padded
+        # with zero weights; every row must still be its own frequency's
+        bits, fs, xs = case
+        got = _one_block(_limbs(xs, bits), fs, bits)
+        assert got.shape == (len(fs), len(xs))
+        for row, f in zip(got, fs):
+            assert row.tolist() == _top_floats(xs, f, bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_guard_cases(), st.data())
+    def test_guard_digit_of_a_later_block_member_is_recomputed(self, case, data):
+        # a one-limb frequency leads the block, so a slack taken from the
+        # block's first member (2 instead of 2 m) would miss the columns
+        # where the skipped carry of f wraps its guard digit
+        bits, f, xs = case
+        others = st.lists(st.integers(1, 2 ** (bits - 65)), max_size=3)
+        fs = [1] + data.draw(others, label="before") + [f] + data.draw(others, label="after")
+        with _counting_recomputes() as seen:
+            got = _one_block(_limbs(xs, bits), fs, bits)
+        for row, g in zip(got, fs):
+            assert row.tolist() == _top_floats(xs, g, bits)
+        assert f in [g for g, _ in seen]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_block_cases(max_bits=400))
+    def test_budget_split_blocks_match_frac_mul(self, case):
+        # at 8,192 columns a block holds at most 3 limb-frequencies, so most
+        # of these lists are cut; each cut is where the next frequency
+        # would take the gather past the budget
+        bits, fs, xs = case
+        points = 8192
+        xl = np.tile(_limbs(xs, bits), points // len(xs) + 1)[:, :points]
+        blocks = _blocks(fs, bits, points)
+        assert [f for b in blocks for f in b.fs] == fs
+        size = _product_rows(bits) * points
+        widths = [len(b.limb) for b in blocks]
+        for b, w in zip(blocks, widths):
+            assert len(b.fs) == 1 or len(b.fs) * w * size <= _BLOCK_ELEMENTS
+        for b, w, nxt in zip(blocks, widths, blocks[1:]):
+            grown = max(w, np.count_nonzero(nxt.weight[:, 0]))
+            assert (len(b.fs) + 1) * grown * size > _BLOCK_ELEMENTS
+        got = np.concatenate([_frac_tops(xl, b, bits) for b in blocks])
+        for row, f in zip(got, fs):
+            assert row.tolist() == (_top_floats(xs, f, bits) * (points // len(xs) + 1))[:points]
+
     @settings(max_examples=300, deadline=None)
     @given(_limb_cases())
     def test_matches_frac_mul(self, case):
         bits, f, xs = case
-        got = _frac_tops(_limbs(xs, bits), f, bits)
+        got = _one_block(_limbs(xs, bits), [f], bits)[0]
         assert got.tolist() == _top_floats(xs, f, bits)
 
     @settings(max_examples=300, deadline=None)
@@ -526,16 +609,16 @@ class TestLimbKernel:
     def test_guard_digit_in_slack_is_recomputed(self, case):
         bits, f, xs = case
         with _counting_recomputes() as seen:
-            got = _frac_tops(_limbs(xs, bits), f, bits)
+            got = _one_block(_limbs(xs, bits), [f], bits)[0]
         assert got.tolist() == _top_floats(xs, f, bits)
-        assert sum(seen) >= 1
+        assert seen and all(g == f for g, _ in seen)
 
     def test_no_recompute_on_random_points(self):
         # a guard digit lands in the slack with probability about 2 m / 2**32
         xl = _x_limbs(3, "clt-x", 0, 4096, 384)
         with _counting_recomputes() as seen:
-            for f in (1, 3, 2**200 + 12345, 2**319 - 1):
-                _frac_tops(xl, f, 384)
+            for block in _blocks([1, 3, 2**200 + 12345, 2**319 - 1], 384, 4096):
+                _frac_tops(xl, block, 384)
         assert seen == []
 
     @settings(max_examples=200, deadline=None)
@@ -547,7 +630,7 @@ class TestLimbKernel:
         rest = data.draw(st.integers(0, 2 ** (bits - 64) - 1))
         target = ((2**64 - 1) << (bits - 64)) | rest
         x = target * pow(f, -1, 2**bits) % 2**bits
-        got = _frac_tops(_limbs([x], bits), f, bits)
+        got = _one_block(_limbs([x], bits), [f], bits)[0]
         assert got.tolist() == _top_floats([x], f, bits) == [2.0**64]
 
     def test_largest_frequency_and_point(self):
@@ -555,7 +638,7 @@ class TestLimbKernel:
             f = 2 ** (bits - 65)
             xs = [2**bits - 1, 1, 2 ** (bits - 1)]
             for g in (f, max(f - 1, 1), min(f, 2 ** ((bits - 65) // 2) + 1)):
-                got = _frac_tops(_limbs(xs, bits), g, bits)
+                got = _one_block(_limbs(xs, bits), [g], bits)[0]
                 assert got.tolist() == _top_floats(xs, g, bits)
 
     def test_np_sin_equals_math_sin_on_kernel_outputs(self):
@@ -563,7 +646,8 @@ class TestLimbKernel:
         # the math.sin of the bigint oracles only if the two agree bit for bit
         xl = _x_limbs(11, "clt-x", 0, 4096, 320)
         t = np.concatenate(
-            [_frac_tops(xl, f, 320) * 2.0**-64 for f in gen_hadamard(1.5, 1, 246).values]
+            [_frac_tops(xl, block, 320).ravel() * 2.0**-64
+             for block in _blocks(gen_hadamard(1.5, 1, 246).values, 320, 4096)]
         )
         assert t.size >= 10**6
         got = np.sin(TWO_PI * t)
@@ -634,3 +718,85 @@ def test_lil_matches_bigint_oracle(q, n_max, xs, seed):
         for i in range(1, xs):
             rest = _lil_limbs(seq.values[:n_max], xl[:, i:], got.bits)
             assert rest.first.tobytes() == _lil_oracle(seq, n_max, points[i:i + 1])[0].tobytes()
+
+
+def _first_wins_max(values) -> float:
+    best = -math.inf
+    for v in values:
+        if v > best:
+            best = v
+    return best
+
+
+@pytest.mark.parametrize("points", [1, 10, 200])
+def test_lil_matches_bigint_oracle_around_a_block_boundary(points):
+    # q = 1.5 frequencies gain a limb every ~55 terms, so the first block
+    # ends at a different N for each point count (after 64 terms at 200
+    # points, 365 at 10, and one block holds all 1,000 at 1 point);
+    # n_max stops one before that edge, on it and one past it
+    seq = gen_hadamard(1.5, 1, 1000)
+    bits = required_bits(seq.values[-1])
+    blocks = _blocks(seq.values, bits, points)
+    assert (len(blocks) > 1) == (points > 1)
+    edge = len(blocks[0].fs) if len(blocks) > 1 else len(seq) - 1
+    xs = [FixedPointX.random(Stream(derive_seed(13, "lil-x", i)), bits) for i in range(points)]
+    xl = _limbs([x.value for x in xs], bits)
+    trajs = [lil_trajectory_bigint(seq, x, edge + 1) for x in xs]
+    for n_max in (edge - 1, edge, edge + 1):
+        got = _lil_limbs(seq.values[:n_max], xl, bits)
+        first = np.array([v for _, v in trajs[0].points[: n_max - 2]])
+        maxes = np.array([_first_wins_max(v for _, v in t.points[: n_max - 2]) for t in trajs])
+        assert got.first.tobytes() == first.tobytes()
+        assert got.max_values.tobytes() == maxes.tobytes()
+
+
+def test_cumsum_along_rows_is_the_sequential_sum():
+    # _lil_limbs takes each block's running sums with np.cumsum(axis=0),
+    # seeded through its first row; that equals the term-by-term loop bit
+    # for bit only if every column is added in order, with no pairwise or
+    # reassociated summation (which heavy cancellation would expose)
+    rng = np.random.default_rng(5)
+    big = rng.standard_normal((3001, 7)) * 1e16
+    t = np.empty_like(big)
+    t[0::2] = big[0::2]
+    t[1::2] = -big[0:-1:2] + rng.standard_normal((1500, 7))  # cancels its partner
+    t += rng.standard_normal(t.shape) * 1e-3
+    t[5:9] = 0.0
+    t[0] += rng.standard_normal(7) * 1e20
+    want = np.empty_like(t)
+    s = np.zeros(7)
+    for k, row in enumerate(t):
+        s = s + row
+        want[k] = s
+    assert np.cumsum(t, axis=0).tobytes() == want.tobytes()
+    assert want[-1].tolist() == [_sequential_sum(t[:, c]) for c in range(7)]
+    # the data tells the orders apart: numpy's pairwise sum of each column differs
+    assert (np.ascontiguousarray(t.T).sum(axis=1) != want[-1]).any()
+
+
+def _sequential_sum(column) -> float:
+    total = 0.0
+    for v in column.tolist():
+        total += v
+    return total
+
+
+def test_first_argmax_with_strict_greater_is_the_first_wins_loop():
+    # _lil_limbs keeps each point's first largest L_N: the row of the first
+    # maximum of a block (argmax) replaces the running best only when it is
+    # strictly larger; ties, -0.0 against 0.0 included, keep the earlier one
+    rng = np.random.default_rng(8)
+    levels = np.array([-0.0, 0.0, -1.5, 1.5, 2.0])
+    rows = levels[rng.integers(0, 3, size=(60, 400))]  # no positive level
+    rows[:, 200:] = levels[rng.integers(0, 5, size=(60, 200))]
+    start = np.array([-math.inf, -0.0, 0.0, -1.5, 1.5])[rng.integers(0, 5, size=400)]
+    want = start.copy()
+    for row in rows:
+        want = np.where(row > want, row, want)
+    got = start.copy()
+    for block in np.split(rows, [1, 7, 30]):
+        peak = block[block.argmax(axis=0), np.arange(400)]
+        got = np.where(peak > got, peak, got)
+    assert got.tobytes() == want.tobytes()
+    zero = got == 0.0
+    assert (zero & np.signbit(got)).any() and (zero & ~np.signbit(got)).any()

@@ -289,6 +289,35 @@ class TestDiophantine:
         with pytest.raises(LabError):
             diophantine_growth_scan(seq, 1, 1, 3, [5, 5])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 80), min_size=1, max_size=30, unique=True),
+        st.integers(-4, 4).filter(bool),
+        st.integers(-4, 4).filter(bool),
+        st.integers(-90, 90),
+        st.data(),
+    )
+    def test_scan_matches_per_n_counts(self, values, a, b, c, data):
+        # the one-pass scan against one count_diophantine (and the brute
+        # force) per N; small values and coefficients make solutions common
+        seq = IndexSequence(tuple(sorted(values)))
+        ns = sorted(data.draw(st.lists(st.integers(1, len(seq)), min_size=1, unique=True)))
+        counts = [count_diophantine(seq, a, b, c, n) for n in ns]
+        assert diophantine_growth_scan(seq, a, b, c, ns) == [
+            (n, cnt, cnt / n) for n, cnt in zip(ns, counts)
+        ]
+        assert counts == [brute_force_count(seq, a, b, c, n) for n in ns]
+
+    @pytest.mark.parametrize(
+        "a, b, n_list, token",
+        [(0, 1, [2, 3], "degenerate-coefficient"), (1, 0, [2], "degenerate-coefficient"),
+         (1, 1, [0, 3], "bad-count"), (1, 1, [3, 11], "bad-count"), (1, 1, [4, 2], "bad-count")],
+    )
+    def test_scan_rejects(self, a, b, n_list, token):
+        with pytest.raises(LabError) as err:
+            diophantine_growth_scan(gen_hadamard(2, 1, 10), a, b, 3, n_list)
+        assert err.value.token == token
+
     def test_csv_round_trip(self):
         seq = gen_hadamard(2, 1, 80)
         assert IndexSequence.from_csv(seq.to_csv()) == seq
