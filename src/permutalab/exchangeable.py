@@ -18,8 +18,12 @@ Atom choice, values, noise flags and noise signs are separate columns of
 one counter-based stream per run, so runs are reproducible per (seed, run
 index) and results never depend on chunking.  The column layout is defined
 once, in ``_draw``, which both :func:`draw_sequence` and
-:func:`permuted_statistic` use.  The flag and sign columns are drawn only
-when the noise can read them, that is when some good atom has
+:func:`permuted_statistic` use.  It draws the atom column of every run
+first, then each atom's value, flag and sign columns for that atom's runs
+only, so no block of every run's columns is drawn and then copied per
+atom; :func:`permuted_statistic` draws in row blocks sized by the columns
+a run draws (``parallel.row_blocks``).  The flag and sign columns are drawn
+only when the noise can read them, that is when some good atom has
 ``outlier_prob > 0``; the atom and value columns keep their indices either
 way, so the values do not depend on whether the noise is drawn.
 """
@@ -46,7 +50,7 @@ from .measures import (
     measure_to_csv,
 )
 from .metrics import ks_distance, prohorov_distance, random_measure_bound_check
-from .parallel import map_chunks
+from .parallel import map_chunks, row_blocks
 from .rng import Stream, derive_seed, derive_seed_vec, uniform_columns
 from .sequences import Permutation, random_permutation
 
@@ -168,35 +172,49 @@ def _noise_is_read(model: ExchangeableModel) -> bool:
     return perturb is not None and perturb.outlier_prob > 0.0 and model.n_bad < len(model.atoms)
 
 
+def _value_columns(model: ExchangeableModel, length: int, window_idx: np.ndarray) -> np.ndarray:
+    """The columns a run draws after its atom column 0, in the order ``_draw`` reads them.
+
+    ``1 + i`` is value i at the 0-based position i of a sequence of
+    ``length``, and, only when :func:`_noise_is_read`, ``1 + length + i`` is
+    flag i and ``1 + 2 * length + i`` sign i.
+    """
+    blocks = [1 + window_idx]
+    if _noise_is_read(model):
+        blocks += [1 + length + window_idx, 1 + 2 * length + window_idx]
+    return np.concatenate(blocks)
+
+
 def _draw(model: ExchangeableModel, seeds: np.ndarray, length: int, window_idx: np.ndarray):
     """Draw one run per seed, grouped by atom: yields ``(atom, rows, law, z, x)``.
 
     ``rows`` is the boolean mask of the runs that drew ``atom``; ``z`` holds
     their values at the 0-based positions ``window_idx`` of a sequence of
-    ``length``, and ``x`` the observed values.  This is the one place that
-    knows the per-run column layout: 0 atom, ``1 + i`` value i, and, only
-    when :func:`_noise_is_read`, ``1 + length + i`` flag i and
-    ``1 + 2 * length + i`` sign i.
+    ``length``, and ``x`` the observed values.  With :func:`_value_columns`
+    this is the one place that knows the per-run column layout.
+
+    The atom column 0 is drawn first, for every run; then each atom draws
+    its value (and flag and sign) columns for its own runs only, from
+    ``seeds[rows]``.  A column is a pure function of (seed, column), so the
+    values are those of one block drawn for every run, without the block.
     """
     noisy = _noise_is_read(model)
-    blocks = [[0], 1 + window_idx]
-    if noisy:
-        blocks += [1 + length + window_idx, 1 + 2 * length + window_idx]
-    u = uniform_columns(seeds, np.concatenate(blocks))
+    cols = _value_columns(model, length, window_idx)
     width = len(window_idx)
-    atom = inverse_index(np.cumsum(model.probs), u[:, 0])
+    atom = inverse_index(np.cumsum(model.probs), uniform_columns(seeds, np.array([0]))[:, 0])
     n_bad = model.n_bad
     for a, (_, law) in enumerate(model.atoms):
         rows = atom == a
         if not rows.any():
             continue
-        z = law.quantile_many(u[rows, 1 : 1 + width])
+        u = uniform_columns(seeds[rows], cols)
+        z = law.quantile_many(u[:, :width])
         # a scalar eta adds the same IEEE sums as a constant array (so
         # z = -0.0 still gives x = +0.0) without allocating one
         if a < n_bad:
             eta = _BAD_ATOM_SHIFT
         elif noisy:
-            flags, signs = u[rows, 1 + width : 1 + 2 * width], u[rows, 1 + 2 * width :]
+            flags, signs = u[:, width : 2 * width], u[:, 2 * width :]
             hit = flags < model.perturb.outlier_prob
             eta = hit * np.where(signs < 0.5, -1.0, 1.0) * model.perturb.outlier_size
         else:
@@ -242,7 +260,8 @@ def permuted_statistic(
             out[rows] = T.evaluate(x, law, k)
         return out
 
-    return EmpiricalSample(map_chunks(m, run, threads))
+    width = 1 + len(_value_columns(model, len(perm), window_idx))
+    return EmpiricalSample(map_chunks(m, row_blocks(run, width), threads))
 
 
 @dataclass(frozen=True)

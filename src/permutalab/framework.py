@@ -27,7 +27,7 @@ import numpy as np
 from .errors import LabError
 from .measures import DiscreteMeasure, EmpiricalSample, MixedNormal, empirical_measure
 from .metrics import ks_distance, prohorov_distance, wasserstein2
-from .parallel import map_chunks
+from .parallel import map_chunks, row_blocks
 from .rng import Stream, derive_seed, derive_seed_vec, uniform_columns
 
 
@@ -94,7 +94,11 @@ def simulate_fk(
     seed: int,
     threads: int = 1,
 ) -> EmpiricalSample:
-    """m independent evaluations of f_k on i.i.d. window draws from mu."""
+    """m independent evaluations of f_k on i.i.d. window draws from mu.
+
+    Runs are drawn in row blocks sized by the window width
+    (``parallel.row_blocks``); each run's values depend only on its index.
+    """
     if m < 1:
         raise LabError("bad-count", "need M >= 1")
     p, q = T.window(k)
@@ -106,7 +110,7 @@ def simulate_fk(
         draws = mu.quantile_many(us)
         return T.evaluate(draws, mu, k)
 
-    return EmpiricalSample(map_chunks(m, run, threads))
+    return EmpiricalSample(map_chunks(m, row_blocks(run, width), threads))
 
 
 def limit_convergence_check(

@@ -1,9 +1,14 @@
 """Chunked map with thread-count-independent results.
 
-Work is split into fixed-size chunks (the size never depends on the worker
-count), each chunk is computed from seeds derived from its own sample
-indices, and results are concatenated in chunk order.  Outputs are
-therefore bit-identical for any ``threads`` value.
+Work is split into fixed chunks of ``CHUNK`` sample indices, the unit that
+threads share; results are concatenated in chunk order.  A chunk whose rows
+are wide (one Monte Carlo sample drawing hundreds of columns) is computed
+in row blocks through :func:`row_blocks`, about ``_CHUNK_ELEMENTS`` values
+at a time, so that each block's arrays stay near a core's L2 cache.  Chunk
+and block sizes depend only on the sample count and the row width, never
+on ``threads``, and every sample is computed from seeds derived from its
+own index, so outputs are bit-identical for any ``threads`` value and any
+block size.
 """
 
 from __future__ import annotations
@@ -14,6 +19,14 @@ from typing import Callable
 import numpy as np
 
 CHUNK = 4096
+
+# Elements per row block: 256 rows of 400 columns.  A block's uniforms, its
+# splitmix64 words and its quantile draws (0.8 MB each) then stay near a
+# 2 MiB L2.  On 2-vCPU x86-64 (2 MiB L2 per core, numpy 2.4), k = 400 and
+# M = 8192 at one thread, medians of 20 runs: simulate_fk 26 ms at 256 rows,
+# 33 at 512, 35 at 1,024 and 54 at 4,096; permuted_statistic 35, 32, 42
+# and 64 ms, the 256- and 512-row figures inside each other's quartiles.
+_CHUNK_ELEMENTS = 256 * 400
 
 
 def map_chunks(
@@ -27,3 +40,20 @@ def map_chunks(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda t: fn(*t), tasks))
     return np.concatenate(parts)
+
+
+def row_blocks(
+    fn: Callable[[int, int], np.ndarray], width: int
+) -> Callable[[int, int], np.ndarray]:
+    """A chunk function that concatenates fn over blocks of rows of ``width`` elements.
+
+    Each block has ``max(1, min(CHUNK, _CHUNK_ELEMENTS // width))`` rows,
+    but for the last of a chunk, which has the rest.
+    """
+    rows = max(1, min(CHUNK, _CHUNK_ELEMENTS // width))
+
+    def chunk(start: int, count: int) -> np.ndarray:
+        stop = start + count
+        return np.concatenate([fn(s, min(rows, stop - s)) for s in range(start, stop, rows)])
+
+    return chunk

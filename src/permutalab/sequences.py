@@ -194,7 +194,9 @@ def reverse_permutation(n: int) -> Permutation:
 
 def block_interleave_permutation(n: int, block: int) -> Permutation:
     """Write 1..N row-major into (block x N/block), read column-major."""
-    if block < 1 or n % block != 0:
+    if block < 1:
+        raise LabError("bad-block", f"block must be >= 1, got {block}")
+    if n % block != 0:
         raise LabError("bad-block", "block must divide N")
     cols = n // block
     image = tuple(r * cols + c + 1 for c in range(cols) for r in range(block))

@@ -290,6 +290,16 @@ class TestExitCodes:
         )
         self._assert_config_error(rc, capsys, repr(pattern))
 
+    @pytest.mark.parametrize("pattern", ["block:0", "block:-3"])
+    def test_perm_block_below_one_is_bad_block(self, tmp_path, seq_file, capsys, pattern):
+        rc = run_cli(
+            "permute-clt", "--seq", str(seq_file), "--N", "4", "--M", "10",
+            "--perm", pattern, "--out-dir", str(tmp_path / "out"),
+        )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.splitlines() == [f"error: bad-block: block must be >= 1, got {pattern[6:]}"]
+
     @pytest.mark.parametrize("bad_line", ["0.5", "0.5,0.25,0.25", "0.5,half"])
     def test_measure_csv_line_without_one_comma(self, tmp_path, capsys, bad_line):
         mu = tmp_path / "mu.csv"

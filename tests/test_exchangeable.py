@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permutalab import (
     DiscreteMeasure,
@@ -34,6 +37,7 @@ from permutalab import (
 )
 from permutalab.exchangeable import _BAD_ATOM_SHIFT, _noise_is_read, _quantize
 from permutalab.measures import _COUNT_MAX_ATOMS
+from permutalab import parallel
 from permutalab.parallel import map_chunks
 from permutalab.rng import Stream, derive_seed, derive_seed_vec, uniform_columns
 
@@ -445,3 +449,51 @@ class TestNoiseColumnsOracle:
                 assert _bits(got.x) == _bits(want.x), (m, seed)
                 atoms_seen.add(got.atom_index)
         assert atoms_seen == set(range(len(model.atoms)))
+
+
+@st.composite
+def block_cases(draw):
+    """(``_CHUNK_ELEMENTS``, M): 1-row, odd-sized or whole-chunk row blocks.
+
+    One-row blocks run one ``_draw`` per run, so their M stays small.
+    """
+    kind = draw(st.sampled_from(["one-row", "odd", "full"]))
+    if kind == "one-row":
+        return 1, draw(st.integers(1, 200))
+    if kind == "odd":
+        # 2..4999 elements over rows of 16 to 49 columns: 1 to 312 rows
+        return draw(st.integers(2, 4999)), draw(st.integers(1, 5000))
+    return 2**40, draw(st.integers(1, 9000))
+
+
+class TestRowBlocksOracle:
+    """Row blocks of any size give the bytes of 4,096-run chunks.
+
+    The full-layout reference calls ``map_chunks`` without ``row_blocks``,
+    so it draws every run of a chunk in one block, whatever
+    ``_CHUNK_ELEMENTS`` is.
+    """
+
+    K = 16
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(list(ORACLE_MODELS)),
+        theorem=st.sampled_from(["clt", "trimmed-clt"]),
+        case=block_cases(),
+        threads=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example("noisy-bad-and-good", "clt", (1, 150), 3, 31)
+    @example("no-perturb-100-atom-law", "trimmed-clt", (1001, 4097), 3, 5)
+    @example("noisy-bad-and-good", "trimmed-clt", (2**40, 8193), 1, 7)
+    def test_permuted_statistic_bytes_do_not_depend_on_blocks(
+        self, name, theorem, case, threads, seed
+    ):
+        model, T = ORACLE_MODELS[name], make_theorem(theorem)
+        perm = random_permutation(self.K + 9, seed=77)
+        elements, m = case
+        want = _permuted_statistic_full_layout_reference(model, T, self.K, perm, m, seed, threads)
+        with mock.patch.object(parallel, "_CHUNK_ELEMENTS", elements):
+            got = permuted_statistic(model, T, self.K, perm, m, seed, threads)
+        assert _bits(got.values) == _bits(want.values)

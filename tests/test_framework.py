@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permutalab import (
     DiscreteMeasure,
+    EmpiricalSample,
     LabError,
     MixedNormal,
+    RegularLimitTheorem,
     empirical_measure,
     ks_distance,
     lipschitz_probe,
@@ -21,7 +26,9 @@ from permutalab import (
     simulate_fk,
     statistic_stability_check,
 )
-from permutalab.rng import Stream
+from permutalab import parallel
+from permutalab.parallel import map_chunks
+from permutalab.rng import Stream, derive_seed_vec, uniform_columns
 
 from conftest import random_discrete_measure
 
@@ -217,3 +224,59 @@ class TestThinningPlan:
 
 def test_mc_tolerance_formula():
     assert mc_tolerance(10_000) == pytest.approx(3.0 * math.sqrt(math.log(10_000) / 10_000))
+
+
+# -- oracle: every chunk of 4,096 runs drawn in one block -----------------
+#
+# A verbatim copy of ``simulate_fk`` from before it drew in row blocks
+# (only the name differs).  The library must give the same bytes for any
+# row-block size.
+
+
+def _simulate_fk_chunk_reference(
+    T: RegularLimitTheorem,
+    k: int,
+    mu: DiscreteMeasure,
+    m: int,
+    seed: int,
+    threads: int = 1,
+) -> EmpiricalSample:
+    """m independent evaluations of f_k on i.i.d. window draws from mu."""
+    if m < 1:
+        raise LabError("bad-count", "need M >= 1")
+    p, q = T.window(k)
+    width = q - p + 1
+
+    def run(start: int, count: int) -> np.ndarray:
+        seeds = derive_seed_vec(seed, np.arange(start, start + count), "fk")
+        us = uniform_columns(seeds, np.arange(width))
+        draws = mu.quantile_many(us)
+        return T.evaluate(draws, mu, k)
+
+    return EmpiricalSample(map_chunks(m, run, threads))
+
+
+# more atoms than measures._COUNT_MAX_ATOMS, so its quantiles take the binary search
+WIDE_100 = DiscreteMeasure(tuple((i / 8.0 - 6.0, 0.01) for i in range(100)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theorem=st.sampled_from(["clt", "trimmed-clt"]),
+    k=st.sampled_from([1, 16, 81]),
+    mu=st.sampled_from([RADEMACHER, WIDE_100]),
+    elements=st.one_of(st.just(1), st.integers(2, 5000), st.just(2**40)),
+    m=st.integers(1, 9000),
+    threads=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example("clt", 81, RADEMACHER, 1, 300, 3, 4)
+@example("trimmed-clt", 81, WIDE_100, 1001, 4097, 3, 5)
+def test_simulate_fk_bytes_do_not_depend_on_blocks(theorem, k, mu, elements, m, threads, seed):
+    T = make_theorem(theorem)
+    if elements < T.window_width(k):
+        m = min(m, 300)  # one run per block: keep the example short
+    want = _simulate_fk_chunk_reference(T, k, mu, m, seed, threads)
+    with mock.patch.object(parallel, "_CHUNK_ELEMENTS", elements):
+        got = simulate_fk(T, k, mu, m, seed, threads)
+    assert got.values.tobytes() == want.values.tobytes()
