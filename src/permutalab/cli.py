@@ -207,10 +207,6 @@ def _cmd_clt(args) -> tuple[dict, dict]:
 
 def _cmd_lil(args) -> tuple[dict, dict]:
     seq = IndexSequence.from_csv(_read_text(args.seq))
-    if args.xs < 1:
-        raise ConfigError("--xs must be >= 1")
-    if args.Nmax > len(seq):
-        raise ConfigError("--Nmax exceeds sequence length")
     traj = lil_trajectory(seq, args.xs, args.Nmax, args.seed)
     summary = {
         "median_max": float(np.median(traj.max_values)),
@@ -281,7 +277,8 @@ def _cmd_exchangeable(args) -> tuple[dict, dict]:
 def _cmd_strong_law(args) -> tuple[dict, dict]:
     model = model_from_json(_read_text(args.model))
     traj = strong_law_trajectory(model, args.p, args.N, args.seed)
-    return {args.out: _csv(traj)}, {"p": args.p, "N": args.N, "final": traj[-1][1]}
+    table = _csv(zip(range(1, args.N + 1), traj.tolist()))
+    return {args.out: table}, {"p": args.p, "N": args.N, "final": float(traj[-1])}
 
 
 def _cmd_plot(args) -> tuple[dict, dict]:

@@ -364,12 +364,13 @@ def conditional_noise_check(
 
 def strong_law_trajectory(
     model: ExchangeableModel, p: float, n: int, seed: int
-) -> tuple[tuple[int, float], ...]:
-    """Running strong-law statistic along one drawn sequence.
+) -> np.ndarray:
+    """Running strong-law statistic along one drawn sequence, as a float64 array.
 
-    p = 1: running means n^-1 sum X_k (approaches the drawn atom's mean);
-    p in (0, 2) otherwise: n^(-1/p) sum (X_k - mean).  p = 2 is accepted
-    as the out-of-theorem boundary; no assertion is attached to it.
+    Entry N - 1 holds the statistic of the first N terms.  p = 1: running
+    means n^-1 sum X_k (approaches the drawn atom's mean); p in (0, 2)
+    otherwise: n^(-1/p) sum (X_k - mean).  p = 2 is accepted as the
+    out-of-theorem boundary; no assertion is attached to it.
     """
     if not 0.0 < p <= 2.0:
         raise LabError("bad-p", "need 0 < p <= 2")
@@ -380,10 +381,8 @@ def strong_law_trajectory(
     idx = np.arange(1, n + 1, dtype=float)
     sums = np.cumsum(drawn.x)
     if p == 1.0:
-        vals = sums / idx
-    else:
-        vals = (sums - idx * mean) / idx ** (1.0 / p)
-    return tuple(zip(range(1, n + 1), vals.tolist()))
+        return sums / idx
+    return (sums - idx * mean) / idx ** (1.0 / p)
 
 
 # -- model (de)serialization -------------------------------------------

@@ -3,10 +3,9 @@
 The sample point x lives on [0, 1) as a B-bit fixed-point value, so
 ``n * x mod 1`` is a single integer multiply-and-mask.  All sample points
 here are B-bit values (drawn as B raw bits), so the reduction is exact.
-A frequency with ``ceil(log2 n) >= B - 64`` raises
-``precision-exhausted``: fewer than 64 significant fractional bits would
-survive.  ``required_bits`` picks the smallest sufficient multiple of 64
-for a given maximal frequency, which both drivers use as their default.
+The precision has one rule: B is ``required_bits(max n)``, the smallest
+multiple of 64 that is at least 256 and leaves at least 64 significant
+fractional bits (``ceil(log2 n) + 65 <= B``).  Both drivers run at that B.
 
 Summation order in the CLT sums is canonicalized (frequencies sorted
 ascending), so the floating-point value is exactly invariant under
@@ -18,48 +17,47 @@ frequencies at a block of sample points at once, and its values equal,
 bit for bit, those of the per-point bigint computation
 ``float((n * x mod 2**B) >> (B - 64)) * 2**-64``:
 
-* x is held as ``ceil(B/32)`` rows of 32-bit limbs (one column per point)
-  in uint64 arrays.  The nonzero 32-bit limbs of every frequency are
-  found once per frequency list (:func:`_blocks`), so a power of two has
-  a single limb.
-* Only the rows that hold bits ``[B - 64, B)`` of the product, one guard
-  row below them and the row below that (at most five rows, R) are
-  formed, in one gather-multiply of the needed x limbs by the limbs of
-  n.  Row k receives the low half of every limb product ``x_i n_j`` with
-  ``i + j = k`` and the high half of those with ``i + j = k - 1`` (when
-  every n of the block has a single limb, the whole products instead, as
-  a whole product plus a carry stays below ``2**64``): at most
-  ``2 * (nonzero limbs of n)`` addends below ``2**32``, so a row never
-  overflows uint64, and one ripple carry normalizes the rows.  Reading
-  bits ``[B - 64, B)`` from the two or three top rows drops the rest:
-  that is the reduction mod ``2**B``.
+* x is held as ``B/32`` rows of 32-bit limbs (one column per point) in
+  uint64 arrays.  The nonzero 32-bit limbs of every frequency are found
+  once per frequency list (:func:`_blocks`), so a power of two has a
+  single limb.
+* Only four rows of the product are formed (``_ROWS``): the two top rows
+  ``B/32 - 2`` and ``B/32 - 1``, which hold bits ``[B - 64, B)``, the
+  guard row g = ``B/32 - 3`` below them and the row g - 1 below that.
+  They come from one gather-multiply of the needed x limbs by the limbs
+  of n.  Row k receives the low half of every limb product ``x_i n_j``
+  with ``i + j = k`` and the high half of those with ``i + j = k - 1``
+  (when every n of the block has a single limb, the whole products
+  instead, as a whole product plus a carry stays below ``2**64``): at
+  most ``2 * (nonzero limbs of n)`` addends below ``2**32``, so a row
+  never overflows uint64, and one ripple carry normalizes the rows.
+  Reading the low halves of the two top rows drops the rest: that is the
+  reduction mod ``2**B``.
 * A block of F frequencies is laid out along the column axis: the
-  gather has shape ``(R, m, F * points)``, m the most nonzero limbs of a
+  gather has shape ``(4, m, F * points)``, m the most nonzero limbs of a
   frequency in the block, and a frequency with fewer limbs has weight 0
   in the slots past its own.  uint64 sums are exact mod ``2**64``, so
   the extra zero products change no word, and each column block of
   ``points`` columns goes through the same sums, carries and reads as a
   block of one frequency.
 * What the formed rows leave out lies below the guard row: the high
-  halves that land in the lowest formed row, and every row below it.
-  With ``m`` nonzero limbs of n each row below the guard row sums to less
-  than ``2 m * 2**32``, so these rows together (their formed part
-  included) are below ``2 m`` units of the guard row, and the carry c
-  they would add to it is at most ``2 m - 1``.  When the guard digit d
-  satisfies ``d < 2**32 - 2 m``, ``d + c < 2**32`` and no carry reaches
-  the bits read.  A column whose guard digit is within ``2 m`` of
-  ``2**32`` (probability about ``2 m / 2**32`` for a random point; m
-  counts that column's own frequency) is recomputed with the bigint
-  formula.  When the guard row is row 0, nothing lies below it and the
-  result is exact as it stands.
+  halves that land in row g - 1, and every row below it.  With ``m``
+  nonzero limbs of n each row below the guard row sums to less than
+  ``2 m * 2**32``, so these rows together (their formed part included)
+  are below ``2 m`` units of the guard row, and the carry c they would
+  add to it is at most ``2 m - 1``.  When the guard digit d satisfies
+  ``d < 2**32 - 2 m``, ``d + c < 2**32`` and no carry reaches the bits
+  read.  A column whose guard digit is within ``2 m`` of ``2**32``
+  (probability about ``2 m / 2**32`` for a random point; m counts that
+  column's own frequency) is recomputed with the bigint formula.
 * numpy converts uint64 to float64 with round-to-nearest-even, exactly as
   Python's ``float(int)`` does (a top word of all ones rounds to 2**64).
 
 A block grows, frequency by frequency in order, while its gather
-``R x m x F x points`` stays within ``_BLOCK_ELEMENTS`` (102,400) uint64
+``4 x m x F x points`` stays within ``_BLOCK_ELEMENTS`` (102,400) uint64
 elements; a frequency that alone needs more forms a block of its own, of
-``R x (its nonzero limbs) x points`` elements.  A call's other arrays
-hold ``R x F x points`` elements or fewer.
+``4 x (its nonzero limbs) x points`` elements.  A call's other arrays
+hold ``4 x F x points`` elements or fewer.
 """
 
 from __future__ import annotations
@@ -82,14 +80,16 @@ DEFAULT_BITS = 256
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
+# Rows of the product the kernel forms: g - 1, the guard row g and the two
+# rows that hold bits [B - 64, B).
+_ROWS = 4
 # Most uint64 products one kernel call gathers (unless one frequency alone
-# needs more): half the largest single-frequency gather on a 4,096-point
-# chunk (5 rows x 10 limbs x 4,096 points), so that a block's gather and
-# the rows and doubles made from it stay within what one such frequency
-# used.  On 2-vCPU x86-64 the full 5 x 10 x 4,096 budget raised the peak
+# needs more): 25 per point of a 4,096-point chunk, so that a block's
+# gather and the rows and doubles made from it stay small next to the
+# chunk's own arrays.  On 2-vCPU x86-64 twice this budget raised the peak
 # RSS of the lacunary-mc benchmark by about 10% and slowed q = 1.5 clt
 # chunks, whose multi-limb blocks then outgrew the cache.
-_BLOCK_ELEMENTS = 5 * 5 * 4096
+_BLOCK_ELEMENTS = 25 * 4096
 
 
 def ceil_log2(n: int) -> int:
@@ -108,20 +108,17 @@ def _x_limbs(seed: int, label: str, start: int, count: int, bits: int) -> np.nda
     """32-bit limbs of the B-bit sample points of indices [start, start+count).
 
     Row ``i`` holds bits ``[32 i, 32 i + 32)`` of every point.  Point ``s``
-    is the little-endian concatenation of draws ``1..ceil(B/64)`` of the
-    stream ``derive_seed(seed, label, s)``, masked to B bits: the value
+    is the little-endian concatenation of draws ``1..B/64`` of the stream
+    ``derive_seed(seed, label, s)``: the value
     ``Stream(derive_seed(seed, label, s)).bits(B)``.
     """
-    words = (bits + 63) // 64
+    words = bits // 64
     seeds = derive_seed_vec(seed, np.arange(start, start + count), label)
     cols = np.arange(1, words + 1, dtype=np.uint64) * _U(GOLDEN)
     u = mix64_vec(cols[:, None] + seeds[None, :])
     limbs = np.empty((2 * words, count), dtype=np.uint64)
     np.bitwise_and(u, _M32, out=limbs[0::2])
     np.right_shift(u, _U(32), out=limbs[1::2])
-    limbs = limbs[: (bits + 31) // 32]
-    if bits % 32:
-        limbs[-1] &= _U((1 << (bits % 32)) - 1)
     return limbs
 
 
@@ -150,14 +147,13 @@ class _Block(NamedTuple):
 def _blocks(fs, bits: int, points: int) -> list[_Block]:
     """fs in order, cut into the blocks that :func:`_frac_tops` reduces at once.
 
-    A block grows while its gather, ``rows x (nonzero limbs of its widest
+    A block grows while its gather, ``_ROWS x (nonzero limbs of its widest
     frequency) x frequencies x points`` uint64 products, stays within
     ``_BLOCK_ELEMENTS``; a block holds at least one frequency.  The limbs
     of every frequency are found in one pass over fs.
     """
-    top = (bits - 1) // 32
-    raw = b"".join(f.to_bytes(4 * top + 4, "little") for f in fs)
-    fl = np.frombuffer(raw, dtype="<u4").reshape(len(fs), top + 1)
+    raw = b"".join(f.to_bytes(bits // 8, "little") for f in fs)
+    fl = np.frombuffer(raw, dtype="<u4").reshape(len(fs), bits // 32)
     fk, j = np.nonzero(fl)
     counts = np.bincount(fk, minlength=len(fs))
     slot = np.arange(len(fk)) - np.searchsorted(fk, fk)
@@ -166,10 +162,9 @@ def _blocks(fs, bits: int, points: int) -> list[_Block]:
     limb[slot, fk] = j
     weight[slot, fk] = fl[fk, j]
     slack = (2**32 - 2 * counts).astype(np.uint64)
-    rows = top - max((bits - 64) // 32 - 1, 0) + 2  # the rows _frac_tops forms
     edges, start, widest = [], 0, 0
     for k, c in enumerate(counts.tolist()):
-        if k > start and (k + 1 - start) * max(widest, c) * rows * points > _BLOCK_ELEMENTS:
+        if k > start and (k + 1 - start) * max(widest, c) * _ROWS * points > _BLOCK_ELEMENTS:
             edges.append((start, k, widest))
             start, widest = k, 0
         widest = max(widest, c)
@@ -184,15 +179,13 @@ def _frac_tops(xl: np.ndarray, block: _Block, bits: int) -> np.ndarray:
     holds the values of ``block.fs[k]`` at every column of xl.  See the
     module docstring for the layout and for why the result is exact.
     """
-    lo, r = divmod(bits - 64, 32)
-    g = max(lo - 1, 0)  # the guard row
-    top = (bits - 1) // 32
+    g = bits // 32 - 3  # the guard row
     fs, limb, weight, slack = block
     m, points = len(limb), xl.shape[1]
-    i = np.arange(g - 1, top + 1)[:, None, None] - limb  # x limb of each product position
+    i = np.arange(g - 1, g - 1 + _ROWS)[:, None, None] - limb  # x limb of each product position
     prod = xl[np.maximum(i, 0)]
     prod *= np.where(i >= 0, weight, 0)[..., None]
-    prod = prod.reshape(len(i), m, len(fs) * points)
+    prod = prod.reshape(_ROWS, m, len(fs) * points)
     if m == 1:  # a whole product plus a carry stays below 2**64
         rows = prod[:, 0]
     else:  # the low halves' sum is the products' sum minus the high halves', mod 2**64
@@ -201,22 +194,15 @@ def _frac_tops(xl: np.ndarray, block: _Block, bits: int) -> np.ndarray:
         hi = prod.sum(axis=1)
         rows -= hi << _U(32)
         rows[1:] += hi[:-1]
-    for k in range(len(rows) - 1):
+    for k in range(_ROWS - 1):
         rows[k + 1] += rows[k] >> _U(32)
-    a = lo - g + 1  # rows[0] is the row below the guard row
-    word = rows[a] & _M32
-    if r == 0:
-        word |= rows[a + 1] << _U(32)
-    else:
-        word >>= _U(r)
-        word |= (rows[a + 1] & _M32) << _U(32 - r)
-        word |= rows[a + 2] << _U(64 - r)
+    word = rows[2] & _M32  # bits [B - 64, B): the low halves of the two top rows
+    word |= rows[3] << _U(32)
     word = word.reshape(len(fs), points)
-    if g > 0:
-        near = np.flatnonzero((rows[1] & _M32).reshape(len(fs), points) >= slack[:, None])
-        for k in set((near // points).tolist()):
-            cols = near[near // points == k] % points
-            word[k, cols] = _bigint_tops(xl[:, cols], fs[k], bits)
+    near = np.flatnonzero((rows[1] & _M32).reshape(len(fs), points) >= slack[:, None])
+    for k in set((near // points).tolist()):
+        cols = near[near // points == k] % points
+        word[k, cols] = _bigint_tops(xl[:, cols], fs[k], bits)
     return word.astype(np.float64)
 
 
@@ -232,15 +218,14 @@ def clt_sample(
     norm: str = "sqrtN_over_2",
     perm: Permutation | None = None,
     seed: int = 0,
-    bits: int | None = None,
     threads: int = 1,
 ) -> EmpiricalSample:
     """Monte Carlo law of the normalized trigonometric sum.
 
     Each of the m samples draws its own uniform x (a fresh B-bit value from
-    the stream of its sample index) and evaluates
-    ``sum sin(2 pi n_sigma(k) x) / norm`` over the first n terms of the
-    (optionally permuted) sequence.
+    the stream of its sample index, B = ``required_bits`` of the largest
+    frequency summed) and evaluates ``sum sin(2 pi n_sigma(k) x) / norm``
+    over the first n terms of the (optionally permuted) sequence.
     """
     if n < 1 or n > len(seq):
         raise LabError("bad-count", "need 1 <= N <= len(seq)")
@@ -253,9 +238,7 @@ def clt_sample(
     else:
         raise LabError("bad-norm", f"unknown normalization {norm!r}")
     freqs = sorted(seq.values[:n] if perm is None else apply_permutation(seq, perm, n))
-    b = bits if bits is not None else required_bits(freqs[-1])
-    if ceil_log2(freqs[-1]) >= b - 64:
-        raise LabError("precision-exhausted", "bits too small for max frequency")
+    b = required_bits(freqs[-1])
 
     def run(start: int, count: int) -> np.ndarray:
         xl = _x_limbs(seed, "clt-x", start, count, b)

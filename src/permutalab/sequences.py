@@ -136,14 +136,6 @@ def gap_report(seq: IndexSequence) -> float:
     return min(v1 / v0 for v0, v1 in zip(seq.values, seq.values[1:]))
 
 
-def _check_pair_counts(seq: IndexSequence, a: int, b: int, n_list) -> None:
-    if a == 0 or b == 0:
-        raise LabError("degenerate-coefficient", "a and b must be nonzero")
-    for n in n_list:
-        if not 1 <= n <= len(seq):
-            raise LabError("bad-count", f"need 1 <= n <= {len(seq)} (sequence length), got {n}")
-
-
 def _partners(seq: IndexSequence, a: int, b: int, c: int, n: int) -> list[int]:
     """For each k < n, the index l < n with a*n_k + b*n_l = c, or n when there is none.
 
@@ -160,22 +152,26 @@ def _partners(seq: IndexSequence, a: int, b: int, c: int, n: int) -> list[int]:
 
 def count_diophantine(seq: IndexSequence, a: int, b: int, c: int, n: int) -> int:
     """Exact count of pairs (k, l) in [1, n]^2 with a*n_k + b*n_l = c."""
-    _check_pair_counts(seq, a, b, [n])
-    return sum(l < n for l in _partners(seq, a, b, c, n))
+    return diophantine_growth_scan(seq, a, b, c, [n])[0][1]
 
 
 def diophantine_growth_scan(
     seq: IndexSequence, a: int, b: int, c: int, n_list: list[int]
 ) -> list[tuple[int, int, float]]:
-    """Rows (N, count, count/N) with count = ``count_diophantine(seq, a, b, c, N)``.
+    """Rows (N, count, count/N), one per N of n_list, in order.
 
+    count is the number of pairs (k, l) in [1, N]^2 with a*n_k + b*n_l = c.
     The partners are found once, over the longest prefix: the row of N
     counts the k < N whose partner is below N.  Classification is left to
     the reader.
     """
     if any(n2 <= n1 for n1, n2 in zip(n_list, n_list[1:])):
         raise LabError("bad-count", "N list must be increasing")
-    _check_pair_counts(seq, a, b, n_list)
+    if a == 0 or b == 0:
+        raise LabError("degenerate-coefficient", "a and b must be nonzero")
+    for n in n_list:
+        if not 1 <= n <= len(seq):
+            raise LabError("bad-count", f"need 1 <= n <= {len(seq)} (sequence length), got {n}")
     partner = _partners(seq, a, b, c, max(n_list, default=0))
     rows = []
     for n in n_list:

@@ -232,8 +232,8 @@ def test_10_lil_band():
 
 def test_11_strong_laws():
     model = pl.ExchangeableModel(((1.0, RADEMACHER),))
-    mean_final = pl.strong_law_trajectory(model, 1.0, 100_000, seed=2)[-1][1]
-    stat_final = pl.strong_law_trajectory(model, 1.5, 100_000, seed=2)[-1][1]
+    mean_final = pl.strong_law_trajectory(model, 1.0, 100_000, seed=2)[-1]
+    stat_final = pl.strong_law_trajectory(model, 1.5, 100_000, seed=2)[-1]
     ok = abs(mean_final) <= 0.02 and abs(stat_final) <= 0.05
     _verdict(11, ok, f"strong laws at N=1e5: |mean|={abs(mean_final):.5f} <= 0.02, "
                      f"|p=1.5 statistic|={abs(stat_final):.5f} <= 0.05")

@@ -350,6 +350,8 @@ class TestExitCodes:
             ("lil", "--Nmax", "-5"),
             ("lil", "--Nmax", "0"),
             ("lil", "--Nmax", "2"),  # lil needs N_max >= 3
+            ("lil", "--Nmax", "6"),  # one past the 5-term sequence
+            ("lil", "--xs", "0"),
         ],
     )
     def test_count_below_one_is_bad_count(self, tmp_path, seq_file, capsys, command, flag, value):

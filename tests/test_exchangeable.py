@@ -120,6 +120,16 @@ class TestModel:
         back = model_from_json(model_to_json(model))
         assert back == model
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"grid": 0}', '{"atoms": [{"prob": 1.0}]}', '{"atoms": [{"prob": "x", "law_csv": ""}]}',
+         '[1, 2]', 'not json'],
+    )
+    def test_json_of_the_wrong_shape_is_malformed_input(self, text):
+        with pytest.raises(LabError) as err:
+            model_from_json(text)
+        assert err.value.token == "malformed-input"
+
 
 class TestDrawSequence:
     def test_perturb_off_x_equals_z(self):
@@ -258,23 +268,26 @@ class TestStrongLaw:
     def test_point_mass_constant(self):
         model = ExchangeableModel(((1.0, DiscreteMeasure.point(2.5)),), grid=0.0)
         traj = strong_law_trajectory(model, 1.0, 100, seed=1)
-        assert all(v == 2.5 for _, v in traj)
+        assert traj.shape == (100,)
+        assert (traj == 2.5).all()
 
     def test_rademacher_mean_converges(self):
         model = ExchangeableModel(((1.0, RADEMACHER),), grid=0.0)
         traj = strong_law_trajectory(model, 1.0, 20_000, seed=3)
-        assert abs(traj[-1][1]) <= 2.0 * np.sqrt(2 * np.log(np.log(20_000)) / 20_000)
+        assert abs(traj[-1]) <= 2.0 * np.sqrt(2 * np.log(np.log(20_000)) / 20_000)
 
     def test_marcinkiewicz_scaling(self):
         model = ExchangeableModel(((1.0, RADEMACHER),), grid=0.0)
         traj = strong_law_trajectory(model, 1.5, 20_000, seed=3)
         # rate oracle: statistic ~ N^(1/2 - 2/3) = N^(-1/6)
-        assert abs(traj[-1][1]) <= 5.0 * 20_000 ** (-1.0 / 6.0)
+        assert abs(traj[-1]) <= 5.0 * 20_000 ** (-1.0 / 6.0)
 
     def test_p_range(self):
         model = ExchangeableModel(((1.0, RADEMACHER),), grid=0.0)
-        with pytest.raises(LabError):
-            strong_law_trajectory(model, 2.5, 100, seed=1)
+        for p in (2.5, 0.0, -1.0, math.nan):
+            with pytest.raises(LabError) as err:
+                strong_law_trajectory(model, p, 100, seed=1)
+            assert err.value.token == "bad-p"
         strong_law_trajectory(model, 2.0, 100, seed=1)  # boundary allowed
 
 
@@ -282,6 +295,13 @@ def test_conditional_noise_variant():
     lhs, holds = conditional_noise_check(BOUNDED, 0.1, seed=6)
     assert holds
     assert lhs <= 0.2 + 1e-9
+
+
+@pytest.mark.parametrize("eps_n", [0.0, -0.1])
+def test_conditional_noise_needs_positive_eps(eps_n):
+    with pytest.raises(LabError) as err:
+        conditional_noise_check(BOUNDED, eps_n, seed=6)
+    assert err.value.token == "bad-eps"
 
 
 # -- oracles: every run draws its flag and sign columns ------------------

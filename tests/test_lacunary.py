@@ -26,6 +26,7 @@ from permutalab.lacunary import (
     DEFAULT_BITS,
     TWO_PI,
     _BLOCK_ELEMENTS,
+    _ROWS,
     _blocks,
     _frac_tops,
     _lil_limbs,
@@ -348,13 +349,13 @@ def _assemble_xs(seed: int, start: int, count: int, words: int, bits: int) -> li
     return out
 
 
-def _clt_bigint_reference(seq, n, m, perm=None, seed=0, bits=None, threads=1):
-    """Values of ``clt_sample(seq, n, m, perm=perm, seed=seed, bits=bits)``."""
+def _clt_bigint_reference(seq, n, m, perm=None, seed=0, threads=1):
+    """Values of ``clt_sample(seq, n, m, perm=perm, seed=seed)``."""
     indices = range(1, n + 1) if perm is None else perm.image[:n]
     freqs = sorted(seq.values[i - 1] for i in indices)
-    b = bits if bits is not None else required_bits(freqs[-1])
+    b = required_bits(freqs[-1])
     divisor = math.sqrt(n / 2.0)
-    words = (b + 63) // 64
+    words = b // 64
     mask = (1 << b) - 1
     shift = b - 64
 
@@ -383,20 +384,26 @@ def _all_limbs_sequence(bits: int) -> IndexSequence:
     return IndexSequence((1, 3, 5, 2**40 + 7, top))
 
 
+def _with_top(seq: IndexSequence, n: int, top: int) -> IndexSequence:
+    """The first n terms of seq and then top, which alone sets B = required_bits(top)."""
+    return IndexSequence(seq.values[:n] + (top,))
+
+
 @pytest.mark.parametrize(
-    "seq, n, perm, bits, m, threads",
+    "seq, n, perm, m, threads",
     [
-        (DOUBLING, 128, None, None, 4096, 1),
-        (DOUBLING, 128, None, None, 8193, 2),
-        (Q15, 128, block_interleave_permutation(512, 32), None, 4097, 2),
-        (Q15, 128, block_interleave_permutation(512, 32), None, 1, 1),
-        (Q15, 256, None, None, 4095, 1),
-        (DOUBLING, 64, None, 200, 4097, 1),
-        (Q15, 128, None, 200, 4096, 2),
-        (DOUBLING, 128, None, 333, 1, 2),
-        (Q15, 128, None, 333, 4095, 2),
-        (_all_limbs_sequence(256), 5, None, None, 4097, 2),
-        (_all_limbs_sequence(333), 5, None, 333, 4095, 1),
+        (DOUBLING, 128, None, 4096, 1),
+        (DOUBLING, 128, None, 8193, 2),
+        (Q15, 128, block_interleave_permutation(512, 32), 4097, 2),
+        (Q15, 128, block_interleave_permutation(512, 32), 1, 1),
+        (Q15, 256, None, 4095, 1),
+        (_with_top(DOUBLING, 63, 2**255), 64, None, 4097, 1),
+        (_with_top(Q15, 127, 2**255 - 3**100), 128, None, 4096, 2),
+        (_with_top(DOUBLING, 127, 2**319 - 2**64 + 1), 128, None, 1, 2),
+        (_with_top(Q15, 127, 2**318 + 12345), 128, None, 4095, 2),
+        (_all_limbs_sequence(256), 5, None, 4097, 2),
+        (_all_limbs_sequence(320), 5, None, 4095, 1),
+        (_all_limbs_sequence(384), 5, None, 4097, 2),
     ],
     ids=[
         "doubling-N128-M4096-t1",
@@ -404,29 +411,40 @@ def _all_limbs_sequence(bits: int) -> IndexSequence:
         "q1.5-block32-M4097-t2",
         "q1.5-block32-M1-t1",
         "q1.5-N256-M4095-t1",
-        "doubling-bits200-M4097-t1",
-        "q1.5-bits200-M4096-t2",
-        "doubling-bits333-M1-t2",
-        "q1.5-bits333-M4095-t2",
-        "all-limbs-bits256-M4097-t2",
-        "all-limbs-bits333-M4095-t1",
+        "doubling-B320-M4097-t1",
+        "q1.5-B320-M4096-t2",
+        "doubling-B384-M1-t2",
+        "q1.5-B384-M4095-t2",
+        "all-limbs-B256-M4097-t2",
+        "all-limbs-B320-M4095-t1",
+        "all-limbs-B384-M4097-t2",
     ],
 )
-def test_clt_sample_matches_bigint_oracle(seq, n, perm, bits, m, threads):
-    got = clt_sample(seq, n, m, perm=perm, seed=7, bits=bits, threads=threads)
-    want = _clt_bigint_reference(seq, n, m, perm=perm, seed=7, bits=bits, threads=threads)
+def test_clt_sample_matches_bigint_oracle(seq, n, perm, m, threads):
+    got = clt_sample(seq, n, m, perm=perm, seed=7, threads=threads)
+    want = _clt_bigint_reference(seq, n, m, perm=perm, seed=7, threads=threads)
     assert got.values.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("bits", [65, 200, 256, 333, 384])
+def test_clt_sample_precision_is_set_by_the_largest_frequency():
+    # the B-setting term is summed only when it is among the first n terms
+    seq = _with_top(DOUBLING, 127, 2**319 - 2**64 + 1)
+    assert [required_bits(max(seq.values[:n])) for n in (127, 128)] == [256, 384]
+    for n in (127, 128):
+        got = clt_sample(seq, n, 300, seed=2)
+        want = _clt_bigint_reference(seq, n, 300, seed=2)
+        assert got.values.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("bits", [256, 320, 384, 4160])
 def test_x_limbs_reassemble_to_bigint_points(bits):
     xl = _x_limbs(5, "clt-x", 4090, 9, bits)
-    assert xl.shape == ((bits + 31) // 32, 9)
+    assert xl.shape == (bits // 32, 9)
     got = [sum(int(v) << (32 * i) for i, v in enumerate(col)) for col in xl.T]
-    assert got == _assemble_xs(5, 4090, 9, (bits + 63) // 64, bits)
+    assert got == _assemble_xs(5, 4090, 9, bits // 64, bits)
 
 
-@pytest.mark.parametrize("bits", [256, 333, 4160])
+@pytest.mark.parametrize("bits", [256, 320, 384, 4160])
 def test_x_limbs_are_the_stream_bits_of_their_label(bits):
     xl = _x_limbs(9, "lil-x", 3, 4, bits)
     got = [sum(int(v) << (32 * i) for i, v in enumerate(col)) for col in xl.T]
@@ -434,7 +452,7 @@ def test_x_limbs_are_the_stream_bits_of_their_label(bits):
 
 
 def _limbs(xs: list[int], bits: int) -> np.ndarray:
-    rows = (bits + 31) // 32
+    rows = bits // 32
     return np.array(
         [[(x >> (32 * i)) & 0xFFFFFFFF for x in xs] for i in range(rows)], dtype=np.uint64
     )
@@ -470,19 +488,24 @@ def _counting_recomputes():
 _LIMB_VALUES = st.one_of(st.just(0), st.just(0xFFFFFFFF), st.integers(0, 0xFFFFFFFF))
 
 
+def _precisions(max_bits: int = 4160):
+    """The precisions the program runs at: multiples of 64 from 256 to max_bits."""
+    return st.integers(4, max_bits // 64).map(lambda words: 64 * words)
+
+
 @st.composite
 def _limb_runs(draw, bits: int):
     """A B-bit integer made of runs of equal 32-bit limbs: zeros, all ones or random."""
     limbs: list[int] = []
-    while len(limbs) < (bits + 31) // 32:
+    while len(limbs) < bits // 32:
         limbs += [draw(_LIMB_VALUES)] * draw(st.integers(1, 40))
     return sum(v << (32 * i) for i, v in enumerate(limbs)) & ((1 << bits) - 1)
 
 
 @st.composite
 def _limb_cases(draw):
-    """(bits, f, xs) with f allowed by the precision guard at bits."""
-    bits = draw(st.integers(65, 4160))
+    """(bits, f, xs) with f < 2**(bits - 65), as ``required_bits`` allows at bits."""
+    bits = draw(_precisions())
     f_max = 2 ** (bits - 65)
     f = draw(
         st.one_of(
@@ -500,14 +523,14 @@ def _limb_cases(draw):
 def _guard_cases(draw):
     """(bits, f, xs) with the guard digit of ``f * x`` in the kernel's slack.
 
-    The kernel's guard row is row ``(B - 64) // 32 - 1`` of the product.
+    The kernel's guard row is row ``B/32 - 3`` of the product.
     Each x is solved from a target ``f * x mod 2**B`` whose guard row is
     all ones (so that the partial guard digit is at least ``2**32 - 2 m``
     whatever the skipped carry) or a small value (so that the skipped
     carry wraps it); the first x always takes the all-ones row.
     """
-    bits = draw(st.integers(128, 4160))
-    guard = (bits - 64) // 32 - 1
+    bits = draw(_precisions())
+    guard = bits // 32 - 3
     s = draw(st.integers(0, min(32 * guard, bits - 65) - 1))
     u = draw(st.one_of(st.just(1), st.integers(0, 2 ** (bits - 65 - s) - 1))) | 1
     assume(u << s <= 2 ** (bits - 65))
@@ -531,7 +554,7 @@ def _one_limb(draw, bits: int):
 @st.composite
 def _block_cases(draw, max_bits: int = 1100):
     """(bits, fs, xs): a block that mixes one-limb and several-limb frequencies."""
-    bits = draw(st.integers(97, max_bits))
+    bits = draw(_precisions(max_bits))
     f_max = 2 ** (bits - 65)
     many = st.one_of(
         st.just(f_max - 1), st.integers(2**32, f_max), _limb_runs(bits).map(lambda v: 1 + v % f_max)
@@ -541,11 +564,6 @@ def _block_cases(draw, max_bits: int = 1100):
     fs = draw(st.permutations(fs))
     x = st.one_of(st.just(2**bits - 1), st.integers(0, 2**bits - 1), _limb_runs(bits))
     return bits, fs, draw(st.lists(x, min_size=1, max_size=5))
-
-
-def _product_rows(bits: int) -> int:
-    """Rows of the product the kernel forms: guard row - 1 up to the top row."""
-    return (bits - 1) // 32 - max((bits - 64) // 32 - 1, 0) + 2
 
 
 class TestLimbKernel:
@@ -586,7 +604,7 @@ class TestLimbKernel:
         xl = np.tile(_limbs(xs, bits), points // len(xs) + 1)[:, :points]
         blocks = _blocks(fs, bits, points)
         assert [f for b in blocks for f in b.fs] == fs
-        size = _product_rows(bits) * points
+        size = _ROWS * points
         widths = [len(b.limb) for b in blocks]
         for b, w in zip(blocks, widths):
             assert len(b.fs) == 1 or len(b.fs) * w * size <= _BLOCK_ELEMENTS
@@ -622,7 +640,7 @@ class TestLimbKernel:
         assert seen == []
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(65, 640), st.data())
+    @given(_precisions(640), st.data())
     def test_top_word_all_ones_rounds_to_two_to_64(self, bits, data):
         # pick x so that f * x mod 2**B has 64 leading ones, whatever the rest
         f = data.draw(st.integers(1, 2 ** (bits - 65)))
@@ -634,7 +652,7 @@ class TestLimbKernel:
         assert got.tolist() == _top_floats([x], f, bits) == [2.0**64]
 
     def test_largest_frequency_and_point(self):
-        for bits in (65, 96, 128, 200, 256, 333, 4160):
+        for bits in (256, 320, 384, 4160):
             f = 2 ** (bits - 65)
             xs = [2**bits - 1, 1, 2 ** (bits - 1)]
             for g in (f, max(f - 1, 1), min(f, 2 ** ((bits - 65) // 2) + 1)):

@@ -164,6 +164,13 @@ class TestDiscreteMeasure:
         text = measure_to_csv(COIN)
         assert measure_from_csv(text) == COIN
 
+    @pytest.mark.parametrize("line", ["0.5", "0.5,1,2", "x,0.5"])
+    def test_csv_line_not_a_pair_is_malformed_input(self, line):
+        with pytest.raises(LabError) as err:
+            measure_from_csv(f"0.0,0.5\n\n{line}\n")
+        assert err.value.token == "malformed-input"
+        assert "line 3" in str(err.value)
+
     def test_from_pairs_merges_equal_doubles_keeping_first(self):
         for first, second in ((-0.0, 0.0), (0.0, -0.0)):
             m = DiscreteMeasure.from_pairs([(first, 0.5), (second, 0.5)])

@@ -367,6 +367,12 @@ class TestStrassenCoupling:
         assert c.matrix.tolist() == [[0.5], [0.5]]
         assert c.violation(0.5) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [-0.1, -math.inf])
+    def test_negative_eps_is_bad_eps(self, eps):
+        with pytest.raises(LabError) as err:
+            strassen_coupling(COIN, D0, eps)
+        assert err.value.token == "bad-eps"
+
     def test_too_large_for_dense_matrix(self):
         big = DiscreteMeasure(tuple((float(i), 1.0 / 15_000) for i in range(15_000)))
         with pytest.raises(LabError) as err:

@@ -108,6 +108,15 @@ class TestCheckers:
             check_erdos(IndexSequence((1, 2, 4)), c, 0.5)
         assert err.value.token == "bad-c"
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+    def test_alpha_must_be_in_the_open_unit_interval(self, alpha):
+        with pytest.raises(LabError) as err:
+            gen_erdos(1.0, alpha, 1, 5)
+        assert err.value.token == "bad-alpha"
+        with pytest.raises(LabError) as err:
+            check_erdos(IndexSequence((1, 2, 4)), 1.0, alpha)
+        assert err.value.token == "bad-alpha"
+
 
 # -- gap-condition oracles: the generators and checkers as they were before
 # they shared ``_grow`` and ``_holds``, copied verbatim
@@ -322,6 +331,12 @@ class TestDiophantine:
         seq = gen_hadamard(2, 1, 80)
         assert IndexSequence.from_csv(seq.to_csv()) == seq
 
+    def test_csv_with_a_non_integer_is_malformed_input(self):
+        with pytest.raises(LabError) as err:
+            IndexSequence.from_csv("1\n2\n4.5\n")
+        assert err.value.token == "malformed-input"
+        assert "line 3" in str(err.value)
+
 
 class TestPermutations:
     def test_reverse(self):
@@ -343,9 +358,11 @@ class TestPermutations:
             p = random_permutation(37, seed)
             assert sorted(p.image) == list(range(1, 38))
 
-    def test_bad_image_rejected(self):
-        with pytest.raises(LabError):
-            Permutation((1, 1, 3))
+    @pytest.mark.parametrize("image", [(1, 1, 3), (0, 1), (2, 3)])
+    def test_bad_image_rejected(self, image):
+        with pytest.raises(LabError) as err:
+            Permutation(image)
+        assert err.value.token == "bad-permutation"
 
     def test_apply_identity(self):
         seq = IndexSequence((1, 2, 4, 8))
