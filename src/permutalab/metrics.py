@@ -29,19 +29,23 @@ rounds onto an end as ``0.5 * (a + b)`` can), and snaps each probe to the
 candidates on either side of it.
 
 Because atoms are sorted, the pairs within distance ``d`` form contiguous
-column windows ``[lo_i, hi_i]`` whose endpoints are nondecreasing in the
-row index: ``fl(x_i - y_j)`` is nondecreasing in ``x_i`` and nonincreasing
-in ``y_j``.  ``_windows`` finds them in one two-pointer pass in O(n + m)
-time and memory, testing the very predicate the candidates come from:
-``fl(x_i - y_j) <= d`` left of ``x_i`` and ``fl(y_j - x_i) <= d`` right of
-it (``fl(y_j - x_i)`` is exactly ``-fl(x_i - y_j)``).  It never compares
-``y_j`` with a re-rounded ``x_i +- d``, which misclassifies boundary pairs.
-The same pass returns the largest distance inside the windows and the
-smallest outside them: the candidates next to ``d``.  On such a staircase
-bipartite graph the leftmost-first greedy assignment attains the maximum
-flow (exchange argument: a later row can always take over a right column
-from an earlier row, never the converse), which is what
-``_greedy_transport`` implements in O(rows + cols) after the window scan.
+column windows ``[lo_i, end_i)`` whose ends are nondecreasing in the row
+index: ``fl(x_i - y_j)`` is nondecreasing in ``x_i`` and nonincreasing in
+``y_j``.  The ends are found by two pointers testing the very predicate the
+candidates come from: ``fl(x_i - y_j) <= d`` left of ``x_i`` and
+``fl(y_j - x_i) <= d`` right of it (``fl(y_j - x_i)`` is exactly
+``-fl(x_i - y_j)``).  Nothing is compared with a re-rounded ``x_i +- d``,
+which misclassifies boundary pairs.  On such a staircase bipartite graph
+filling the rows in turn, each from the leftmost column with capacity left
+in its window, attains the maximum flow: the windows only move right, so
+the leftmost columns are those later rows can least use.  The fill needs
+no search for that column.  Let ``p`` be the column where the fill
+stopped: the columns in ``[lo_{i-1}, p)`` are used up, and those left of
+``lo_{i-1} <= lo_i`` lie outside every later window; so row ``i`` starts
+at ``max(p, lo_i)``.  ``_transport`` advances ``lo``, ``end`` and ``p`` row
+by row in one pass, O(n + m) time and memory per probe, and returns the
+flow with the largest distance inside the windows and the smallest outside
+them: the candidates next to ``d``.
 
 ``prohorov_oracle`` is the independent verification path: it enumerates
 subsets of the supports and bisects on the defining inequalities directly.
@@ -93,44 +97,46 @@ class Coupling:
         return float(max(row_err, col_err))
 
 
-def _integer_masses(mass: np.ndarray) -> np.ndarray:
-    """Scale masses to integers summing exactly to ``MASS_SCALE`` (largest remainder)."""
-    exact = mass * float(MASS_SCALE)
-    base = np.floor(exact).astype(np.int64)
-    remainder = exact - base
-    short = MASS_SCALE - int(base.sum())
+def _integer_masses(mass: np.ndarray) -> list[int]:
+    """Scale masses to integers summing exactly to ``MASS_SCALE`` (largest remainder).
+
+    The remainders are ranked by a stable sort, so ties go to the lower index.
+    """
+    exact = [m * MASS_SCALE for m in mass.tolist()]
+    base = [math.floor(e) for e in exact]
+    remainder = [e - b for e, b in zip(exact, base)]
+    short = MASS_SCALE - sum(base)
     while short > 0:
-        order = np.argsort(-remainder, kind="stable")
-        k = min(short, len(base))
-        base[order[:k]] += 1
-        remainder[order[:k]] -= 1.0
-        short -= k
+        order = sorted(range(len(base)), key=remainder.__getitem__, reverse=True)
+        for i in order[:short]:
+            base[i] += 1
+            remainder[i] -= 1.0
+        short -= min(short, len(base))
     while short < 0:
-        eligible = np.flatnonzero(base >= 1)
-        order = eligible[np.argsort(remainder[eligible], kind="stable")]
-        k = min(-short, len(order))
-        base[order[:k]] -= 1
-        remainder[order[:k]] += 1.0
-        short += k
+        eligible = [i for i, b in enumerate(base) if b >= 1]
+        for i in sorted(eligible, key=remainder.__getitem__)[:-short]:
+            base[i] -= 1
+            remainder[i] += 1.0
+        short += min(-short, len(eligible))
     return base
 
 
-def _windows(
-    x: list[float], y: list[float], d: float
-) -> tuple[list[int], list[int], float, float]:
-    """Per-row column windows ``[lo, hi]`` of the pairs with ``|fl(x_i - y_j)| <= d``.
+def _transport(x, y, ia, ib, d: float, triples: list | None = None):
+    """Maximum integer transport over the pairs with ``|fl(x_i - y_j)| <= d``.
 
-    ``x`` and ``y`` are the sorted positions as Python floats.  Returns the
-    lists ``lo`` and ``hi`` (``lo[i] > hi[i]`` for an empty row), the largest
-    pair distance ``<= d`` (0.0 if there is none) and the smallest pair
-    distance ``> d`` (inf if there is none).
+    ``x`` and ``y`` are the sorted positions as Python floats, ``ia`` and
+    ``ib`` the integer masses of the rows and columns.  One pass advances the
+    window ends ``lo`` and ``end`` and the fill pointer ``p`` row by row (see
+    the module docstring).  Returns the flow, the largest pair distance
+    ``<= d`` (0.0 if there is none) and the smallest pair distance ``> d``
+    (inf if there is none); appends the ``(i, j, t)`` shipments to
+    ``triples`` when it is given.
     """
     m = len(y)
-    los: list[int] = []
-    his: list[int] = []
+    rem = list(ib)
     inside, outside = 0.0, math.inf
-    lo = end = 0
-    for xi in x:
+    lo = end = p = 0
+    for i, xi in enumerate(x):
         while lo < m and xi - y[lo] > d:
             lo += 1
         while end < m and y[end] - xi <= d:
@@ -153,63 +159,23 @@ def _windows(
             v = y[end] - xi
             if v < outside:
                 outside = v
-        los.append(lo)
-        his.append(end - 1)
-    return los, his, inside, outside
-
-
-def _greedy_transport(
-    ia: list[int],
-    ib: list[int],
-    lo: list[int],
-    hi: list[int],
-    collect: bool = False,
-):
-    """Maximum in-window integer transport; optionally the assignment triples.
-
-    ``ia`` and ``ib`` are the integer masses of the rows and columns, ``lo``
-    and ``hi`` the row windows of :func:`_windows`.
-    """
-    remaining = list(ib)
-    ncols = len(remaining)
-    # nxt[j]: first column >= j with remaining capacity (path-compressed)
-    nxt = list(range(ncols + 1))
-
-    def find(j: int) -> int:
-        root = j
-        while nxt[root] != root:
-            root = nxt[root]
-        while nxt[j] != root:
-            nxt[j], j = root, nxt[j]
-        return root
-
-    flow = 0
-    triples: list[tuple[int, int, int]] = [] if collect else None
-    for i, (left, j, h) in enumerate(zip(ia, lo, hi)):
-        while left > 0 and j <= h:
-            j = find(j)
-            if j > h:
+        # fill leftmost-first from the first column not used up
+        if p < lo:
+            p = lo
+        left = ia[i]
+        while left and p < end:
+            cap = rem[p]
+            if cap > left:
+                rem[p] = cap - left
+                if triples is not None:
+                    triples.append((i, p, left))
                 break
-            cap = remaining[j]
-            t = cap if cap < left else left
-            remaining[j] = cap - t
-            left -= t
-            flow += t
-            if collect:
-                triples.append((i, j, t))
-            if remaining[j] == 0:
-                nxt[j] = j + 1
-    return (flow, triples) if collect else flow
-
-
-def _prepare(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Positions as Python floats and integer masses as Python ints, as lists."""
-    return (
-        mu.positions.tolist(),
-        nu.positions.tolist(),
-        _integer_masses(mu.masses).tolist(),
-        _integer_masses(nu.masses).tolist(),
-    )
+            rem[p] = 0
+            left -= cap
+            if triples is not None:
+                triples.append((i, p, cap))
+            p += 1
+    return sum(ib) - sum(rem), inside, outside
 
 
 def _bits(t: float) -> int:
@@ -226,13 +192,15 @@ def prohorov_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     Returns the smallest double ``t >= 0`` with ``deficit(t) <= t`` (see the
     module docstring), found by bisection on the bit pattern between the
     next candidate above the last failing probe and a candidate where the
-    predicate holds.  Time O((n + m) * 64), memory O(n + m).
+    predicate holds: one O(n + m) pass of ``_transport`` per probe, at most
+    64 probes.  Memory O(n + m).
     """
-    x, y, ia, ib = _prepare(mu, nu)
+    x, y = mu.positions.tolist(), nu.positions.tolist()
+    ia, ib = _integer_masses(mu.masses), _integer_masses(nu.masses)
 
     def probe(t: float) -> tuple[float, float, float]:
-        lo, hi, inside, outside = _windows(x, y, t)
-        return (MASS_SCALE - _greedy_transport(ia, ib, lo, hi)) / MASS_SCALE, inside, outside
+        flow, inside, outside = _transport(x, y, ia, ib, t)
+        return (MASS_SCALE - flow) / MASS_SCALE, inside, outside
 
     deficit, _, nxt = probe(0.0)
     if deficit <= 0.0:
@@ -307,17 +275,18 @@ def strassen_coupling(
 
     When feasible, the returned coupling ships the maximal in-range mass;
     the residual is matched northwest-style so the marginals are exact to
-    the integer scale (error < 1e-12 per atom).
+    the integer scale (error < 1e-12 per atom).  An eps that is not >= 0,
+    NaN included, raises ``bad-eps``.
     """
-    if eps < 0:
-        raise LabError("bad-eps", "eps must be >= 0")
+    if not eps >= 0:
+        raise LabError("bad-eps", f"eps={eps!r} must be >= 0")
     if mu.positions.size * nu.positions.size > 2 * 10**8:
         raise LabError("too-large", "atom count product too large for a dense coupling matrix")
-    x, y, ia, ib = _prepare(mu, nu)
-    lo, hi, _, _ = _windows(x, y, float(eps))
-    flow, triples = _greedy_transport(ia, ib, lo, hi, collect=True)
-    deficit = MASS_SCALE - flow
-    if deficit / MASS_SCALE > eps:
+    x, y = mu.positions.tolist(), nu.positions.tolist()
+    ia, ib = _integer_masses(mu.masses), _integer_masses(nu.masses)
+    triples: list[tuple[int, int, int]] = []
+    flow, _, _ = _transport(x, y, ia, ib, float(eps), triples)
+    if (MASS_SCALE - flow) / MASS_SCALE > eps:
         return None
 
     grid = np.zeros((len(x), len(y)), dtype=np.int64)
@@ -394,7 +363,10 @@ def _stability_bound(left, right, eps: float, token: str) -> tuple[float, bool]:
     The weight of the pairs with prohorov(a_i, b_i) >= eps, summed from
     ``left``, must be at most eps (else ``token``).  Returns the Prohorov
     distance of the two mixtures and whether it is <= 2*eps (+1e-9 slack).
+    An eps that is not >= 0, NaN included, raises ``bad-eps``.
     """
+    if not eps >= 0:
+        raise LabError("bad-eps", f"eps={eps!r} must be >= 0")
     heavy = sum(w for (w, a), (_, b) in zip(left, right) if prohorov_distance(a, b) >= eps)
     if heavy > eps + 1e-12:
         raise LabError(token, f"weight {heavy!r} of far components exceeds eps={eps!r}")

@@ -130,6 +130,17 @@ class TestLil:
         assert "median_max" in summary
 
 
+PINNED_COUPLING = (
+    b"0.1,0.0,0.0,0.0,0.0,0.0\n"
+    b"0.15,0.05,0.0,0.0,0.0,0.0\n"
+    b"0.0,0.05,0.1,0.0,0.0,0.0\n"
+    b"0.0,0.0,0.05,0.0,0.0,0.0\n"
+    b"0.0,0.0,0.05,0.15,0.1,0.0\n"
+    b"0.0,0.0,0.0,0.0,0.0,0.2\n"
+)
+PINNED_SUMMARY = b'{\n  "distance": 0.375,\n  "oracle": 0.375,\n  "agrees": true\n}\n'
+
+
 class TestProhorov:
     def test_distance_and_oracle(self, tmp_path, capsys):
         mu = tmp_path / "mu.csv"
@@ -147,6 +158,24 @@ class TestProhorov:
         assert summary["agrees"] is True
         rows = (tmp_path / "coupling.csv").read_text().strip().splitlines()
         assert len(rows) == 2
+
+    def test_oracle_coupling_bytes(self, tmp_path):
+        # a fixed 6-atom pair: the coupling and summary bytes are pinned
+        mu = DiscreteMeasure(
+            ((-1.0, 0.1), (-0.5, 0.2), (0.0, 0.15), (0.25, 0.05), (0.5, 0.3), (1.5, 0.2))
+        )
+        nu = DiscreteMeasure(
+            ((-0.875, 0.25), (-0.25, 0.1), (0.125, 0.2), (0.375, 0.15), (1.0, 0.1), (2.0, 0.2))
+        )
+        (tmp_path / "mu.csv").write_text(measure_to_csv(mu))
+        (tmp_path / "nu.csv").write_text(measure_to_csv(nu))
+        rc = run_cli(
+            "prohorov", "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+            "--oracle", "--coupling", "coupling.csv", "--out-dir", str(tmp_path),
+        )
+        assert rc == 0
+        assert (tmp_path / "coupling.csv").read_bytes() == PINNED_COUPLING
+        assert (tmp_path / "summary.json").read_bytes() == PINNED_SUMMARY
 
 
 class TestExchangeableCli:

@@ -1,11 +1,12 @@
 """Metric layer: transport scan vs independent oracles, couplings, bounds.
 
 The maximal in-range transport (the core of the distance scan) is checked
-against an LP solved by scipy on random instances; the quantile-coupling
-Wasserstein integral is checked against the LP transport optimum; the
-distance itself is checked against the subset-enumeration oracle, and
-against the dense candidate scan it replaced (``_prohorov_dense_reference``)
-for exact equality.
+against an LP solved by scipy on random instances, and against the
+union-find greedy fill on dense windows it replaced for exact equality; the
+quantile-coupling Wasserstein integral is checked against the LP transport
+optimum; the distance itself is checked against the subset-enumeration
+oracle, and against the dense candidate scan it replaced
+(``_prohorov_dense_reference``) for exact equality.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -33,14 +34,8 @@ from permutalab import (
     strassen_coupling,
     wasserstein2,
 )
-from permutalab.measures import EmpiricalSample
-from permutalab.metrics import (
-    MASS_SCALE,
-    _greedy_transport,
-    _integer_masses,
-    _prepare,
-    _windows,
-)
+from permutalab.measures import MASS_TOL, EmpiricalSample
+from permutalab.metrics import MASS_SCALE, _integer_masses, _transport
 from permutalab.rng import Stream
 
 from conftest import perturbed_measure, random_discrete_measure
@@ -95,6 +90,102 @@ def lp_quadratic_transport(mu, nu):
     return math.sqrt(max(res.fun, 0.0))
 
 
+# -- the mass scaling and the transport fill before the one-pass transport,
+# copied verbatim: numpy largest-remainder rounding and the leftmost-first
+# greedy over a path-compressed union-find of the columns with capacity
+
+
+def _integer_masses_reference(mass: np.ndarray) -> np.ndarray:
+    """Scale masses to integers summing exactly to ``MASS_SCALE`` (largest remainder)."""
+    exact = mass * float(MASS_SCALE)
+    base = np.floor(exact).astype(np.int64)
+    remainder = exact - base
+    short = MASS_SCALE - int(base.sum())
+    while short > 0:
+        order = np.argsort(-remainder, kind="stable")
+        k = min(short, len(base))
+        base[order[:k]] += 1
+        remainder[order[:k]] -= 1.0
+        short -= k
+    while short < 0:
+        eligible = np.flatnonzero(base >= 1)
+        order = eligible[np.argsort(remainder[eligible], kind="stable")]
+        k = min(-short, len(order))
+        base[order[:k]] -= 1
+        remainder[order[:k]] += 1.0
+        short += k
+    return base
+
+
+def _greedy_transport_reference(ia, ib, lo, hi, collect: bool = False):
+    """Maximum in-window integer transport; optionally the assignment triples.
+
+    ``ia`` and ``ib`` are the integer masses of the rows and columns, ``lo``
+    and ``hi`` the row windows (``lo[i] > hi[i]`` for an empty row).
+    """
+    remaining = list(ib)
+    ncols = len(remaining)
+    # nxt[j]: first column >= j with remaining capacity (path-compressed)
+    nxt = list(range(ncols + 1))
+
+    def find(j: int) -> int:
+        root = j
+        while nxt[root] != root:
+            root = nxt[root]
+        while nxt[j] != root:
+            nxt[j], j = root, nxt[j]
+        return root
+
+    flow = 0
+    triples: list[tuple[int, int, int]] = [] if collect else None
+    for i, (left, j, h) in enumerate(zip(ia, lo, hi)):
+        while left > 0 and j <= h:
+            j = find(j)
+            if j > h:
+                break
+            cap = remaining[j]
+            t = cap if cap < left else left
+            remaining[j] = cap - t
+            left -= t
+            flow += t
+            if collect:
+                triples.append((i, j, t))
+            if remaining[j] == 0:
+                nxt[j] = j + 1
+    return (flow, triples) if collect else flow
+
+
+def strassen_coupling_reference(mu, nu, eps: float):
+    """``strassen_coupling`` on dense windows, the union-find fill and numpy masses."""
+    ia = _integer_masses_reference(mu.masses)
+    ib = _integer_masses_reference(nu.masses)
+    lo, hi = _dense_windows(np.abs(mu.positions[:, None] - nu.positions[None, :]), eps)
+    flow, triples = _greedy_transport_reference(ia.tolist(), ib.tolist(), lo, hi, collect=True)
+    deficit = MASS_SCALE - flow
+    if deficit / MASS_SCALE > eps:
+        return None
+
+    grid = np.zeros((len(ia), len(ib)), dtype=np.int64)
+    for i, j, t in triples:
+        grid[i, j] += t
+    res_row = ia - grid.sum(axis=1)
+    res_col = ib - grid.sum(axis=0)
+    i = j = 0
+    nrows, ncols = grid.shape
+    while i < nrows and j < ncols:
+        if res_row[i] == 0:
+            i += 1
+            continue
+        if res_col[j] == 0:
+            j += 1
+            continue
+        t = min(int(res_row[i]), int(res_col[j]))
+        grid[i, j] += t
+        res_row[i] -= t
+        res_col[j] -= t
+    return grid.astype(float) / MASS_SCALE
+
+
 def _dense_windows(dist: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row index range [lo, hi] of columns with dist[i, j] <= d (dense mask)."""
     mask = dist <= d
@@ -112,14 +203,14 @@ def _dense_prepare(mu: DiscreteMeasure, nu: DiscreteMeasure):
     if x.size * y.size > 2 * 10**8:
         raise LabError("too-large", "atom count product too large for exact scan")
     dist = np.abs(x[:, None] - y[None, :])
-    ia = _integer_masses(mu.masses)
-    ib = _integer_masses(nu.masses)
+    ia = _integer_masses_reference(mu.masses)
+    ib = _integer_masses_reference(nu.masses)
     return dist, ia, ib
 
 
 def _dense_deficit_int(dist, ia, ib, d: float) -> int:
     lo, hi = _dense_windows(dist, d)
-    return MASS_SCALE - _greedy_transport(ia, ib, lo, hi)
+    return MASS_SCALE - _greedy_transport_reference(ia, ib, lo, hi)
 
 
 def _prohorov_dense_reference(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -148,15 +239,31 @@ def _prohorov_dense_reference(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float
     return float(min(deficit(float(cands[lo_i])), float(cands[hi_i])))
 
 
-def _scan_windows(mu, nu, d):
-    """The two-pointer windows as arrays, empty rows written as (1, 0)."""
-    x, y, _, _ = _prepare(mu, nu)
-    lo, hi, inside, outside = _windows(x, y, d)
-    lo, hi = np.array(lo), np.array(hi)
-    empty = lo > hi
-    lo[empty] = 1
-    hi[empty] = 0
-    return lo, hi, inside, outside
+def _dense_transport(x, y, ia, ib, d: float):
+    """``_transport``'s results from dense windows and the union-find fill."""
+    dist = np.abs(np.asarray(x)[:, None] - np.asarray(y)[None, :])
+    lo, hi = _dense_windows(dist, d)
+    flow, triples = _greedy_transport_reference(ia, ib, lo, hi, collect=True)
+    # the candidates on either side of d
+    cands = np.unique(np.concatenate(([0.0], dist.ravel())))
+    above = cands[cands > d]
+    inside = float(cands[cands <= d].max())
+    return flow, inside, float(above.min()) if above.size else math.inf, triples
+
+
+def _fused(x, y, ia, ib, d: float):
+    triples = []
+    return (*_transport(x, y, ia, ib, d, triples), triples)
+
+
+def _lists(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Positions and integer masses as the library hands them to ``_transport``."""
+    return (
+        mu.positions.tolist(),
+        nu.positions.tolist(),
+        _integer_masses(mu.masses),
+        _integer_masses(nu.masses),
+    )
 
 
 def _law(stream: Stream, n: int, position) -> DiscreteMeasure:
@@ -239,15 +346,9 @@ class TestProhorovAgainstDenseScan:
             dist = np.abs(mu.positions[:, None] - nu.positions[None, :])
             cands = np.unique(np.concatenate(([0.0], dist.ravel())))
             exact = float(cands[stream.below(len(cands))])
+            x, y, ia, ib = _lists(mu, nu)
             for d in (exact, float(dist.max()) * stream.uniform()):
-                lo, hi, inside, outside = _scan_windows(mu, nu, d)
-                want_lo, want_hi = _dense_windows(dist, d)
-                assert lo.tolist() == want_lo.tolist()
-                assert hi.tolist() == want_hi.tolist()
-                # the candidates on either side of d
-                assert inside == float(cands[cands <= d].max())
-                above = cands[cands > d]
-                assert outside == (float(above.min()) if above.size else math.inf)
+                assert _fused(x, y, ia, ib, d) == _dense_transport(x, y, ia, ib, d)
 
     def test_no_atom_pair_limit(self):
         # 2.25e8 pairs: the dense scan refuses them, the two-pointer scan
@@ -264,9 +365,7 @@ class TestProhorovAgainstDenseScan:
 
 class TestGreedyTransportAgainstLP:
     def _check(self, mu, nu, d):
-        x, y, ia, ib = _prepare(mu, nu)
-        lo, hi, _, _ = _windows(x, y, d)
-        flow = _greedy_transport(ia, ib, lo, hi) / MASS_SCALE
+        flow = _transport(*_lists(mu, nu), d)[0] / MASS_SCALE
         want = lp_max_inrange_mass(mu, nu, d)
         assert abs(flow - want) <= 1e-7
 
@@ -287,6 +386,122 @@ class TestGreedyTransportAgainstLP:
             dist = np.abs(mu.positions[:, None] - nu.positions[None, :])
             d = float(dist.ravel()[stream.below(dist.size)])  # exact candidate
             self._check(mu, nu, d)
+
+
+_POSITIONS = {
+    "ties": st.integers(0, 16).map(lambda c: (c - 8) / 8.0),
+    "wide": st.builds(lambda u, e: u * 10.0**e, st.floats(-1.0, 1.0), st.integers(-12, 3)),
+    "1e-7-cluster": st.floats(0.0, 1e-7),
+}
+
+
+@st.composite
+def _transport_cases(draw):
+    """Rows and columns of one position family, integer masses with zeros,
+    and a threshold at a candidate, between two, or anywhere up to twice the
+    largest."""
+    pos = _POSITIONS[draw(st.sampled_from(sorted(_POSITIONS)))]
+    x = sorted(draw(st.lists(pos, min_size=1, max_size=12, unique=True)))
+    y = sorted(draw(st.lists(pos, min_size=1, max_size=12, unique=True)))
+    ia = draw(st.lists(st.integers(0, 4), min_size=len(x), max_size=len(x)))
+    ib = draw(st.lists(st.integers(0, 4), min_size=len(y), max_size=len(y)))
+    cands = sorted({0.0} | {abs(a - b) for a in x for b in y})
+    k = draw(st.integers(0, len(cands) - 1))
+    between = 0.5 * (cands[k] + cands[min(k + 1, len(cands) - 1)])
+    d = draw(st.sampled_from([cands[k], between]) | st.floats(0.0, 2.0 * cands[-1]))
+    return x, y, ia, ib, d
+
+
+class TestOnePassTransport:
+    """``_transport`` gives the union-find fill's flow and shipments, and the
+    candidates next to d, exactly."""
+
+    @given(case=_transport_cases())
+    # column 0 has capacity left but lies left of row 1's window: row 0
+    # ships nothing, or less than column 0 holds
+    @example(case=([0.0, 1.0], [0.0, 1.0], [0, 1], [1, 0], 0.0))
+    @example(case=([0.0, 1.0], [0.0, 1.0], [1, 1], [2, 1], 0.5))
+    @settings(max_examples=500, deadline=None)
+    def test_equal_to_union_find_on_dense_windows(self, case):
+        assert _fused(*case) == _dense_transport(*case)
+
+    @pytest.mark.parametrize(
+        "seed, draw",
+        [
+            (11, lambda s: _tied_law(s, 1 + s.below(17))),
+            (12, lambda s: _law(s, 1 + s.below(29), _wide)),
+            (13, lambda s: _law(s, 1 + s.below(29), _cluster)),
+        ],
+        ids=["ties", "wide-magnitudes", "1e-7-clusters"],
+    )
+    def test_coupling_equals_union_find_oracle(self, seed, draw):
+        stream = Stream(seed)
+        feasible = 0
+        for _ in range(60):
+            mu, nu = draw(stream), draw(stream)
+            dist = np.abs(mu.positions[:, None] - nu.positions[None, :])
+            cands = np.unique(np.concatenate(([0.0], dist.ravel())))
+            k = stream.below(len(cands))
+            between = 0.5 * (cands[k] + cands[min(k + 1, len(cands) - 1)])
+            for eps in (float(cands[k]), float(between), prohorov_distance(mu, nu)):
+                got = strassen_coupling(mu, nu, eps)
+                want = strassen_coupling_reference(mu, nu, eps)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.matrix.tobytes() == want.tobytes()
+                    feasible += 1
+        assert feasible >= 60
+
+
+# floors of the scaled masses overshoot 10**12 by one (short < 0) or fall
+# short of it (short > 0)
+OVERSHOOT = [0.211459841332, 0.788540158669]
+UNDERSHOOT = [1 / 3, 1 / 3, 1 / 3]
+
+
+@st.composite
+def _mass_vectors(draw) -> np.ndarray:
+    """1 to 64 masses within MASS_TOL of 1, at most two of them below 1e-12.
+
+    Either normalized random weights or a random partition of 10**12 + s
+    (s = -1, 0, 1) divided by 10**12: at s = 1 the floors can overshoot, and
+    about a third of those partitions do.
+    """
+    n = draw(st.integers(1, 64))
+    tiny = draw(st.lists(st.floats(0.0, 1e-15, exclude_min=True), max_size=min(2, n - 1)))
+    k = n - len(tiny)
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+        big = [r / math.fsum(raw) for r in raw]
+    else:
+        total = MASS_SCALE + draw(st.sampled_from([-1, 0, 1, 1, 1]))
+        cuts = sorted(draw(st.randoms(use_true_random=False)).sample(range(1, total), k - 1))
+        big = [(b - a) / MASS_SCALE for a, b in zip([0, *cuts], [*cuts, total])]
+    mass = np.array(draw(st.permutations(big + tiny)))
+    assume(abs(float(mass.sum()) - 1.0) <= MASS_TOL)
+    return mass
+
+
+class TestIntegerMasses:
+    @given(mass=_mass_vectors())
+    @example(mass=np.array(OVERSHOOT))
+    @example(mass=np.array(OVERSHOOT + [1e-300]))
+    @example(mass=np.array(UNDERSHOOT))
+    @settings(max_examples=500, deadline=None)
+    def test_equal_to_numpy_reference(self, mass):
+        got = _integer_masses(mass)
+        assert got == _integer_masses_reference(mass).tolist()
+        assert all(type(v) is int for v in got)
+        assert sum(got) == MASS_SCALE
+
+    def test_examples_reach_both_loops(self):
+        def short(mass):
+            return MASS_SCALE - sum(math.floor(m * MASS_SCALE) for m in mass)
+
+        assert short(OVERSHOOT) == short(OVERSHOOT + [1e-300]) == -1
+        assert short(UNDERSHOOT) == 1
+        assert abs(sum(OVERSHOOT) - 1.0) <= MASS_TOL
+        assert _integer_masses(np.array(OVERSHOOT + [1e-300])) == [211459841331, 788540158669, 0]
 
 
 class TestProhorovDistance:
@@ -367,7 +582,7 @@ class TestStrassenCoupling:
         assert c.matrix.tolist() == [[0.5], [0.5]]
         assert c.violation(0.5) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("eps", [-0.1, -math.inf])
+    @pytest.mark.parametrize("eps", [-0.1, -math.inf, math.nan])
     def test_negative_eps_is_bad_eps(self, eps):
         with pytest.raises(LabError) as err:
             strassen_coupling(COIN, D0, eps)
@@ -459,6 +674,21 @@ class TestMixtureBounds:
             mixture_bound_check([(1.0, D0, far)], 0.05)
         assert err.value.token == "mixture-bound-precondition"
 
+    @pytest.mark.parametrize("eps", [-0.1, -math.inf, math.nan])
+    def test_mixture_bad_eps(self, eps):
+        # NaN fails every comparison, so unchecked it passes the precondition
+        with pytest.raises(LabError) as err:
+            mixture_bound_check([(1.0, D0, DiscreteMeasure.point(0.01))], eps)
+        assert err.value.token == "bad-eps"
+
+    @pytest.mark.parametrize("eps", [-0.1, -math.inf, math.nan])
+    def test_random_measure_bad_eps(self, eps):
+        rm1 = RandomMeasure(((1.0, D0),))
+        rm2 = RandomMeasure(((1.0, DiscreteMeasure.point(0.01)),))
+        with pytest.raises(LabError) as err:
+            random_measure_bound_check(rm1, rm2, eps)
+        assert err.value.token == "bad-eps"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_mixture_non_finite_weight(self, bad):
         # a NaN weight used to pass both weight tests and drop its pair
@@ -540,7 +770,8 @@ class TestMixtureBounds:
 # -- stability-bound oracles: the two checks and ``RandomMeasure.flatten`` as
 # they were before both checks shared ``_stability_bound`` and
 # ``DiscreteMeasure.mixture``, copied verbatim (``rm.flatten()`` reads as
-# ``flatten_reference(rm)``)
+# ``flatten_reference(rm)``), plus the ``bad-eps`` check on an eps that is
+# not >= 0, made after the weight checks as in the library
 
 
 def flatten_reference(self) -> DiscreteMeasure:
@@ -558,6 +789,8 @@ def mixture_bound_check_reference(
     cs = np.array([c for c, _, _ in pairs], dtype=float)
     if np.any(cs < 0) or abs(cs.sum() - 1.0) > 1e-9:
         raise LabError("bad-weights", "weights must be >= 0 and sum to 1")
+    if not eps >= 0:
+        raise LabError("bad-eps", "eps must be >= 0")
     heavy = sum(
         c for c, m, n in pairs if c > 0 and prohorov_distance(m, n) >= eps
     )
@@ -581,6 +814,8 @@ def random_measure_bound_check_reference(rm1, rm2, eps: float) -> tuple[float, b
     w2 = np.array([w for w, _ in rm2.components])
     if np.max(np.abs(w1 - w2)) > 1e-12:
         raise LabError("atom-mismatch", "component weights differ")
+    if not eps >= 0:
+        raise LabError("bad-eps", "eps must be >= 0")
     heavy = sum(
         w
         for (w, a), (_, b) in zip(rm1.components, rm2.components)
@@ -673,6 +908,8 @@ WEIGHT_MISMATCH = (
 FAR_COMPONENT = (
     RandomMeasure(((0.3, D0), (0.7, COIN))), RandomMeasure(((0.3, FAR), (0.7, COIN))), 0.1
 )
+# NaN fails every comparison, so unchecked it passes the precondition
+NAN_EPS_PAIR = ([(1.0, D0, DiscreteMeasure.point(0.01))], math.nan)
 # weights 9e-13 apart pass; mixed with the first side's weights the second
 # mixture would equal the first and the distance would read 0.0
 OWN_WEIGHTS = (
@@ -688,6 +925,8 @@ class TestStabilityBoundOracle:
     @given(case=_mixture_cases())
     @example(case=ZERO_WEIGHT)
     @example(case=FAR_PAIR)
+    @example(case=NAN_EPS_PAIR)
+    @example(case=(FAR_PAIR[0], -0.1))
     @settings(max_examples=300, deadline=None)
     def test_mixture_bound_check(self, case):
         pairs, eps = case
@@ -699,6 +938,8 @@ class TestStabilityBoundOracle:
     @example(case=WEIGHT_MISMATCH)
     @example(case=FAR_COMPONENT)
     @example(case=OWN_WEIGHTS)
+    @example(case=(*FAR_COMPONENT[:2], math.nan))
+    @example(case=(*COUNT_MISMATCH[:2], math.nan))
     @settings(max_examples=300, deadline=None)
     def test_random_measure_bound_check(self, case):
         want = _outcome(random_measure_bound_check_reference, *case)
@@ -707,5 +948,6 @@ class TestStabilityBoundOracle:
     def test_examples_reach_their_cases(self):
         assert _outcome(mixture_bound_check, *ZERO_WEIGHT)[1]
         assert _outcome(mixture_bound_check, *FAR_PAIR) == "mixture-bound-precondition"
+        assert _outcome(mixture_bound_check, *NAN_EPS_PAIR) == "bad-eps"
         assert _outcome(random_measure_bound_check, *WEIGHT_MISMATCH) == "atom-mismatch"
         assert _outcome(random_measure_bound_check, *OWN_WEIGHTS) == ("1e-12", True)
