@@ -12,16 +12,13 @@ from .measures import (
     DiscreteMeasure,
     EmpiricalSample,
     MixedNormal,
-    RandomMeasure,
     empirical_measure,
 )
 from .metrics import (
-    Coupling,
     ks_distance,
     mixture_bound_check,
     prohorov_distance,
     prohorov_oracle,
-    random_measure_bound_check,
     strassen_coupling,
     wasserstein2,
 )
@@ -72,14 +69,11 @@ __all__ = [
     "DiscreteMeasure",
     "EmpiricalSample",
     "MixedNormal",
-    "RandomMeasure",
     "empirical_measure",
-    "Coupling",
     "ks_distance",
     "mixture_bound_check",
     "prohorov_distance",
     "prohorov_oracle",
-    "random_measure_bound_check",
     "strassen_coupling",
     "wasserstein2",
     "IndexSequence",

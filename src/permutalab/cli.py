@@ -237,7 +237,7 @@ def _cmd_prohorov(args) -> tuple[dict, dict]:
             summary["agrees"] = None
     if args.coupling:
         coupling = strassen_coupling(mu, nu, dist + 1e-9)
-        tables[args.coupling] = _csv(map(tuple, coupling.matrix.tolist()))
+        tables[args.coupling] = _csv(map(tuple, coupling.tolist()))
     print(repr(float(dist)))
     return tables, summary
 

@@ -1,7 +1,7 @@
 """Error type shared by all modules.
 
 Every failure mode that is part of a module contract carries a stable
-short token (e.g. ``"quantile-domain"``); the CLI prints the token and
+short token (e.g. ``"bad-eps"``); the CLI prints the token and
 maps it to exit code 3.
 """
 

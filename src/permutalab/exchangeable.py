@@ -26,6 +26,10 @@ a run draws (``parallel.row_blocks``).  The flag and sign columns are drawn
 only when the noise can read them, that is when some good atom has
 ``outlier_prob > 0``; the atom and value columns keep their indices either
 way, so the values do not depend on whether the noise is drawn.
+
+A model's atoms form a finite random measure, the mixture with weights
+P(A_i); :func:`conditional_noise_check` checks its stability bound by
+passing ``(p, law, noisy_law)`` triples to ``metrics.mixture_bound_check``.
 """
 
 from __future__ import annotations
@@ -43,13 +47,12 @@ from .measures import (
     DiscreteMeasure,
     EmpiricalSample,
     MixedNormal,
-    RandomMeasure,
     empirical_measure,
     inverse_index,
     measure_from_csv,
     measure_to_csv,
 )
-from .metrics import ks_distance, prohorov_distance, random_measure_bound_check
+from .metrics import ks_distance, mixture_bound_check, prohorov_distance
 from .parallel import map_chunks, row_blocks
 from .rng import Stream, derive_seed, derive_seed_vec, uniform_columns
 from .sequences import Permutation, random_permutation
@@ -343,12 +346,14 @@ def conditional_noise_check(
 
     Builds a coupled random measure whose component laws differ from the
     model's by less than eps_n except on atoms of total weight <= eps_n,
-    then delegates to :func:`random_measure_bound_check`.
+    then passes the ``(p, law, noisy_law)`` triples to
+    :func:`mixture_bound_check`.  An eps_n that is not finite and > 0, NaN
+    included, raises ``bad-eps`` before any shifted law is built.
     """
-    if eps_n <= 0:
-        raise LabError("bad-eps", "eps_n must be positive")
+    if not 0 < eps_n < math.inf:
+        raise LabError("bad-eps", f"eps_n={eps_n!r} must be finite and > 0")
     stream = Stream(derive_seed(seed, "cond-noise"))
-    noisy = []
+    pairs = []
     budget = eps_n
     for p, law in model.atoms:
         if p <= budget:
@@ -356,10 +361,8 @@ def conditional_noise_check(
             shift = 3.0 * eps_n  # a genuinely far component, allowed by its weight
         else:
             shift = eps_n * 0.4 * stream.uniform()
-        noisy.append((p, DiscreteMeasure(tuple((x + shift, w) for x, w in law.atoms))))
-    return random_measure_bound_check(
-        RandomMeasure(model.atoms), RandomMeasure(tuple(noisy)), eps_n
-    )
+        pairs.append((p, law, DiscreteMeasure(tuple((x + shift, w) for x, w in law.atoms))))
+    return mixture_bound_check(pairs, eps_n)
 
 
 def strong_law_trajectory(

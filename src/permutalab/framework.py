@@ -101,8 +101,7 @@ def simulate_fk(
     """
     if m < 1:
         raise LabError("bad-count", "need M >= 1")
-    p, q = T.window(k)
-    width = q - p + 1
+    width = T.window_width(k)
 
     def run(start: int, count: int) -> np.ndarray:
         seeds = derive_seed_vec(seed, np.arange(start, start + count), "fk")

@@ -1,9 +1,10 @@
-"""Finite atomic probability measures, mixed normals, and random measures.
+"""Finite atomic probability measures and mixed normals.
 
 A :class:`DiscreteMeasure` is an ordered list of ``(position, mass)`` atoms
 and is the concrete representative of a probability law on the reals used
-throughout the package.  A :class:`RandomMeasure` is a finite mixture of
-discrete measures (the desk-scale model of a random limit law), and a
+throughout the package.  A finite random measure on atoms A_1..A_r (the
+desk-scale model of a random limit law) is a list of ``(P(A_i), law_i)``
+components; :meth:`DiscreteMeasure.mixture` gives its mean measure.  A
 :class:`MixedNormal` is a variance mixture of centered normals, the
 canonical limit object for thin subsequences.
 
@@ -159,22 +160,13 @@ class DiscreteMeasure:
     def masses(self) -> np.ndarray:
         return self._mass
 
-    def cdf(self, t: float) -> float:
-        """Right-continuous distribution function."""
-        return float(self._cum0[np.searchsorted(self._pos, t, side="right")])
-
     def cdf_many(self, ts: np.ndarray) -> np.ndarray:
+        """Right-continuous distribution function F(t)."""
         return self._cum0[np.searchsorted(self._pos, ts, side="right")]
 
     def cdf_left_many(self, ts: np.ndarray) -> np.ndarray:
         """Left limits F(t-)."""
         return self._cum0[np.searchsorted(self._pos, ts, side="left")]
-
-    def quantile(self, u: float) -> float:
-        """Generalized inverse inf{t : F(t) >= u} for u in (0, 1)."""
-        if not (0.0 < u < 1.0):
-            raise LabError("quantile-domain", f"u={u!r} outside (0,1)")
-        return float(self._pos[inverse_index(self._cum0[1:], u)])
 
     def quantile_many(self, us: np.ndarray) -> np.ndarray:
         """Positions of the atoms the uniforms ``us`` invert to, in their shape.
@@ -270,9 +262,6 @@ class MixedNormal:
                 out += np.array([w * _phi(t / s) for t in ts.tolist()])
         return out
 
-    def cdf(self, t: float) -> float:
-        return float(self._cdf([t], False)[0])
-
     def cdf_many(self, ts: np.ndarray) -> np.ndarray:
         return self._cdf(ts, False)
 
@@ -287,26 +276,6 @@ class MixedNormal:
     @property
     def has_continuous_part(self) -> bool:
         return any(y > 0.0 for y, _ in self.variance_atoms)
-
-
-@dataclass(frozen=True)
-class RandomMeasure:
-    """Finite mixture {(weight, DiscreteMeasure)} over atoms A_1..A_r."""
-
-    components: tuple[tuple[float, DiscreteMeasure], ...]
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise LabError("bad-random-measure", "needs at least one component")
-        ws = [w for w, _ in self.components]
-        if not all(0 < w < math.inf for w in ws):
-            raise LabError("bad-random-measure", "weights must be finite and positive")
-        if abs(sum(ws) - 1.0) > MASS_TOL:
-            raise LabError("bad-random-measure", "weights must sum to 1")
-
-    def flatten(self) -> DiscreteMeasure:
-        """The mean measure: atoms merged across components, re-sorted."""
-        return DiscreteMeasure.mixture(self.components)
 
 
 # -- serialization ----------------------------------------------------

@@ -51,15 +51,16 @@ them: the candidates next to ``d``.
 subsets of the supports and bisects on the defining inequalities directly.
 
 The stability bound (component laws within eps outside a weight of at most
-eps give mixtures within 2 eps) is checked once, in ``_stability_bound``;
-both public checks validate their inputs and pass them on.
+eps give mixtures within 2 eps) is checked in one place,
+``mixture_bound_check``.  A finite random measure on atoms A_1..A_r is such
+a mixture with weights P(A_i), so a coupled pair of random measures is
+checked as the triples ``(P(A_i), law_i, law'_i)``.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,29 +73,6 @@ ORACLE_MAX_ATOMS = 14
 _KS_GRID_LO = -10.0
 _KS_GRID_HI = 10.0
 _KS_GRID_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Joint mass matrix with the two atomic marginals it couples (rows mu)."""
-
-    mu: DiscreteMeasure
-    nu: DiscreteMeasure
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-
-    def violation(self, eps: float) -> float:
-        """Total mass of pairs further apart than eps."""
-        x = self.mu.positions[:, None]
-        y = self.nu.positions[None, :]
-        return float(self.matrix[np.abs(x - y) > eps].sum())
-
-    def max_marginal_error(self) -> float:
-        row_err = np.abs(self.matrix.sum(axis=1) - self.mu.masses).max()
-        col_err = np.abs(self.matrix.sum(axis=0) - self.nu.masses).max()
-        return float(max(row_err, col_err))
 
 
 def _integer_masses(mass: np.ndarray) -> list[int]:
@@ -270,13 +248,14 @@ def prohorov_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 def strassen_coupling(
     mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float
-) -> Coupling | None:
+) -> np.ndarray | None:
     """A coupling whose mass outside distance eps is at most eps, or None.
 
-    When feasible, the returned coupling ships the maximal in-range mass;
-    the residual is matched northwest-style so the marginals are exact to
-    the integer scale (error < 1e-12 per atom).  An eps that is not >= 0,
-    NaN included, raises ``bad-eps``.
+    The coupling is a read-only float matrix of joint masses, rows the
+    atoms of ``mu`` and columns those of ``nu``.  When feasible, it ships
+    the maximal in-range mass; the residual is matched northwest-style so
+    the marginals are exact to the integer scale (error < 1e-12 per atom).
+    An eps that is not >= 0, NaN included, raises ``bad-eps``.
     """
     if not eps >= 0:
         raise LabError("bad-eps", f"eps={eps!r} must be >= 0")
@@ -307,7 +286,9 @@ def strassen_coupling(
         grid[i, j] += t
         res_row[i] -= t
         res_col[j] -= t
-    return Coupling(mu, nu, grid.astype(float) / MASS_SCALE)
+    coupling = grid.astype(float) / MASS_SCALE
+    coupling.flags.writeable = False
+    return coupling
 
 
 def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -357,57 +338,32 @@ def ks_distance(f: CdfEvaluable, g: CdfEvaluable) -> float:
     return float(max(d_right.max(), d_left.max()))
 
 
-def _stability_bound(left, right, eps: float, token: str) -> tuple[float, bool]:
-    """The stability bound on two aligned ``(w, law)`` lists of mixture components.
-
-    The weight of the pairs with prohorov(a_i, b_i) >= eps, summed from
-    ``left``, must be at most eps (else ``token``).  Returns the Prohorov
-    distance of the two mixtures and whether it is <= 2*eps (+1e-9 slack).
-    An eps that is not >= 0, NaN included, raises ``bad-eps``.
-    """
-    if not eps >= 0:
-        raise LabError("bad-eps", f"eps={eps!r} must be >= 0")
-    heavy = sum(w for (w, a), (_, b) in zip(left, right) if prohorov_distance(a, b) >= eps)
-    if heavy > eps + 1e-12:
-        raise LabError(token, f"weight {heavy!r} of far components exceeds eps={eps!r}")
-    lhs = prohorov_distance(DiscreteMeasure.mixture(left), DiscreteMeasure.mixture(right))
-    return lhs, lhs <= 2.0 * eps + 1e-9
-
-
 def mixture_bound_check(
     pairs: list[tuple[float, DiscreteMeasure, DiscreteMeasure]], eps: float
 ) -> tuple[float, bool]:
     """Check the mixture stability bound: close components give 2*eps mixtures.
 
     ``pairs`` are (weight, mu_i, nu_i); requires finite weights >= 0
-    summing to 1 and the total weight of pairs with prohorov(mu_i, nu_i)
-    >= eps to be at most eps; pairs of weight 0 are dropped.  Returns the
-    Prohorov distance between the two mixtures and whether it is <= 2*eps
-    (+1e-9 slack).
+    summing to 1 (else ``bad-weights``), an eps >= 0 (else ``bad-eps``,
+    NaN included) and the total weight of pairs with prohorov(mu_i, nu_i)
+    >= eps to be at most eps (else ``mixture-bound-precondition``); pairs
+    of weight 0 are dropped.  Returns the Prohorov distance between the
+    two mixtures and whether it is <= 2*eps (+1e-9 slack).
     """
     cs = np.array([c for c, _, _ in pairs], dtype=float)
     if not all(0 <= c < math.inf for c in cs) or abs(cs.sum() - 1.0) > 1e-9:
         raise LabError("bad-weights", "weights must be finite, >= 0 and sum to 1")
-    left = [(c, a) for c, a, _ in pairs if c > 0]
-    right = [(c, b) for c, _, b in pairs if c > 0]
-    return _stability_bound(left, right, eps, "mixture-bound-precondition")
-
-
-def random_measure_bound_check(rm1, rm2, eps: float) -> tuple[float, bool]:
-    """Check the random-measure stability bound on two coupled mixtures.
-
-    The components must live on the same atom index set with the same
-    weights; requires the total weight of atoms where the component laws
-    are >= eps apart to be at most eps.  Returns the Prohorov distance of
-    the two mean measures (each mixed with its own weights) and whether it
-    is <= 2*eps (+1e-9 slack).
-    """
-    if len(rm1.components) != len(rm2.components):
-        raise LabError("atom-mismatch", "component counts differ")
-    w1 = np.array([w for w, _ in rm1.components])
-    w2 = np.array([w for w, _ in rm2.components])
-    if np.max(np.abs(w1 - w2)) > 1e-12:
-        raise LabError("atom-mismatch", "component weights differ")
-    return _stability_bound(
-        rm1.components, rm2.components, eps, "random-measure-bound-precondition"
+    if not eps >= 0:
+        raise LabError("bad-eps", f"eps={eps!r} must be >= 0")
+    pairs = [(c, a, b) for c, a, b in pairs if c > 0]
+    heavy = sum(c for c, a, b in pairs if prohorov_distance(a, b) >= eps)
+    if heavy > eps + 1e-12:
+        raise LabError(
+            "mixture-bound-precondition",
+            f"weight {heavy!r} of far components exceeds eps={eps!r}",
+        )
+    lhs = prohorov_distance(
+        DiscreteMeasure.mixture((c, a) for c, a, _ in pairs),
+        DiscreteMeasure.mixture((c, b) for c, _, b in pairs),
     )
+    return lhs, lhs <= 2.0 * eps + 1e-9

@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded random measure generators."""
+"""Shared test helpers: seeded random measure generators, a mixture oracle."""
 
 from __future__ import annotations
 
@@ -28,3 +28,14 @@ def perturbed_measure(stream: Stream, base: DiscreteMeasure, shift: float) -> Di
     """Copy of base with every position moved by less than shift."""
     delta = shift * (2.0 * stream.uniform() - 1.0)
     return DiscreteMeasure(tuple((p + delta, m) for p, m in base.atoms))
+
+
+def flatten_reference(components) -> DiscreteMeasure:
+    """The mean measure of ``(w, law)`` components: atoms merged across
+    components, re-sorted.  The body of the former ``RandomMeasure.flatten``,
+    verbatim but for its argument; oracle for ``DiscreteMeasure.mixture``."""
+    pairs = []
+    for w, comp in components:
+        for p, m in comp.atoms:
+            pairs.append((p, w * m))
+    return DiscreteMeasure.from_pairs(pairs)

@@ -19,6 +19,7 @@ from permutalab.rng import Stream
 from permutalab.cli import main as cli_main
 
 from conftest import perturbed_measure, random_discrete_measure
+from test_metrics import max_marginal_error, violation
 
 RADEMACHER = pl.DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
 WIDE = pl.DiscreteMeasure(((-2.0, 0.5), (2.0, 0.5)))
@@ -71,8 +72,8 @@ def test_02_strassen_consistency(pair_batch):
         eps = d + 1e-9
         c = pl.strassen_coupling(mu, nu, eps)
         assert c is not None, "coupling infeasible at distance + 1e-9"
-        worst_marginal = max(worst_marginal, c.max_marginal_error())
-        worst_violation = max(worst_violation, c.violation(eps) - eps)
+        worst_marginal = max(worst_marginal, max_marginal_error(c, mu, nu))
+        worst_violation = max(worst_violation, violation(c, mu, nu, eps) - eps)
     ok = worst_marginal <= 1e-12 and worst_violation <= 1e-12
     _verdict(2, ok, f"couplings feasible at d+1e-9: max marginal err={worst_marginal:.2e} "
                     f"<= 1e-12, max violation excess={worst_violation:.2e}")
@@ -164,7 +165,7 @@ def test_07_stability_property_suites():
         n_comp = 1 + stream.below(4)
         weights = np.array([stream.uniform() + 0.05 for _ in range(n_comp)])
         weights /= weights.sum()
-        comps1, comps2 = [], []
+        triples = []  # (P(A_i), law_i, law'_i) of two coupled random measures
         wild_budget = eps
         for w in weights:
             base = random_discrete_measure(stream, max_atoms=4)
@@ -173,11 +174,8 @@ def test_07_stability_property_suites():
                 wild_budget -= w
             else:
                 other = perturbed_measure(stream, base, eps / 2)
-            comps1.append((float(w), base))
-            comps2.append((float(w), other))
-        _, holds = pl.random_measure_bound_check(
-            pl.RandomMeasure(tuple(comps1)), pl.RandomMeasure(tuple(comps2)), eps
-        )
+            triples.append((float(w), base, other))
+        _, holds = pl.mixture_bound_check(triples, eps)
         viol_c += 0 if holds else 1
 
     ok = viol_a == 0 and viol_b == 0 and viol_c == 0

@@ -297,8 +297,10 @@ def test_conditional_noise_variant():
     assert lhs <= 0.2 + 1e-9
 
 
-@pytest.mark.parametrize("eps_n", [0.0, -0.1])
+@pytest.mark.parametrize("eps_n", [0.0, -0.1, math.nan, math.inf])
 def test_conditional_noise_needs_positive_eps(eps_n):
+    # NaN and inf pass an ``eps_n <= 0`` guard, and the laws shifted by
+    # them have non-finite atoms (bad-measure)
     with pytest.raises(LabError) as err:
         conditional_noise_check(BOUNDED, eps_n, seed=6)
     assert err.value.token == "bad-eps"

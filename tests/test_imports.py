@@ -11,6 +11,10 @@ assigned constant) in any package module must be read by package code
 outside its own definition: in its module by name, elsewhere through
 ``from .module import name`` or an attribute ``module.name``.  A private
 helper that only the tests call belongs in the tests.
+
+``permutalab.__all__`` names exactly the public names that ``__init__.py``
+imports, and each resolves, so a removal cannot leave a stale entry that
+only ``from permutalab import *`` would trip on.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import permutalab
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "permutalab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -103,3 +109,27 @@ def test_private_guard_sees_dead_and_live_names():
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def imported_public_names(source: str) -> set[str]:
+    """Names without a leading underscore bound by the module's top-level imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_all_guard_reads_imported_names():
+    source = "from __future__ import annotations\nfrom .a import B, c as d, _e\nimport f.g\n"
+    assert imported_public_names(source) == {"B", "d", "f"}
+
+
+def test_all_names_the_imported_public_names():
+    all_names = permutalab.__all__
+    assert len(all_names) == len(set(all_names))
+    assert set(all_names) == imported_public_names((PACKAGE / "__init__.py").read_text())
+    for name in all_names:
+        assert getattr(permutalab, name) is not None

@@ -14,7 +14,6 @@ from permutalab import (
     EmpiricalSample,
     LabError,
     MixedNormal,
-    RandomMeasure,
     empirical_measure,
 )
 from permutalab.measures import (
@@ -25,7 +24,7 @@ from permutalab.measures import (
 )
 from permutalab.rng import Stream
 
-from conftest import random_discrete_measure
+from conftest import flatten_reference, random_discrete_measure
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
@@ -44,8 +43,7 @@ def reference_quantile_many(m: DiscreteMeasure, us: np.ndarray) -> np.ndarray:
 def assert_quantiles_match_reference(m: DiscreteMeasure, extra_us) -> None:
     """quantile_many equals the oracle bit for bit at every cumulative mass,
     its two neighbouring doubles, SPECIAL_US and ``extra_us``, in a 1-D and a
-    2-D block; quantile(u) equals quantile_many([u])[0] at the cumulative
-    masses and ``extra_us`` inside (0, 1)."""
+    2-D block."""
     cum = np.cumsum(m.masses)
     us = np.concatenate(
         [cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf), SPECIAL_US, extra_us]
@@ -53,9 +51,6 @@ def assert_quantiles_match_reference(m: DiscreteMeasure, extra_us) -> None:
     assert m.quantile_many(us).tobytes() == reference_quantile_many(m, us).tobytes()
     block = us[: us.size // 2 * 2].reshape(2, -1)
     assert m.quantile_many(block).tobytes() == reference_quantile_many(m, block).tobytes()
-    for u in cum.tolist() + list(extra_us):
-        if 0.0 < u < 1.0:
-            assert m.quantile(u) == m.quantile_many(np.array([u]))[0]
 
 
 @st.composite
@@ -86,22 +81,15 @@ class TestDiscreteMeasure:
 
     def test_cdf_point_mass(self):
         d0 = DiscreteMeasure.point(0.0)
-        assert d0.cdf(-1.0) == 0.0
-        assert d0.cdf(0.0) == 1.0  # right-continuity
+        assert d0.cdf_many(np.array([-1.0, 0.0])).tolist() == [0.0, 1.0]  # right-continuity
 
     def test_cdf_coin(self):
-        assert COIN.cdf(0.5) == 0.5
+        assert COIN.cdf_many(np.array([0.5])).tolist() == [0.5]
 
     def test_quantile_examples(self):
-        assert DiscreteMeasure.point(3.0).quantile(0.5) == 3.0
-        assert COIN.quantile(0.5) == 0.0  # inf convention
-        assert COIN.quantile(0.75) == 1.0
-
-    def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(LabError) as err:
-                COIN.quantile(bad)
-            assert err.value.token == "quantile-domain"
+        assert DiscreteMeasure.point(3.0).quantile_many(np.array([0.5])).tolist() == [3.0]
+        # inf convention: a tie u == F(0) goes to the atom at 0
+        assert COIN.quantile_many(np.array([0.5, 0.75])).tolist() == [0.0, 1.0]
 
     def test_mean_var_examples(self):
         assert DiscreteMeasure.point(2.5).mean_var() == (2.5, 0.0)
@@ -116,9 +104,9 @@ class TestDiscreteMeasure:
         # throughout u in (a, a + w]
         left = 0.0
         for p, w in m.atoms:
-            for u in (left + 1e-13, left + w / 2, min(left + w, 1.0 - 1e-13)):
-                if 0.0 < u < 1.0:
-                    assert m.quantile(u) == p
+            us = np.array([left + 1e-13, left + w / 2, min(left + w, 1.0 - 1e-13)])
+            us = us[(0.0 < us) & (us < 1.0)]
+            assert np.all(m.quantile_many(us) == p)
             left += w
 
     # atom counts up to the switch from counting thresholds to binary
@@ -216,17 +204,16 @@ class TestEmpiricalMeasure:
 
 class TestMixedNormal:
     def test_standard_symmetry(self):
-        assert MixedNormal.standard().cdf(0.0) == 0.5
+        assert MixedNormal.standard().cdf_many(np.array([0.0])).tolist() == [0.5]
 
     def test_zero_variance_step(self):
         mn = MixedNormal.normal(0.0)
-        assert mn.cdf(-1.0) == 0.0
-        assert mn.cdf(1.0) == 1.0
-        assert mn.cdf(0.0) == 1.0  # right-continuous step at 0
+        # right-continuous step at 0
+        assert mn.cdf_many(np.array([-1.0, 1.0, 0.0])).tolist() == [0.0, 1.0, 1.0]
 
     def test_two_component_symmetry(self):
         mn = MixedNormal(((1.0, 0.5), (4.0, 0.5)))
-        assert mn.cdf(0.0) == 0.5
+        assert mn.cdf_many(np.array([0.0])).tolist() == [0.5]
 
     def test_monotone_on_grid(self):
         mn = MixedNormal(((0.0, 0.25), (1.0, 0.5), (4.0, 0.25)))
@@ -246,43 +233,32 @@ class TestMixedNormal:
 
     def test_phi_accuracy(self):
         # erfc route vs the direct erf expression at a few points
-        mn = MixedNormal.standard()
-        for t in (-3.0, -1.0, 0.0, 0.5, 2.0):
-            direct = 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
-            assert abs(mn.cdf(t) - direct) < 1e-12
+        ts = np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+        direct = [0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) for t in ts.tolist()]
+        assert np.all(np.abs(MixedNormal.standard().cdf_many(ts) - direct) < 1e-12)
 
 
-class TestRandomMeasure:
-    def test_flatten_identity(self):
-        rm = RandomMeasure(((1.0, COIN),))
-        assert rm.flatten() == COIN
+class TestMixture:
+    def test_identity(self):
+        assert DiscreteMeasure.mixture(((1.0, COIN),)) == COIN
 
-    def test_flatten_merges(self):
+    def test_merges(self):
         d0 = DiscreteMeasure.point(0.0)
-        rm = RandomMeasure(((0.5, d0), (0.5, d0)))
-        assert rm.flatten() == d0
+        assert DiscreteMeasure.mixture(((0.5, d0), (0.5, d0))) == d0
 
-    def test_flatten_two_points(self):
-        rm = RandomMeasure(((0.5, DiscreteMeasure.point(0.0)), (0.5, DiscreteMeasure.point(1.0))))
-        assert rm.flatten() == COIN
-
-    @pytest.mark.parametrize("weights", [
-        (), (0.0, 1.0), (-0.5, 1.5), (0.5, 0.4), (math.nan,), (math.inf,), (0.5, math.nan),
-    ])
-    def test_validation(self, weights):
-        with pytest.raises(LabError) as err:
-            RandomMeasure(tuple((w, COIN) for w in weights))
-        assert err.value.token == "bad-random-measure"
+    def test_two_points(self):
+        comps = ((0.5, DiscreteMeasure.point(0.0)), (0.5, DiscreteMeasure.point(1.0)))
+        assert DiscreteMeasure.mixture(comps) == COIN
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_mixture_equals_flatten(self, data):
+    def test_equals_reference(self, data):
         laws = data.draw(st.lists(measures(), min_size=1, max_size=4))
         raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(laws), max_size=len(laws)))
         comps = tuple(zip((np.array(raw) / sum(raw)).tolist(), laws))
-        assert DiscreteMeasure.mixture(comps) == RandomMeasure(comps).flatten()
+        assert DiscreteMeasure.mixture(comps) == flatten_reference(comps)
 
-    def test_flatten_preserves_mass_and_mean(self):
+    def test_preserves_mass_and_mean(self):
         stream = Stream(99)
         for _ in range(25):
             comps = []
@@ -291,8 +267,7 @@ class TestRandomMeasure:
             weights /= weights.sum()
             for w in weights:
                 comps.append((float(w), random_discrete_measure(stream)))
-            rm = RandomMeasure(tuple(comps))
-            flat = rm.flatten()
+            flat = DiscreteMeasure.mixture(comps)
             assert abs(flat.masses.sum() - 1.0) <= 1e-12
             want_mean = sum(w * c.mean_var()[0] for w, c in comps)
             assert abs(flat.mean_var()[0] - want_mean) <= 1e-12
@@ -356,13 +331,13 @@ def cdf_points(anchors, extra) -> np.ndarray:
 
 
 def assert_cdfs_match(law, ts: np.ndarray, cdf, cdf_many, cdf_left_many) -> None:
-    """``cdf``, ``cdf_many`` and ``cdf_left_many`` of ``law`` equal the
-    reference routines bit for bit at every point of ``ts``."""
+    """``cdf_many`` and ``cdf_left_many`` of ``law`` equal the reference
+    routines bit for bit at every point of ``ts``, and ``cdf_many`` equals
+    the scalar reference ``cdf`` point by point."""
     assert law.cdf_many(ts).tobytes() == cdf_many(law, ts).tobytes()
     assert law.cdf_left_many(ts).tobytes() == cdf_left_many(law, ts).tobytes()
-    got = np.array([law.cdf(t) for t in ts.tolist()])
     want = np.array([cdf(law, t) for t in ts.tolist()])
-    assert got.tobytes() == want.tobytes()
+    assert law.cdf_many(ts).tobytes() == want.tobytes()
 
 
 @st.composite
