@@ -747,6 +747,21 @@ class TestMixtureBounds:
             lhs, holds = mixture_bound_check(pairs, eps)
             assert holds, (lhs, eps)
 
+    @pytest.mark.parametrize("weights", [
+        (), (-0.5, 1.5), (0.5, 0.4), (math.nan,), (math.inf,), (0.5, math.nan),
+    ])
+    def test_random_measure_bad_weights(self, weights):
+        # the P(A_i) of a random measure must be finite, >= 0 and sum to 1
+        triples = [(w, COIN, COIN) for w in weights]
+        with pytest.raises(LabError) as err:
+            mixture_bound_check(triples, 0.1)
+        assert err.value.token == "bad-weights"
+
+    def test_random_measure_null_atom(self):
+        # an atom A_i with P(A_i) = 0 is dropped, however far its laws are
+        triples = [(0.0, D0, DiscreteMeasure.point(9.0)), (1.0, COIN, COIN)]
+        assert mixture_bound_check(triples, 0.1) == (0.0, True)
+
     def test_random_measure_identity(self):
         triples = [(0.5, COIN, COIN), (0.5, RADEMACHER, RADEMACHER)]
         lhs, holds = mixture_bound_check(triples, 0.1)
