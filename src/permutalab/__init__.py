@@ -43,7 +43,6 @@ from .framework import (
     ThinningPlan,
     lipschitz_probe,
     limit_convergence_check,
-    make_theorem,
     mc_tolerance,
     plan_thinning,
     simulate_fk,
@@ -95,7 +94,6 @@ __all__ = [
     "ThinningPlan",
     "lipschitz_probe",
     "limit_convergence_check",
-    "make_theorem",
     "mc_tolerance",
     "plan_thinning",
     "simulate_fk",

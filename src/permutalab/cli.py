@@ -10,9 +10,9 @@ byte, for any ``--threads`` value.  JSON files never hold a NaN or an
 infinity: such a number stops the run with ``non-finite`` before any file
 is written.
 
-Exit codes: 0 ok, 2 configuration problem, malformed or unreadable input
-file, or unwritable ``--out-dir`` (one-line reason on stderr), 3 runtime
-error (module error token on stderr).
+Exit codes: 0 ok; 2 for ``bad-config`` (a bad flag, an unreadable input
+file or an unwritable ``--out-dir``), ``malformed-input`` or ``empty-table``
+(one ``config error:`` line on stderr); 3 for any other ``LabError`` token.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import LabError
+from .errors import LabError, table_rows
 from .exchangeable import model_from_json, strong_law_trajectory, permutation_invariance_check
-from .framework import THEOREMS, limit_convergence_check, make_theorem
+from .framework import THEOREMS, RegularLimitTheorem, limit_convergence_check
 from .lacunary import clt_sample, lil_trajectory
 from .measures import MixedNormal, empirical_measure, measure_from_csv
 from .metrics import (
@@ -58,12 +58,8 @@ from .sequences import (
 from .svg import render_cdf_overlay, render_trajectory
 
 
-class ConfigError(Exception):
-    """Invalid command-line configuration (exit code 2)."""
-
-
-# module error tokens that mean a bad input file, reported as exit code 2
-_INPUT_TOKENS = frozenset({"empty-table", "malformed-input"})
+# error tokens of a bad configuration or input file, reported as exit code 2
+_INPUT_TOKENS = frozenset({"bad-config", "empty-table", "malformed-input"})
 
 
 def _csv(rows) -> str:
@@ -115,22 +111,22 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of an input file; an unreadable file is a ``ConfigError``."""
+    """The UTF-8 text of an input file; an unreadable file raises ``bad-config``."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ConfigError(f"input file not found: {path}") from None
+        raise LabError("bad-config", f"input file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read input file {path}: {exc}") from None
+        raise LabError("bad-config", f"cannot read input file {path}: {exc}") from None
 
 
 def _parse_ints(text: str) -> list[int]:
     try:
         ints = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        raise LabError("bad-config", f"bad integer list {text!r}") from exc
     if not ints:
-        raise ConfigError(f"empty integer list {text!r}")
+        raise LabError("bad-config", f"empty integer list {text!r}")
     return ints
 
 
@@ -141,11 +137,12 @@ def _make_permutation(pattern: str, n: int):
         return reverse_permutation(n)
     kind, _, arg = pattern.partition(":")
     if kind not in ("block", "random"):
-        raise ConfigError(f"unknown permutation pattern {pattern!r}")
+        raise LabError("bad-config", f"unknown permutation pattern {pattern!r}")
     try:
         value = int(arg)
     except ValueError:
-        raise ConfigError(f"permutation pattern {pattern!r} needs an integer after ':'") from None
+        msg = f"permutation pattern {pattern!r} needs an integer after ':'"
+        raise LabError("bad-config", msg) from None
     if kind == "block":
         return block_interleave_permutation(n, value)
     return random_permutation(n, value)
@@ -158,16 +155,16 @@ def _make_permutation(pattern: str, n: int):
 def _cmd_gen_seq(args) -> tuple[dict, dict]:
     if args.kind == "hadamard":
         if args.q is None:
-            raise ConfigError("--q is required for kind=hadamard")
+            raise LabError("bad-config", "--q is required for kind=hadamard")
         seq = gen_hadamard(args.q, args.n1, args.N)
         check = check_hadamard(seq, args.q) if len(seq) >= 2 else True
     elif args.kind == "erdos":
         if args.c is None or args.alpha is None:
-            raise ConfigError("--c and --alpha are required for kind=erdos")
+            raise LabError("bad-config", "--c and --alpha are required for kind=erdos")
         seq = gen_erdos(args.c, args.alpha, args.n1, args.N)
         check = check_erdos(seq, args.c, args.alpha) if len(seq) >= 2 else True
     else:
-        raise ConfigError(f"unknown kind {args.kind!r}")
+        raise LabError("bad-config", f"unknown kind {args.kind!r}")
     summary = {
         "kind": args.kind,
         "n_terms": len(seq),
@@ -243,7 +240,7 @@ def _cmd_prohorov(args) -> tuple[dict, dict]:
 
 
 def _cmd_framework_check(args) -> tuple[dict, dict]:
-    T = make_theorem(args.theorem)
+    T = RegularLimitTheorem(args.theorem)
     mu = measure_from_csv(_read_text(args.mu))
     rows = limit_convergence_check(
         T, mu, _parse_ints(args.k_list), args.M, args.seed, threads=args.threads
@@ -254,7 +251,7 @@ def _cmd_framework_check(args) -> tuple[dict, dict]:
 
 def _cmd_exchangeable(args) -> tuple[dict, dict]:
     model = model_from_json(_read_text(args.model))
-    T = make_theorem(args.theorem)
+    T = RegularLimitTheorem(args.theorem)
     _, q = T.window(args.k)
     perm_n = args.perm_n if args.perm_n is not None else q
     perms = [_make_permutation(s.strip(), perm_n) for s in args.perms.split(",") if s.strip()]
@@ -283,30 +280,21 @@ def _cmd_strong_law(args) -> tuple[dict, dict]:
 
 def _cmd_plot(args) -> tuple[dict, dict]:
     need = 2 if args.kind == "trajectory" else 1
-    rows = []
-    for number, line in enumerate(_read_text(getattr(args, "in")).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = [float(t) for t in line.split(",")]
-        except ValueError:
-            row = []
+
+    def parse(line: str) -> list[float]:
+        row = [float(t) for t in line.split(",")]
         if len(row) < need or not all(map(math.isfinite, row)):
-            raise LabError(
-                "malformed-input",
-                f"table line {number}: expected comma-separated finite numbers (at least {need}),"
-                f" got {line!r}",
-            )
-        rows.append(row)
-    if not rows:
-        raise ConfigError("empty table")
+            raise ValueError(line)
+        return row
+
+    expected = f"comma-separated finite numbers (at least {need})"
+    rows = table_rows(_read_text(getattr(args, "in")), "table", expected, parse)
     if args.kind == "cdf-overlay":
         svg = render_cdf_overlay([r[0] for r in rows])
     elif args.kind == "trajectory":
         svg = render_trajectory([(r[-2], r[-1]) for r in rows])
     else:
-        raise ConfigError(f"unknown plot kind {args.kind!r}")
+        raise LabError("bad-config", f"unknown plot kind {args.kind!r}")
     return {args.out: svg}, {"kind": args.kind, "points": len(rows)}
 
 
@@ -431,7 +419,7 @@ def run(args: argparse.Namespace) -> None:
         try:
             _atomic_write(out_dir / name, text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {out_dir / name}: {exc}") from None
+            raise LabError("bad-config", f"cannot write {out_dir / name}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -440,15 +428,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
+        if args.threads < 1:
+            raise LabError("bad-config", "--threads must be >= 1")
         run(args)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except LabError as exc:
         if exc.token in _INPUT_TOKENS:
             print(f"config error: {exc}", file=sys.stderr)

@@ -44,6 +44,7 @@ import numpy as np
 from .errors import LabError
 from .framework import RegularLimitTheorem, ThinningPlan, mc_tolerance, simulate_fk
 from .measures import (
+    MASS_TOL,
     DiscreteMeasure,
     EmpiricalSample,
     MixedNormal,
@@ -98,7 +99,7 @@ class ExchangeableModel:
         probs = [p for p, _ in self.atoms]
         if not all(0 < p < math.inf for p in probs):
             raise LabError("bad-model", "atom probabilities must be finite and positive")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if abs(sum(probs) - 1.0) > MASS_TOL:
             raise LabError("bad-model", "atom probabilities must sum to 1")
         if not 0 <= self.bad_mass < math.inf:
             raise LabError("bad-model", "bad mass must be finite and >= 0")
@@ -125,7 +126,7 @@ class ExchangeableModel:
         cum = 0.0
         n = 0
         for p, _ in self.atoms:
-            if cum + p <= self.bad_mass + 1e-12:
+            if cum + p <= self.bad_mass + MASS_TOL:
                 cum += p
                 n += 1
             else:

@@ -8,9 +8,10 @@ many atoms is an admissible input.  Its one field, ``name``, picks one of
 two instances: the plain normalized-sum CLT ``clt`` (window (1, k)) and its
 trimmed variant ``trimmed-clt`` (window (floor(k^(1/4)), k)), both with
 modulus sqrt(k): |f_k(x) - f_k(y)| <= (1/omega_k) sum |x_i - y_i|.
-:func:`make_theorem` is the constructor by name.  The limits are kept
-symbolic as centered normals so distribution distances against them use
-the erfc-based CDF rather than a discretization.
+``RegularLimitTheorem(name)`` is the only constructor; an unknown name
+raises ``bad-theorem``.  The limits are kept symbolic as centered normals
+so distribution distances against them use the erfc-based CDF rather
+than a discretization.
 
 ``mc_tolerance(M) = 3 sqrt(ln M / M)`` is the fixed slack added to every
 Monte Carlo bound comparison (a DKW-style envelope, conservative).
@@ -79,11 +80,6 @@ class RegularLimitTheorem:
 
     def limit(self, mu: DiscreteMeasure) -> MixedNormal:
         return MixedNormal.normal(mu.mean_var()[1])
-
-
-def make_theorem(name: str) -> RegularLimitTheorem:
-    """The theorem called ``name``; an unknown name raises ``bad-theorem``."""
-    return RegularLimitTheorem(name)
 
 
 def simulate_fk(

@@ -54,7 +54,7 @@ bit for bit, those of the per-point bigint computation
   Python's ``float(int)`` does (a top word of all ones rounds to 2**64).
 
 A block grows, frequency by frequency in order, while its gather
-``4 x m x F x points`` stays within ``_BLOCK_ELEMENTS`` (102,400) uint64
+``4 x m x F x points`` stays within ``BLOCK_ELEMENTS`` (102,400) uint64
 elements; a frequency that alone needs more forms a block of its own, of
 ``4 x (its nonzero limbs) x points`` elements.  A call's other arrays
 hold ``4 x F x points`` elements or fewer.
@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import LabError
 from .measures import EmpiricalSample
-from .parallel import map_chunks
+from .parallel import BLOCK_ELEMENTS, map_chunks
 from .rng import GOLDEN, derive_seed_vec, mix64_vec
 from .sequences import IndexSequence, Permutation, apply_permutation
 
@@ -83,13 +83,6 @@ _M32 = _U(0xFFFFFFFF)
 # Rows of the product the kernel forms: g - 1, the guard row g and the two
 # rows that hold bits [B - 64, B).
 _ROWS = 4
-# Most uint64 products one kernel call gathers (unless one frequency alone
-# needs more): 25 per point of a 4,096-point chunk, so that a block's
-# gather and the rows and doubles made from it stay small next to the
-# chunk's own arrays.  On 2-vCPU x86-64 twice this budget raised the peak
-# RSS of the lacunary-mc benchmark by about 10% and slowed q = 1.5 clt
-# chunks, whose multi-limb blocks then outgrew the cache.
-_BLOCK_ELEMENTS = 25 * 4096
 
 
 def ceil_log2(n: int) -> int:
@@ -149,7 +142,7 @@ def _blocks(fs, bits: int, points: int) -> list[_Block]:
 
     A block grows while its gather, ``_ROWS x (nonzero limbs of its widest
     frequency) x frequencies x points`` uint64 products, stays within
-    ``_BLOCK_ELEMENTS``; a block holds at least one frequency.  The limbs
+    ``BLOCK_ELEMENTS``; a block holds at least one frequency.  The limbs
     of every frequency are found in one pass over fs.
     """
     raw = b"".join(f.to_bytes(bits // 8, "little") for f in fs)
@@ -164,7 +157,7 @@ def _blocks(fs, bits: int, points: int) -> list[_Block]:
     slack = (2**32 - 2 * counts).astype(np.uint64)
     edges, start, widest = [], 0, 0
     for k, c in enumerate(counts.tolist()):
-        if k > start and (k + 1 - start) * max(widest, c) * _ROWS * points > _BLOCK_ELEMENTS:
+        if k > start and (k + 1 - start) * max(widest, c) * _ROWS * points > BLOCK_ELEMENTS:
             edges.append((start, k, widest))
             start, widest = k, 0
         widest = max(widest, c)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabError
+from .errors import LabError, table_rows
 from .rng import Stream, derive_seed
 
 MASS_TOL = 1e-12
@@ -269,13 +269,7 @@ class MixedNormal:
         return self._cdf(ts, True)
 
     def jump_points(self) -> np.ndarray:
-        if any(y == 0.0 for y, _ in self.variance_atoms):
-            return np.array([0.0])
-        return np.array([])
-
-    @property
-    def has_continuous_part(self) -> bool:
-        return any(y > 0.0 for y, _ in self.variance_atoms)
+        return np.array([0.0] if any(y == 0.0 for y, _ in self.variance_atoms) else [])
 
 
 # -- serialization ----------------------------------------------------
@@ -290,20 +284,12 @@ def measure_to_csv(measure: DiscreteMeasure) -> str:
     return "\n".join(f"{_fmt(p)},{_fmt(m)}" for p, m in measure.atoms) + "\n"
 
 
+def _atom(line: str) -> tuple[float, float]:
+    p, m = line.split(",")
+    return float(p), float(m)
+
+
 def measure_from_csv(text: str) -> DiscreteMeasure:
-    """Parse ``position,mass`` lines; a malformed line raises ``malformed-input``."""
-    atoms = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            p, m = line.split(",")
-            atoms.append((float(p), float(m)))
-        except ValueError:
-            raise LabError(
-                "malformed-input",
-                f"measure CSV line {number}: expected 'position,mass', got {line!r}",
-            ) from None
-    return DiscreteMeasure(tuple(atoms))
+    """Parse ``position,mass`` lines (:func:`~permutalab.errors.table_rows`)."""
+    return DiscreteMeasure(tuple(table_rows(text, "measure CSV", "'position,mass'", _atom)))
 

@@ -55,6 +55,9 @@ eps give mixtures within 2 eps) is checked in one place,
 ``mixture_bound_check``.  A finite random measure on atoms A_1..A_r is such
 a mixture with weights P(A_i), so a coupled pair of random measures is
 checked as the triples ``(P(A_i), law_i, law'_i)``.
+
+``ks_distance`` is exact and has one path: its first law is discrete, so
+the supremum lies at a jump point of either law or at its left limit.
 """
 
 from __future__ import annotations
@@ -65,14 +68,10 @@ import struct
 import numpy as np
 
 from .errors import LabError
-from .measures import DiscreteMeasure, MixedNormal
+from .measures import MASS_TOL, DiscreteMeasure, MixedNormal
 
 MASS_SCALE = 10**12
 ORACLE_MAX_ATOMS = 14
-
-_KS_GRID_LO = -10.0
-_KS_GRID_HI = 10.0
-_KS_GRID_STEP = 1e-4
 
 
 def _integer_masses(mass: np.ndarray) -> list[int]:
@@ -309,30 +308,17 @@ def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(math.sqrt(np.dot(widths[keep], (q_mu - q_nu) ** 2)))
 
 
-CdfEvaluable = DiscreteMeasure | MixedNormal
+def ks_distance(f: DiscreteMeasure, g: DiscreteMeasure | MixedNormal) -> float:
+    """Exact sup-distance of the CDFs of a discrete law ``f`` and a law ``g``.
 
-
-def _is_continuous(f: CdfEvaluable) -> bool:
-    return isinstance(f, MixedNormal) and f.has_continuous_part
-
-
-def ks_distance(f: CdfEvaluable, g: CdfEvaluable) -> float:
-    """Sup-distance of two CDFs over jump points (plus a grid when needed).
-
-    Exact when at most one side has a continuous part: between jumps a step
-    CDF is constant and the other CDF is monotone, so the supremum is
-    attained at a jump point or its left limit.  When both sides are
-    continuous the sup is refined on a fixed grid of step 1e-4 over
-    [-10, 10]; this under-approximates by at most the local CDF modulus
-    over one grid step.
+    Between consecutive jump points of either law the step CDF of ``f`` is
+    constant and that of ``g`` is monotone, so the supremum is attained at
+    a jump point or its left limit; both are evaluated there.  An ``f``
+    that is not a ``DiscreteMeasure`` raises ``ks-not-discrete``.
     """
-    anchors = [np.asarray(f.jump_points(), dtype=float), np.asarray(g.jump_points(), dtype=float)]
-    if _is_continuous(f) and _is_continuous(g):
-        n_steps = int(round((_KS_GRID_HI - _KS_GRID_LO) / _KS_GRID_STEP)) + 1
-        anchors.append(np.linspace(_KS_GRID_LO, _KS_GRID_HI, n_steps))
-    ts = np.unique(np.concatenate([a for a in anchors if a.size]))
-    if ts.size == 0:
-        return 0.0
+    if not isinstance(f, DiscreteMeasure):
+        raise LabError("ks-not-discrete", "the first law of ks_distance must be discrete")
+    ts = np.union1d(f.jump_points(), g.jump_points())
     d_right = np.abs(f.cdf_many(ts) - g.cdf_many(ts))
     d_left = np.abs(f.cdf_left_many(ts) - g.cdf_left_many(ts))
     return float(max(d_right.max(), d_left.max()))
@@ -344,14 +330,15 @@ def mixture_bound_check(
     """Check the mixture stability bound: close components give 2*eps mixtures.
 
     ``pairs`` are (weight, mu_i, nu_i); requires finite weights >= 0
-    summing to 1 (else ``bad-weights``), an eps >= 0 (else ``bad-eps``,
+    summing to 1 within ``MASS_TOL``, as a ``DiscreteMeasure``'s masses
+    must (else ``bad-weights``), an eps >= 0 (else ``bad-eps``,
     NaN included) and the total weight of pairs with prohorov(mu_i, nu_i)
     >= eps to be at most eps (else ``mixture-bound-precondition``); pairs
     of weight 0 are dropped.  Returns the Prohorov distance between the
     two mixtures and whether it is <= 2*eps (+1e-9 slack).
     """
     cs = np.array([c for c, _, _ in pairs], dtype=float)
-    if not all(0 <= c < math.inf for c in cs) or abs(cs.sum() - 1.0) > 1e-9:
+    if not all(0 <= c < math.inf for c in cs) or abs(cs.sum() - 1.0) > MASS_TOL:
         raise LabError("bad-weights", "weights must be finite, >= 0 and sum to 1")
     if not eps >= 0:
         raise LabError("bad-eps", f"eps={eps!r} must be >= 0")

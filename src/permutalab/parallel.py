@@ -3,7 +3,7 @@
 Work is split into fixed chunks of ``CHUNK`` sample indices, the unit that
 threads share; results are concatenated in chunk order.  A chunk whose rows
 are wide (one Monte Carlo sample drawing hundreds of columns) is computed
-in row blocks through :func:`row_blocks`, about ``_CHUNK_ELEMENTS`` values
+in row blocks through :func:`row_blocks`, about ``BLOCK_ELEMENTS`` values
 at a time, so that each block's arrays stay near a core's L2 cache.  Chunk
 and block sizes depend only on the sample count and the row width, never
 on ``threads``, and every sample is computed from seeds derived from its
@@ -20,13 +20,16 @@ import numpy as np
 
 CHUNK = 4096
 
-# Elements per row block: 256 rows of 400 columns.  A block's uniforms, its
-# splitmix64 words and its quantile draws (0.8 MB each) then stay near a
-# 2 MiB L2.  On 2-vCPU x86-64 (2 MiB L2 per core, numpy 2.4), k = 400 and
-# M = 8192 at one thread, medians of 20 runs: simulate_fk 26 ms at 256 rows,
-# 33 at 512, 35 at 1,024 and 54 at 4,096; permuted_statistic 35, 32, 42
-# and 64 ms, the 256- and 512-row figures inside each other's quartiles.
-_CHUNK_ELEMENTS = 256 * 400
+# Elements per block, one budget for the row blocks of row_blocks (256 rows
+# of 400 columns) and the frequency blocks of the n*x mod 1 kernel (25
+# products per point of a 4,096-point chunk): a block's arrays (0.8 MB
+# each) then stay near a 2 MiB L2.  On 2-vCPU x86-64 (2 MiB L2 per core,
+# numpy 2.4), k = 400 and M = 8192 at one thread, medians of 20 runs:
+# simulate_fk 26 ms at 256 rows, 33 at 512, 35 at 1,024 and 54 at 4,096;
+# permuted_statistic 35, 32, 42 and 64 ms.  Twice the budget in the kernel
+# raised the lacunary-mc benchmark's peak RSS by about 10% and slowed
+# q = 1.5 clt chunks, whose multi-limb blocks then outgrew the cache.
+BLOCK_ELEMENTS = 256 * 400
 
 
 def map_chunks(
@@ -47,10 +50,10 @@ def row_blocks(
 ) -> Callable[[int, int], np.ndarray]:
     """A chunk function that concatenates fn over blocks of rows of ``width`` elements.
 
-    Each block has ``max(1, min(CHUNK, _CHUNK_ELEMENTS // width))`` rows,
+    Each block has ``max(1, min(CHUNK, BLOCK_ELEMENTS // width))`` rows,
     but for the last of a chunk, which has the rest.
     """
-    rows = max(1, min(CHUNK, _CHUNK_ELEMENTS // width))
+    rows = max(1, min(CHUNK, BLOCK_ELEMENTS // width))
 
     def chunk(start: int, count: int) -> np.ndarray:
         stop = start + count

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LabError
+from .errors import LabError, table_rows
 from .rng import Stream, derive_seed
 
 
@@ -40,18 +40,8 @@ class IndexSequence:
 
     @classmethod
     def from_csv(cls, text: str) -> "IndexSequence":
-        """Parse whitespace-separated integers; a non-integer raises ``malformed-input``."""
-        vals = []
-        for number, line in enumerate(text.splitlines(), start=1):
-            for token in line.split():
-                try:
-                    vals.append(int(token))
-                except ValueError:
-                    raise LabError(
-                        "malformed-input",
-                        f"sequence CSV line {number}: expected an integer, got {token!r}",
-                    ) from None
-        return cls(tuple(vals))
+        """Parse one integer per line (:func:`~permutalab.errors.table_rows`)."""
+        return cls(tuple(table_rows(text, "sequence CSV", "an integer", int)))
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def test_05_diophantine_exact_counts():
 
 
 def test_06_framework_clt():
-    T = pl.make_theorem("clt")
+    T = pl.RegularLimitTheorem("clt")
     s1 = pl.simulate_fk(T, 1, RADEMACHER, 100_000, seed=1006)
     ks1 = pl.ks_distance(pl.empirical_measure(s1), T.limit(RADEMACHER))
     want = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))) - 0.5
@@ -126,7 +126,7 @@ def test_06_framework_clt():
 
 def test_07_stability_property_suites():
     # (A): 100 random atomic pairs through the statistic map
-    T = pl.make_theorem("clt")
+    T = pl.RegularLimitTheorem("clt")
     stream = Stream(2027)
     viol_a = 0
     for _ in range(100):
@@ -185,7 +185,7 @@ def test_07_stability_property_suites():
 
 def test_08_exchangeable_permutation_check():
     model = pl.ExchangeableModel(((0.5, RADEMACHER), (0.5, WIDE)))
-    T = pl.make_theorem("trimmed-clt")
+    T = pl.RegularLimitTheorem("trimmed-clt")
     perms = [
         pl.identity_permutation(400),
         pl.reverse_permutation(400),
@@ -200,7 +200,7 @@ def test_08_exchangeable_permutation_check():
 
 
 def test_09_mixture_approximation_bound():
-    T = pl.make_theorem("trimmed-clt")
+    T = pl.RegularLimitTheorem("trimmed-clt")
     stream = Stream(909)
     violations = 0
     for _ in range(50):

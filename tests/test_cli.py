@@ -11,6 +11,7 @@ import pytest
 
 from permutalab import cli as cli_module
 from permutalab.cli import main
+from permutalab.errors import LabError
 from permutalab.exchangeable import ExchangeableModel, model_to_json
 from permutalab.measures import DiscreteMeasure, measure_to_csv
 
@@ -249,13 +250,28 @@ class TestPlot:
             assert rc == 0
         assert (tmp_path / "a" / "t.svg").read_bytes() == (tmp_path / "b" / "t.svg").read_bytes()
 
-    def test_empty_table_exit_2(self, tmp_path):
-        data = tmp_path / "empty.csv"
-        data.write_text("")
-        rc = run_cli(
-            "plot", "--in", str(data), "--kind", "cdf-overlay", "--out-dir", str(tmp_path)
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("plot", "--kind", "cdf-overlay", "--in", "{empty}"),
+            ("prohorov", "--mu", "{empty}", "--nu", "{empty}"),
+            ("dio-count", "--a", "1", "--b", "-2", "--c", "0", "--N-list", "5",
+             "--seq", "{empty}"),
+            ("strong-law", "--p", "1.5", "--N", "10", "--model", "{model}"),
+        ],
+        ids=["plot-table", "measure-csv", "sequence-csv", "model-law-csv"],
+    )
+    def test_empty_table_exit_2(self, tmp_path, capsys, argv):
+        # an input file of blank lines, or a model whose law_csv is empty
+        empty, model = tmp_path / "empty.csv", tmp_path / "model.json"
+        empty.write_text("\n  \n")
+        model.write_text(json.dumps({"atoms": [{"prob": 1.0, "law_csv": ""}]}))
+        argv = [a.format(empty=empty, model=model) for a in argv]
+        rc = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
+        err = capsys.readouterr().err
         assert rc == 2
+        assert err.startswith("config error: empty ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:
@@ -310,6 +326,11 @@ class TestExitCodes:
         argv.update(flags)
         return [command, *(str(t) for kv in argv.items() for t in kv),
                 "--out-dir", str(tmp_path / "out")]
+
+    def test_unknown_permutation_pattern_is_bad_config(self):
+        with pytest.raises(LabError) as err:
+            cli_module._make_permutation("bogus", 4)
+        assert err.value.token == "bad-config"
 
     @pytest.mark.parametrize("pattern", ["block:x", "random:y", "block:"])
     def test_perm_pattern_without_integer(self, tmp_path, seq_file, capsys, pattern):

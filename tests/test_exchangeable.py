@@ -23,7 +23,6 @@ from permutalab import (
     draw_sequence,
     empirical_measure,
     ks_distance,
-    make_theorem,
     model_from_json,
     model_to_json,
     permuted_statistic,
@@ -184,7 +183,7 @@ class TestPermutedStatistic:
     def test_exchangeability_pairwise_ks(self):
         # perturb off: the law is exactly permutation-invariant, so any two
         # permuted runs differ only by Monte Carlo noise
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         k, m = 32, 4000
         base = empirical_measure(
             permuted_statistic(TWO_ATOM, T, k, identity_permutation(32), m, seed=50)
@@ -197,20 +196,20 @@ class TestPermutedStatistic:
             assert ks_distance(base, other) <= 1.95 * np.sqrt(2.0 / m)
 
     def test_single_atom_converges_to_normal(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         model = ExchangeableModel(((1.0, RADEMACHER),), grid=0.0)
         sample = permuted_statistic(model, T, 256, reverse_permutation(256), 20_000, seed=5)
         ks = ks_distance(empirical_measure(sample), model.limit_mixed_normal())
         assert ks <= 0.05
 
     def test_perm_must_cover_window(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         with pytest.raises(LabError) as err:
             permuted_statistic(TWO_ATOM, T, 64, identity_permutation(32), 10, seed=1)
         assert err.value.token == "perm-size"
 
     def test_thread_invariance(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         a = permuted_statistic(TWO_ATOM, T, 16, reverse_permutation(16), 9000, seed=1, threads=1)
         b = permuted_statistic(TWO_ATOM, T, 16, reverse_permutation(16), 9000, seed=1, threads=4)
         assert a.values.tobytes() == b.values.tobytes()
@@ -219,10 +218,10 @@ class TestPermutedStatistic:
 class TestPermutationInvariance:
     def test_needs_two_perms(self):
         with pytest.raises(LabError):
-            permutation_invariance_check(TWO_ATOM, make_theorem("trimmed-clt"), 16, [identity_permutation(16)], 100, 1)
+            permutation_invariance_check(TWO_ATOM, RegularLimitTheorem("trimmed-clt"), 16, [identity_permutation(16)], 100, 1)
 
     def test_two_atom_model_holds(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         perms = [identity_permutation(64), reverse_permutation(64), random_permutation(64, 3)]
         rep = permutation_invariance_check(TWO_ATOM, T, 64, perms, 10_000, seed=9, tol_limit=0.08,
                              tol_pairwise=0.04)
@@ -231,7 +230,7 @@ class TestPermutationInvariance:
     def test_degenerate_point_model(self):
         # all statistics deterministic: pairwise distance 0, distance to the
         # unit step recorded
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         model = ExchangeableModel(((1.0, DiscreteMeasure.point(0.0)),), grid=0.0)
         perms = [identity_permutation(16), reverse_permutation(16)]
         rep = permutation_invariance_check(model, T, 16, perms, 500, seed=2, tol_limit=1.0, tol_pairwise=0.01)
@@ -241,7 +240,7 @@ class TestPermutationInvariance:
 
 class TestPropositionBound:
     def test_single_atom_lhs_small(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         model = ExchangeableModel(((1.0, SMALL_A),), grid=0.0)
         plan = plan_thinning(T, model.tail_bound, 16)
         lhs, rhs, holds = mixture_approximation_check(model, T, 16, plan, 3000, seed=4)
@@ -249,13 +248,13 @@ class TestPropositionBound:
         assert lhs <= 0.1
 
     def test_two_atom_bounded_model(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         plan = plan_thinning(T, BOUNDED.tail_bound, 16)
         lhs, rhs, holds = mixture_approximation_check(BOUNDED, T, 16, plan, 3000, seed=8)
         assert holds, (lhs, rhs)
 
     def test_rhs_exact_rational(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         plan = plan_thinning(T, BOUNDED.tail_bound, 16)
         _, rhs, _ = mixture_approximation_check(BOUNDED, T, 16, plan, 200, seed=8)
         from fractions import Fraction
@@ -445,7 +444,7 @@ class TestNoiseColumnsOracle:
     @pytest.mark.parametrize("theorem", ["clt", "trimmed-clt"])
     @pytest.mark.parametrize("name", list(ORACLE_MODELS))
     def test_permuted_statistic_matches_full_layout(self, name, theorem, perm_kind):
-        model, T = ORACLE_MODELS[name], make_theorem(theorem)
+        model, T = ORACLE_MODELS[name], RegularLimitTheorem(theorem)
         perm = {
             "identity": identity_permutation(self.K),
             "reverse": reverse_permutation(self.K),
@@ -475,7 +474,7 @@ class TestNoiseColumnsOracle:
 
 @st.composite
 def block_cases(draw):
-    """(``_CHUNK_ELEMENTS``, M): 1-row, odd-sized or whole-chunk row blocks.
+    """(``BLOCK_ELEMENTS``, M): 1-row, odd-sized or whole-chunk row blocks.
 
     One-row blocks run one ``_draw`` per run, so their M stays small.
     """
@@ -493,7 +492,7 @@ class TestRowBlocksOracle:
 
     The full-layout reference calls ``map_chunks`` without ``row_blocks``,
     so it draws every run of a chunk in one block, whatever
-    ``_CHUNK_ELEMENTS`` is.
+    ``BLOCK_ELEMENTS`` is.
     """
 
     K = 16
@@ -512,10 +511,10 @@ class TestRowBlocksOracle:
     def test_permuted_statistic_bytes_do_not_depend_on_blocks(
         self, name, theorem, case, threads, seed
     ):
-        model, T = ORACLE_MODELS[name], make_theorem(theorem)
+        model, T = ORACLE_MODELS[name], RegularLimitTheorem(theorem)
         perm = random_permutation(self.K + 9, seed=77)
         elements, m = case
         want = _permuted_statistic_full_layout_reference(model, T, self.K, perm, m, seed, threads)
-        with mock.patch.object(parallel, "_CHUNK_ELEMENTS", elements):
+        with mock.patch.object(parallel, "BLOCK_ELEMENTS", elements):
             got = permuted_statistic(model, T, self.K, perm, m, seed, threads)
         assert _bits(got.values) == _bits(want.values)

@@ -20,7 +20,6 @@ from permutalab import (
     ks_distance,
     lipschitz_probe,
     limit_convergence_check,
-    make_theorem,
     mc_tolerance,
     plan_thinning,
     simulate_fk,
@@ -38,21 +37,21 @@ NO_TAIL = lambda t: 0.0  # noqa: E731 - bounded inputs
 
 class TestCltInstances:
     def test_f1_centers(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         got = T.evaluate(np.array([[2.0]]), DiscreteMeasure.point(0.5), 1)
         assert got[0] == 1.5
 
     def test_f4_hand_value(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         got = T.evaluate(np.array([[1.0, 1.0, -1.0, 1.0]]), RADEMACHER, 4)
         assert got[0] == 1.0
 
     def test_limit_is_standard_normal_for_rademacher(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         assert T.limit(RADEMACHER).variance_atoms == ((1.0, 1.0),)
 
     def test_trimmed_windows(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         assert T.window(1) == (1, 1)
         assert T.window(15) == (1, 15)
         assert T.window(16) == (2, 16)
@@ -62,7 +61,7 @@ class TestCltInstances:
     def test_trimmed_point_mass_drift(self):
         # at a point mass c the trimmed statistic is the deterministic
         # drift -(p_k - 1) c / sqrt(k); the plain variant is exactly 0
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         k, c = 16, 0.7
         p, q = T.window(k)
         x = np.full((1, q - p + 1), c)
@@ -71,11 +70,11 @@ class TestCltInstances:
 
     def test_unknown_name(self):
         with pytest.raises(LabError) as err:
-            make_theorem("lil")
+            RegularLimitTheorem("lil")
         assert err.value.token == "bad-theorem"
 
     def test_windows_monotone(self):
-        T = make_theorem("trimmed-clt")
+        T = RegularLimitTheorem("trimmed-clt")
         prev_p, prev_q = T.window(1)
         for k in range(2, 200):
             p, q = T.window(k)
@@ -85,31 +84,31 @@ class TestCltInstances:
 
 class TestSimulateFk:
     def test_point_mass_plain_is_zero(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         sample = simulate_fk(T, 8, DiscreteMeasure.point(3.0), 50, seed=4)
         assert all(v == 0.0 for v in sample.values)
 
     def test_deterministic(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         a = simulate_fk(T, 4, RADEMACHER, 100, seed=9)
         b = simulate_fk(T, 4, RADEMACHER, 100, seed=9)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_thread_invariance(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         a = simulate_fk(T, 4, RADEMACHER, 9000, seed=9, threads=1)
         b = simulate_fk(T, 4, RADEMACHER, 9000, seed=9, threads=4)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_k1_rademacher_ks_closed_form(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         sample = simulate_fk(T, 1, RADEMACHER, 20_000, seed=13)
         ks = ks_distance(empirical_measure(sample), T.limit(RADEMACHER))
         phi1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         assert ks == pytest.approx(phi1 - 0.5, abs=0.02)
 
     def test_convergence_table(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         rows = limit_convergence_check(T, RADEMACHER, [1, 16, 100], 20_000, seed=3)
         ks_by_k = dict(rows)
         assert ks_by_k[1] > 0.3
@@ -119,8 +118,10 @@ class TestSimulateFk:
 
     def test_trimmed_close_to_plain_at_large_k(self):
         k, m = 256, 20_000
-        plain = limit_convergence_check(make_theorem("clt"), RADEMACHER, [k], m, seed=8)
-        trimmed = limit_convergence_check(make_theorem("trimmed-clt"), RADEMACHER, [k], m, seed=8)
+        plain, trimmed = (
+            limit_convergence_check(RegularLimitTheorem(name), RADEMACHER, [k], m, seed=8)
+            for name in ("clt", "trimmed-clt")
+        )
         assert abs(plain[0][1] - trimmed[0][1]) <= 0.02
 
     def test_discretized_normal_input(self):
@@ -132,7 +133,7 @@ class TestSimulateFk:
         qs = np.array([(i + 0.5) / 31 for i in range(31)])
         zs = np.array([math.sqrt(2.0) * erfinv(2.0 * q - 1.0) for q in qs])
         mu = DiscreteMeasure(tuple((float(z), 1.0 / 31) for z in zs))
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         rows = dict(limit_convergence_check(T, mu, [1, 16], 20_000, seed=14))
         assert rows[16] <= 0.05
         assert rows[1] > rows[16]
@@ -140,12 +141,12 @@ class TestSimulateFk:
 
 class TestLipschitzProbe:
     def test_bounded_by_one(self):
-        for T in (make_theorem("clt"), make_theorem("trimmed-clt")):
+        for T in (RegularLimitTheorem("clt"), RegularLimitTheorem("trimmed-clt")):
             for k in (1, 4, 16, 64):
                 assert lipschitz_probe(T, k, 150, seed=6) <= 1.0 + 1e-12
 
     def test_single_coordinate_ratio_is_one(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         k = 9
         base = np.zeros((1, k))
         bumped = base.copy()
@@ -158,19 +159,19 @@ class TestLipschitzProbe:
 
 class TestStatisticStability:
     def test_equal_measures(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         lhs, rhs, holds = statistic_stability_check(T, 4, RADEMACHER, RADEMACHER, 4000, seed=2)
         assert holds
         assert lhs <= mc_tolerance(4000)
 
     def test_shifted_rademacher(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         nu = DiscreteMeasure(((-0.9, 0.5), (1.1, 0.5)))
         lhs, rhs, holds = statistic_stability_check(T, 4, RADEMACHER, nu, 10_000, seed=2)
         assert holds, (lhs, rhs)
 
     def test_random_pairs(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         stream = Stream(42424)
         for _ in range(15):
             mu = random_discrete_measure(stream, max_atoms=4)
@@ -183,27 +184,27 @@ class TestStatisticStability:
 class TestThinningPlan:
     def test_plain_clt_infeasible(self):
         with pytest.raises(LabError) as err:
-            plan_thinning(make_theorem("clt"), NO_TAIL, 10)
+            plan_thinning(RegularLimitTheorem("clt"), NO_TAIL, 10)
         assert err.value.token == "plan-infeasible"
 
     def test_trimmed_bounded_inputs_k16(self):
-        plan = plan_thinning(make_theorem("trimmed-clt"), NO_TAIL, 16)
+        plan = plan_thinning(RegularLimitTheorem("trimmed-clt"), NO_TAIL, 16)
         assert plan.k_min == 16
         assert plan.r_at(16) == 1  # min(floor(omega^(1/4)) = 1, p-1 = 1)
 
     def test_rank_grows(self):
-        plan = plan_thinning(make_theorem("trimmed-clt"), NO_TAIL, 300)
+        plan = plan_thinning(RegularLimitTheorem("trimmed-clt"), NO_TAIL, 300)
         assert plan.r_at(16) == 1
         assert plan.r_at(300) == 2  # omega^(1/4) = 300^(1/8) > 2, p - 1 = 3
 
     def test_eps_constraint_post_check(self):
-        plan = plan_thinning(make_theorem("trimmed-clt"), NO_TAIL, 64)
+        plan = plan_thinning(RegularLimitTheorem("trimmed-clt"), NO_TAIL, 64)
         for k in range(plan.k_min, 65):
             rk = plan.r_at(k)
             assert plan.eps_at(rk) * k <= 1.0 / k + 1e-18
 
     def test_eps_decreasing_positive(self):
-        plan = plan_thinning(make_theorem("trimmed-clt"), NO_TAIL, 400)
+        plan = plan_thinning(RegularLimitTheorem("trimmed-clt"), NO_TAIL, 400)
         assert all(e > 0 for e in plan.eps)
         assert all(e1 <= e0 for e0, e1 in zip(plan.eps, plan.eps[1:]))
 
@@ -211,11 +212,11 @@ class TestThinningPlan:
         # a fat tail forces infeasibility even where the window allows r = 1
         fat = lambda t: 1.0  # noqa: E731
         with pytest.raises(LabError) as err:
-            plan_thinning(make_theorem("trimmed-clt"), fat, 20)
+            plan_thinning(RegularLimitTheorem("trimmed-clt"), fat, 20)
         assert err.value.token == "plan-infeasible"
 
     def test_out_of_range_raises(self):
-        plan = plan_thinning(make_theorem("trimmed-clt"), NO_TAIL, 20)
+        plan = plan_thinning(RegularLimitTheorem("trimmed-clt"), NO_TAIL, 20)
         with pytest.raises(LabError):
             plan.r_at(15)
         with pytest.raises(LabError):
@@ -273,10 +274,10 @@ WIDE_100 = DiscreteMeasure(tuple((i / 8.0 - 6.0, 0.01) for i in range(100)))
 @example("clt", 81, RADEMACHER, 1, 300, 3, 4)
 @example("trimmed-clt", 81, WIDE_100, 1001, 4097, 3, 5)
 def test_simulate_fk_bytes_do_not_depend_on_blocks(theorem, k, mu, elements, m, threads, seed):
-    T = make_theorem(theorem)
+    T = RegularLimitTheorem(theorem)
     if elements < T.window_width(k):
         m = min(m, 300)  # one run per block: keep the example short
     want = _simulate_fk_chunk_reference(T, k, mu, m, seed, threads)
-    with mock.patch.object(parallel, "_CHUNK_ELEMENTS", elements):
+    with mock.patch.object(parallel, "BLOCK_ELEMENTS", elements):
         got = simulate_fk(T, k, mu, m, seed, threads)
     assert got.values.tobytes() == want.values.tobytes()

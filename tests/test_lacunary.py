@@ -25,7 +25,6 @@ from permutalab import lacunary
 from permutalab.lacunary import (
     DEFAULT_BITS,
     TWO_PI,
-    _BLOCK_ELEMENTS,
     _ROWS,
     _blocks,
     _frac_tops,
@@ -34,7 +33,7 @@ from permutalab.lacunary import (
     ceil_log2,
     required_bits,
 )
-from permutalab.parallel import map_chunks
+from permutalab.parallel import BLOCK_ELEMENTS, map_chunks
 from permutalab.rng import GOLDEN, Stream, derive_seed, derive_seed_vec, mix64_vec
 from permutalab.sequences import (
     IndexSequence,
@@ -607,10 +606,10 @@ class TestLimbKernel:
         size = _ROWS * points
         widths = [len(b.limb) for b in blocks]
         for b, w in zip(blocks, widths):
-            assert len(b.fs) == 1 or len(b.fs) * w * size <= _BLOCK_ELEMENTS
+            assert len(b.fs) == 1 or len(b.fs) * w * size <= BLOCK_ELEMENTS
         for b, w, nxt in zip(blocks, widths, blocks[1:]):
             grown = max(w, np.count_nonzero(nxt.weight[:, 0]))
-            assert (len(b.fs) + 1) * grown * size > _BLOCK_ELEMENTS
+            assert (len(b.fs) + 1) * grown * size > BLOCK_ELEMENTS
         got = np.concatenate([_frac_tops(xl, b, bits) for b in blocks])
         for row, f in zip(got, fs):
             assert row.tolist() == (_top_floats(xs, f, bits) * (points // len(xs) + 1))[:points]

@@ -671,13 +671,14 @@ class TestKsDistance:
         assert got == pytest.approx(want, abs=1e-12)
         assert round(want, 5) == 0.34134
 
-    def test_two_mixed_normals_grid(self):
-        a = MixedNormal.standard()
-        b = MixedNormal.normal(4.0)
-        # sup_t |Phi(t) - Phi(t/2)| at t where densities cross: 2 sqrt(ln 2 / 1.5)*... check numerically
-        grid = np.linspace(-8, 8, 20001)
-        want = np.max(np.abs(a.cdf_many(grid) - b.cdf_many(grid)))
-        assert ks_distance(a, b) == pytest.approx(want, abs=1e-6)
+    @pytest.mark.parametrize(
+        "g", [MixedNormal.normal(4.0), COIN], ids=["mixed-normal", "discrete"]
+    )
+    def test_first_law_not_discrete(self, g):
+        # the supremum is exact only at the jumps of a discrete first law
+        with pytest.raises(LabError) as err:
+            ks_distance(MixedNormal.standard(), g)
+        assert err.value.token == "ks-not-discrete"
 
     def test_empirical_vs_step(self):
         emp = empirical_measure(EmpiricalSample((0.0, 0.0, 1.0, 2.0)))
@@ -749,6 +750,7 @@ class TestMixtureBounds:
 
     @pytest.mark.parametrize("weights", [
         (), (-0.5, 1.5), (0.5, 0.4), (math.nan,), (math.inf,), (0.5, math.nan),
+        (0.5 + 4e-10, 0.5),  # within 1e-9 of 1, not within MASS_TOL: was bad-measure
     ])
     def test_random_measure_bad_weights(self, weights):
         # the P(A_i) of a random measure must be finite, >= 0 and sum to 1

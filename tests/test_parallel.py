@@ -11,12 +11,12 @@ import pytest
 from permutalab import (
     DiscreteMeasure,
     ExchangeableModel,
-    make_theorem,
+    RegularLimitTheorem,
     permuted_statistic,
     random_permutation,
     simulate_fk,
 )
-from permutalab.parallel import CHUNK, _CHUNK_ELEMENTS, map_chunks, row_blocks
+from permutalab.parallel import BLOCK_ELEMENTS, CHUNK, map_chunks, row_blocks
 
 
 def _recorded(total: int, threads: int, width: int | None):
@@ -34,11 +34,11 @@ def _recorded(total: int, threads: int, width: int | None):
 
 
 class TestChunks:
-    @pytest.mark.parametrize("width", [None, 1, 397, 1191, _CHUNK_ELEMENTS, 10**9])
+    @pytest.mark.parametrize("width", [None, 1, 397, 1191, BLOCK_ELEMENTS, 10**9])
     @pytest.mark.parametrize("total", [1, 255, 4096, 4097, 9000])
     def test_cover_the_range_in_order_for_any_threads(self, total, width):
         runs = {threads: _recorded(total, threads, width) for threads in (1, 2, 3)}
-        rows = CHUNK if width is None else max(1, min(CHUNK, _CHUNK_ELEMENTS // width))
+        rows = CHUNK if width is None else max(1, min(CHUNK, BLOCK_ELEMENTS // width))
         for values, calls in runs.values():
             assert values.tolist() == list(range(total))
             # contiguous calls from 0 to total; a call ends at a chunk end
@@ -53,11 +53,11 @@ class TestChunks:
         assert runs[1][1] == runs[2][1] == runs[3][1]
 
     def test_block_rows_follow_the_row_width(self):
-        for width, rows in ((1, CHUNK), (400, _CHUNK_ELEMENTS // 400),
-                            (_CHUNK_ELEMENTS, 1), (10 * _CHUNK_ELEMENTS, 1)):
+        for width, rows in ((1, CHUNK), (400, BLOCK_ELEMENTS // 400),
+                            (BLOCK_ELEMENTS, 1), (10 * BLOCK_ELEMENTS, 1)):
             _, calls = _recorded(CHUNK, 1, width)
             assert calls[0] == (0, rows)
-        assert 1 < _CHUNK_ELEMENTS // 400 < CHUNK
+        assert 1 < BLOCK_ELEMENTS // 400 < CHUNK
 
 
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
@@ -81,11 +81,11 @@ def _peak_mb(call) -> float:
 class TestWideDrawMemory:
     def test_permuted_statistic(self):
         model = ExchangeableModel(((0.5, RADEMACHER), (0.5, WIDE)))
-        T, perm = make_theorem("trimmed-clt"), random_permutation(400, 3)
+        T, perm = RegularLimitTheorem("trimmed-clt"), random_permutation(400, 3)
         peak = _peak_mb(lambda: permuted_statistic(model, T, 400, perm, 8192, 1, threads=1))
         assert peak < PEAK_BOUND_MB
 
     def test_simulate_fk(self):
-        T = make_theorem("clt")
+        T = RegularLimitTheorem("clt")
         peak = _peak_mb(lambda: simulate_fk(T, 400, RADEMACHER, 8192, 2, threads=1))
         assert peak < PEAK_BOUND_MB
