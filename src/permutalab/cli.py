@@ -158,13 +158,11 @@ def _cmd_gen_seq(args) -> tuple[dict, dict]:
             raise LabError("bad-config", "--q is required for kind=hadamard")
         seq = gen_hadamard(args.q, args.n1, args.N)
         check = check_hadamard(seq, args.q) if len(seq) >= 2 else True
-    elif args.kind == "erdos":
+    else:
         if args.c is None or args.alpha is None:
             raise LabError("bad-config", "--c and --alpha are required for kind=erdos")
         seq = gen_erdos(args.c, args.alpha, args.n1, args.N)
         check = check_erdos(seq, args.c, args.alpha) if len(seq) >= 2 else True
-    else:
-        raise LabError("bad-config", f"unknown kind {args.kind!r}")
     summary = {
         "kind": args.kind,
         "n_terms": len(seq),
@@ -291,10 +289,8 @@ def _cmd_plot(args) -> tuple[dict, dict]:
     rows = table_rows(_read_text(getattr(args, "in")), "table", expected, parse)
     if args.kind == "cdf-overlay":
         svg = render_cdf_overlay([r[0] for r in rows])
-    elif args.kind == "trajectory":
-        svg = render_trajectory([(r[-2], r[-1]) for r in rows])
     else:
-        raise LabError("bad-config", f"unknown plot kind {args.kind!r}")
+        svg = render_trajectory([(r[-2], r[-1]) for r in rows])
     return {args.out: svg}, {"kind": args.kind, "points": len(rows)}
 
 

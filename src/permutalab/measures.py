@@ -135,16 +135,19 @@ class DiscreteMeasure:
         Positions merge when they are equal as doubles; the merged atom keeps
         the first position seen, so ``(-0.0, a), (0.0, b)`` gives ``-0.0``.
         """
-        merged: dict[float, float] = {}
-        for p, m in pairs:
-            p = float(p)
-            merged[p] = merged.get(p, 0.0) + float(m)
-        return cls(tuple(sorted(merged.items())))
+        return cls(_merged(pairs))
 
     @classmethod
     def mixture(cls, components) -> "DiscreteMeasure":
-        """The mixture sum_i w_i law_i of ``(w, law)`` pairs, via :meth:`from_pairs`."""
-        return cls.from_pairs((p, w * m) for w, law in components for p, m in law.atoms)
+        """The mixture sum_i w_i law_i of ``(w, law)`` pairs, merged as in :meth:`from_pairs`.
+
+        A total off 1 by more than ``MASS_TOL`` but at most ``(1 + MASS_TOL)**2 - 1`` is rescaled.
+        """
+        atoms = _merged((p, w * m) for w, law in components for p, m in law.atoms)
+        total = float(np.sum([m for _, m in atoms]))
+        if MASS_TOL < abs(total - 1.0) <= (1.0 + MASS_TOL) ** 2 - 1.0:
+            atoms = tuple((p, m / total) for p, m in atoms)
+        return cls(atoms)
 
     @classmethod
     def point(cls, c: float) -> "DiscreteMeasure":
@@ -206,6 +209,13 @@ class DiscreteMeasure:
     def tail_prob(self, t: float) -> float:
         """P(|X| >= t)."""
         return float(self._mass[np.abs(self._pos) >= t].sum())
+
+
+def _merged(pairs) -> tuple[tuple[float, float], ...]:
+    merged: dict[float, float] = {}
+    for p, m in pairs:
+        merged[float(p)] = merged.get(float(p), 0.0) + float(m)
+    return tuple(sorted(merged.items()))
 
 
 def empirical_measure(sample: EmpiricalSample) -> DiscreteMeasure:

@@ -45,7 +45,8 @@ stopped: the columns in ``[lo_{i-1}, p)`` are used up, and those left of
 at ``max(p, lo_i)``.  ``_transport`` advances ``lo``, ``end`` and ``p`` row
 by row in one pass, O(n + m) time and memory per probe, and returns the
 flow with the largest distance inside the windows and the smallest outside
-them: the candidates next to ``d``.
+them: the candidates next to ``d``.  At ``d = inf`` every pair is in range
+and the fill is the northwest corner rule, which ships a coupling's residual.
 
 ``prohorov_oracle`` is the independent verification path: it enumerates
 subsets of the supports and bisects on the defining inequalities directly.
@@ -251,9 +252,9 @@ def strassen_coupling(
     """A coupling whose mass outside distance eps is at most eps, or None.
 
     The coupling is a read-only float matrix of joint masses, rows the
-    atoms of ``mu`` and columns those of ``nu``.  When feasible, it ships
-    the maximal in-range mass; the residual is matched northwest-style so
-    the marginals are exact to the integer scale (error < 1e-12 per atom).
+    atoms of ``mu`` and columns those of ``nu``.  When feasible, it ships the
+    maximal in-range mass, then the residual by the same fill with every pair
+    in range: the marginals are exact to the integer scale (< 1e-12 per atom).
     An eps that is not >= 0, NaN included, raises ``bad-eps``.
     """
     if not eps >= 0:
@@ -266,25 +267,13 @@ def strassen_coupling(
     flow, _, _ = _transport(x, y, ia, ib, float(eps), triples)
     if (MASS_SCALE - flow) / MASS_SCALE > eps:
         return None
-
+    for i, j, t in triples:  # ia and ib become the residual masses
+        ia[i] -= t
+        ib[j] -= t
+    _transport(x, y, ia, ib, math.inf, triples)
     grid = np.zeros((len(x), len(y)), dtype=np.int64)
-    for i, j, t in triples:
-        grid[i, j] += t
-    res_row = np.array(ia) - grid.sum(axis=1)
-    res_col = np.array(ib) - grid.sum(axis=0)
-    i = j = 0
-    nrows, ncols = grid.shape
-    while i < nrows and j < ncols:
-        if res_row[i] == 0:
-            i += 1
-            continue
-        if res_col[j] == 0:
-            j += 1
-            continue
-        t = min(int(res_row[i]), int(res_col[j]))
-        grid[i, j] += t
-        res_row[i] -= t
-        res_col[j] -= t
+    rows, cols, ts = zip(*triples)
+    np.add.at(grid, (rows, cols), ts)
     coupling = grid.astype(float) / MASS_SCALE
     coupling.flags.writeable = False
     return coupling

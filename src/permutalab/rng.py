@@ -5,8 +5,8 @@ whose seeds come from :func:`derive_seed`.  splitmix64 is counter-based:
 the ``t``-th output of a stream is ``mix64(seed + (t+1) * GOLDEN)``, a pure
 function of ``(seed, t)``.  Two consequences we rely on everywhere:
 
-* any contiguous block of draws can be produced in one vectorized numpy
-  call (:meth:`Stream.u64_block`), bit-identical to the scalar path;
+* any block of draws can be produced in one vectorized numpy call
+  (:func:`uniform_columns`), bit-identical to the scalar path;
 * per-task streams are derived as ``derive_seed(master, task, index)``,
   so results never depend on how work is chunked across threads.
 
@@ -84,10 +84,7 @@ def derive_seed_vec(master: int, indices: np.ndarray, *prefix: int | str) -> np.
 
     Matches the scalar function exactly for ``0 <= i < 2**64``.
     """
-    z = mix64(master & _MASK64)
-    for part in prefix:
-        z = mix64((z + GOLDEN + _fold_part(part)) & _MASK64)
-    base = _U((z + GOLDEN) & _MASK64)
+    base = _U((derive_seed(master, *prefix) + GOLDEN) & _MASK64)
     return mix64_vec(base + indices.astype(np.uint64))
 
 
@@ -124,14 +121,9 @@ class Stream:
             if u < limit:
                 return u % n
 
-    def u64_block(self, count: int) -> np.ndarray:
-        lo = self._count + 1
-        self._count += count
-        idx = np.arange(lo, lo + count, dtype=np.uint64)
-        return mix64_vec(_U(self.seed) + idx * _U(GOLDEN))
-
     def uniform_block(self, count: int) -> np.ndarray:
-        return (self.u64_block(count) >> _U(11)) * 2.0**-53
+        start, self._count = self._count, self._count + count
+        return uniform_columns(np.array([self.seed]), np.arange(start, self._count))[0]
 
 
 def uniform_columns(seeds: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -8,9 +8,8 @@ input produces identical bytes.
 
 from __future__ import annotations
 
-import math
-
 from .errors import LabError
+from .measures import MixedNormal
 
 _W, _H = 800, 600
 _ML, _MR, _MT, _MB = 60, 40, 40, 40
@@ -61,7 +60,7 @@ def render_cdf_overlay(values: list[float]) -> str:
     steps.append((hi, 1.0))
     stair = [(fx(a), fy(b)) for a, b in steps]
     grid = [lo + (hi - lo) * t / 200 for t in range(201)]
-    ref = [(fx(t), fy(0.5 * math.erfc(-t / math.sqrt(2.0)))) for t in grid]
+    ref = [(fx(t), fy(c)) for t, c in zip(grid, MixedNormal.standard().cdf_many(grid).tolist())]
     return (
         _HEADER.format(w=_W, h=_H)
         + _axes()

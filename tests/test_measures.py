@@ -17,6 +17,7 @@ from permutalab import (
     empirical_measure,
 )
 from permutalab.measures import (
+    MASS_TOL,
     _COUNT_MAX_ATOMS,
     _phi,
     measure_from_csv,
@@ -257,6 +258,19 @@ class TestMixture:
         raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(laws), max_size=len(laws)))
         comps = tuple(zip((np.array(raw) / sum(raw)).tolist(), laws))
         assert DiscreteMeasure.mixture(comps) == flatten_reference(comps)
+
+    def test_rescales_only_a_total_between_the_tolerances(self):
+        a = DiscreteMeasure(((0.0, 0.5 + 9e-13), (1.0, 0.5)))
+        # off by 1.8e-12, within (1 + MASS_TOL)**2 - 1: rescaled to 1
+        flat = DiscreteMeasure.mixture(((0.5 + 9e-13, a), (0.5, a)))
+        assert abs(flat.masses.sum() - 1.0) <= MASS_TOL
+        # off by 9e-13, within MASS_TOL: the merged masses, untouched
+        comps = ((0.5 + 9e-13, DiscreteMeasure.point(0.0)), (0.5, DiscreteMeasure.point(1.0)))
+        assert DiscreteMeasure.mixture(comps).atoms == ((0.0, 0.5 + 9e-13), (1.0, 0.5))
+        # off by 3.2e-12: beyond both, still bad-measure
+        with pytest.raises(LabError) as err:
+            DiscreteMeasure.mixture(((0.5 + 2.3e-12, a), (0.5, a)))
+        assert err.value.token == "bad-measure"
 
     def test_preserves_mass_and_mean(self):
         stream = Stream(99)

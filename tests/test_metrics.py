@@ -288,6 +288,13 @@ def _cluster(stream: Stream) -> float:
     return 1e-7 * stream.uniform()
 
 
+def _far_law(stream: Stream) -> DiscreteMeasure:
+    """Atoms in [0, 1) or, half the time, in [2, 3): two laws drawn apart are
+    farther apart than their spread, and most of their coupling is residual."""
+    shift = 2.0 * stream.below(2)
+    return _law(stream, 1 + stream.below(29), lambda s: shift + s.uniform())
+
+
 def _normal_law(seed: int, n: int, shift: float, scale: float) -> DiscreteMeasure:
     """n distinct normal draws of mass 1/n, as the benchmark's Prohorov input."""
     rnd = random.Random(f"normal-law:{seed}:{shift}")
@@ -429,8 +436,9 @@ class TestOnePassTransport:
             (11, lambda s: _tied_law(s, 1 + s.below(17))),
             (12, lambda s: _law(s, 1 + s.below(29), _wide)),
             (13, lambda s: _law(s, 1 + s.below(29), _cluster)),
+            (14, _far_law),
         ],
-        ids=["ties", "wide-magnitudes", "1e-7-clusters"],
+        ids=["ties", "wide-magnitudes", "1e-7-clusters", "far-apart"],
     )
     def test_coupling_equals_union_find_oracle(self, seed, draw):
         stream = Stream(seed)
@@ -768,6 +776,10 @@ class TestMixtureBounds:
         triples = [(0.5, COIN, COIN), (0.5, RADEMACHER, RADEMACHER)]
         lhs, holds = mixture_bound_check(triples, 0.1)
         assert lhs == 0.0 and holds
+        # weights and a law each within MASS_TOL of 1 mix to a total of
+        # 1 + 1.8e-12, which the mixture rescales to 1
+        a = DiscreteMeasure(((0.0, 0.5 + 9e-13), (1.0, 0.5)))
+        assert mixture_bound_check([(0.5 + 9e-13, a, a), (0.5, a, a)], 0.1) == (0.0, True)
 
     def test_random_measure_one_far_component(self):
         triples = [(0.08, D0, DiscreteMeasure.point(7.0)), (0.92, COIN, COIN)]

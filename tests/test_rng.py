@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from permutalab.rng import Stream, uniform_columns
+from permutalab.rng import Stream, derive_seed, derive_seed_vec, uniform_columns
 
 
 class TestBelow:
@@ -29,5 +29,20 @@ def test_uniform_columns_match_stream_draws():
     u = uniform_columns(seeds, cols)
     for row, seed in zip(u, seeds.tolist()):
         stream = Stream(seed)
-        want = [stream.uniform()] + stream.uniform_block(39).tolist()
+        want = [stream.uniform() for _ in cols]
         assert row.tobytes() == np.array(want).tobytes()
+
+
+def test_uniform_block_continues_the_scalar_draws():
+    stream, ref = Stream(2**64 - 3), Stream(2**64 - 3)
+    got = [stream.uniform()] + stream.uniform_block(5).tolist() + [stream.uniform()]
+    assert got == [ref.uniform() for _ in range(7)]
+    assert stream._count == ref._count == 7
+
+
+@pytest.mark.parametrize("master", [0, 7, -1, -(2**70), 2**64, 2**64 + 5, 2**90])
+@pytest.mark.parametrize("prefix", [(), ("perm-stat",), (3,), ("fk", 2**64 - 1, -4)])
+def test_derive_seed_vec_equals_the_scalar_fold(master, prefix):
+    idx = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    want = [derive_seed(master, *prefix, i) for i in idx.tolist()]
+    assert derive_seed_vec(master, idx, *prefix).tolist() == want
