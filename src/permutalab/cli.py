@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -256,16 +257,7 @@ def _cmd_exchangeable(args) -> tuple[dict, dict]:
     report = permutation_invariance_check(
         model, T, args.k, perms, args.M, args.seed, threads=args.threads
     )
-    payload = {
-        "ks_to_limit": list(report.ks_to_limit),
-        "max_pairwise_ks": report.max_pairwise_ks,
-        "tol_limit": report.tol_limit,
-        "tol_pairwise": report.tol_pairwise,
-        "holds": report.holds,
-        "perms": args.perms,
-        "k": args.k,
-        "M": args.M,
-    }
+    payload = {**dataclasses.asdict(report), "perms": args.perms, "k": args.k, "M": args.M}
     return {args.out: _json(payload)}, payload
 
 

@@ -250,8 +250,6 @@ def permuted_statistic(
     coordinates p_k..q_k of the permuted sequence with the drawn atom's law
     as the measure argument.
     """
-    if m < 1:
-        raise LabError("bad-count", "need M >= 1")
     p, q = T.window(k)
     if len(perm) < q:
         raise LabError("perm-size", "permutation shorter than the window end")

@@ -95,8 +95,6 @@ def simulate_fk(
     Runs are drawn in row blocks sized by the window width
     (``parallel.row_blocks``); each run's values depend only on its index.
     """
-    if m < 1:
-        raise LabError("bad-count", "need M >= 1")
     width = T.window_width(k)
 
     def run(start: int, count: int) -> np.ndarray:

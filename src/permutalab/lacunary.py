@@ -1,11 +1,12 @@
 """Lacunary trigonometric sums in fixed-point arithmetic, with CLT/LIL runs.
 
-The sample point x lives on [0, 1) as a B-bit fixed-point value, so
-``n * x mod 1`` is a single integer multiply-and-mask.  All sample points
-here are B-bit values (drawn as B raw bits), so the reduction is exact.
-The precision has one rule: B is ``required_bits(max n)``, the smallest
-multiple of 64 that is at least 256 and leaves at least 64 significant
-fractional bits (``ceil(log2 n) + 65 <= B``).  Both drivers run at that B.
+The sample point x lives on [0, 1) as a B-bit fixed-point value (B raw
+bits of ``rng`` words), so ``n * x mod 1`` is an exact integer
+multiply-and-mask.  The precision has one rule: B is
+``required_bits(max n)``, the smallest multiple of 64 that is at least 256
+and leaves at least 64 significant fractional bits
+(``ceil(log2 n) + 65 <= B``).  Both drivers run at that B, and the kernel
+reads it off the points' limbs (:func:`_x_limbs`): B is 32 x the rows.
 
 Summation order in the CLT sums is canonicalized (frequencies sorted
 ascending), so the floating-point value is exactly invariant under
@@ -72,7 +73,7 @@ import numpy as np
 from .errors import LabError
 from .measures import EmpiricalSample
 from .parallel import BLOCK_ELEMENTS, map_chunks
-from .rng import GOLDEN, derive_seed_vec, mix64_vec
+from .rng import _words, derive_seed_vec
 from .sequences import IndexSequence, Permutation, apply_permutation
 
 TWO_PI = 2.0 * math.pi
@@ -100,23 +101,23 @@ def required_bits(max_n: int) -> int:
 def _x_limbs(seed: int, label: str, start: int, count: int, bits: int) -> np.ndarray:
     """32-bit limbs of the B-bit sample points of indices [start, start+count).
 
-    Row ``i`` holds bits ``[32 i, 32 i + 32)`` of every point.  Point ``s``
-    is the little-endian concatenation of draws ``1..B/64`` of the stream
-    ``derive_seed(seed, label, s)``: the value
-    ``Stream(derive_seed(seed, label, s)).bits(B)``.
+    Row ``i`` of the ``B/32`` rows holds bits ``[32 i, 32 i + 32)`` of every
+    point.  Point ``s`` is the little-endian concatenation of words
+    ``1..B/64`` (``rng._words``) of the stream ``derive_seed(seed, label, s)``:
+    the value ``Stream(derive_seed(seed, label, s)).bits(B)``.
     """
     words = bits // 64
     seeds = derive_seed_vec(seed, np.arange(start, start + count), label)
-    cols = np.arange(1, words + 1, dtype=np.uint64) * _U(GOLDEN)
-    u = mix64_vec(cols[:, None] + seeds[None, :])
+    u = _words(seeds, np.arange(words)).T
     limbs = np.empty((2 * words, count), dtype=np.uint64)
     np.bitwise_and(u, _M32, out=limbs[0::2])
     np.right_shift(u, _U(32), out=limbs[1::2])
     return limbs
 
 
-def _bigint_tops(xl: np.ndarray, f: int, bits: int) -> np.ndarray:
+def _bigint_tops(xl: np.ndarray, f: int) -> np.ndarray:
     """``(f * x mod 2**B) >> (B - 64)`` in Python integers, one uint64 per column."""
+    bits = 32 * len(xl)
     mask = (1 << bits) - 1
     xs = (int.from_bytes(col.tobytes(), "little") for col in xl.T.astype("<u4"))
     return np.fromiter((((f * x) & mask) >> (bits - 64) for x in xs), dtype=np.uint64)
@@ -137,16 +138,17 @@ class _Block(NamedTuple):
     slack: np.ndarray
 
 
-def _blocks(fs, bits: int, points: int) -> list[_Block]:
-    """fs in order, cut into the blocks that :func:`_frac_tops` reduces at once.
+def _blocks(fs, xl: np.ndarray) -> list[_Block]:
+    """fs in order, cut into the blocks that :func:`_frac_tops` reduces at once on xl.
 
     A block grows while its gather, ``_ROWS x (nonzero limbs of its widest
-    frequency) x frequencies x points`` uint64 products, stays within
+    frequency) x frequencies x (columns of xl)`` uint64 products, stays within
     ``BLOCK_ELEMENTS``; a block holds at least one frequency.  The limbs
     of every frequency are found in one pass over fs.
     """
-    raw = b"".join(f.to_bytes(bits // 8, "little") for f in fs)
-    fl = np.frombuffer(raw, dtype="<u4").reshape(len(fs), bits // 32)
+    points = xl.shape[1]
+    raw = b"".join(f.to_bytes(4 * len(xl), "little") for f in fs)
+    fl = np.frombuffer(raw, dtype="<u4").reshape(len(fs), len(xl))
     fk, j = np.nonzero(fl)
     counts = np.bincount(fk, minlength=len(fs))
     slot = np.arange(len(fk)) - np.searchsorted(fk, fk)
@@ -165,14 +167,14 @@ def _blocks(fs, bits: int, points: int) -> list[_Block]:
     return [_Block(fs[a:b], limb[:w, a:b], weight[:w, a:b], slack[a:b]) for a, b, w in edges]
 
 
-def _frac_tops(xl: np.ndarray, block: _Block, bits: int) -> np.ndarray:
+def _frac_tops(xl: np.ndarray, block: _Block) -> np.ndarray:
     """Bits ``[B-64, B)`` of ``f * x mod 2**B``, as doubles, for each f of the block.
 
     ``xl`` holds the limbs of x (:func:`_x_limbs`); row k of the result
     holds the values of ``block.fs[k]`` at every column of xl.  See the
     module docstring for the layout and for why the result is exact.
     """
-    g = bits // 32 - 3  # the guard row
+    g = len(xl) - 3  # the guard row
     fs, limb, weight, slack = block
     m, points = len(limb), xl.shape[1]
     i = np.arange(g - 1, g - 1 + _ROWS)[:, None, None] - limb  # x limb of each product position
@@ -195,13 +197,13 @@ def _frac_tops(xl: np.ndarray, block: _Block, bits: int) -> np.ndarray:
     near = np.flatnonzero((rows[1] & _M32).reshape(len(fs), points) >= slack[:, None])
     for k in set((near // points).tolist()):
         cols = near[near // points == k] % points
-        word[k, cols] = _bigint_tops(xl[:, cols], fs[k], bits)
+        word[k, cols] = _bigint_tops(xl[:, cols], fs[k])
     return word.astype(np.float64)
 
 
-def _sines(xl: np.ndarray, block: _Block, bits: int) -> np.ndarray:
+def _sines(xl: np.ndarray, block: _Block) -> np.ndarray:
     """``sin(2 pi (f x mod 1))`` for each f of the block, one row per f."""
-    return np.sin(TWO_PI * (_frac_tops(xl, block, bits) * 2.0**-64))
+    return np.sin(TWO_PI * (_frac_tops(xl, block) * 2.0**-64))
 
 
 def clt_sample(
@@ -222,8 +224,6 @@ def clt_sample(
     """
     if n < 1 or n > len(seq):
         raise LabError("bad-count", "need 1 <= N <= len(seq)")
-    if m < 1:
-        raise LabError("bad-count", "need M >= 1")
     if norm == "sqrtN_over_2":
         divisor = math.sqrt(n / 2.0)
     elif norm == "sqrtN":
@@ -236,8 +236,8 @@ def clt_sample(
     def run(start: int, count: int) -> np.ndarray:
         xl = _x_limbs(seed, "clt-x", start, count, b)
         acc = np.zeros(count)
-        for block in _blocks(freqs, b, count):
-            for row in _sines(xl, block, b):
+        for block in _blocks(freqs, xl):
+            for row in _sines(xl, block):
                 acc += row
         return acc / divisor
 
@@ -270,10 +270,10 @@ def lil_trajectory(seq: IndexSequence, xs: int, n_max: int, seed: int = 0) -> Li
     if n_max > len(seq):
         raise LabError("bad-count", "N_max exceeds sequence length")
     bits = required_bits(seq.values[n_max - 1])
-    return _lil_limbs(seq.values[:n_max], _x_limbs(seed, "lil-x", 0, xs, bits), bits)
+    return _lil_limbs(seq.values[:n_max], _x_limbs(seed, "lil-x", 0, xs, bits))
 
 
-def _lil_limbs(freqs, xl: np.ndarray, bits: int) -> LilTrajectory:
+def _lil_limbs(freqs, xl: np.ndarray) -> LilTrajectory:
     """The LIL statistics along freqs, in order, at the points of xl (:func:`_x_limbs`).
 
     Each block's running sums are one ``np.cumsum`` seeded with the last
@@ -287,8 +287,8 @@ def _lil_limbs(freqs, xl: np.ndarray, bits: int) -> LilTrajectory:
     s = np.zeros(points)
     best = np.full(points, -math.inf)
     done = 0  # terms summed before the block
-    for block in _blocks(freqs, bits, points):
-        t = _sines(xl, block, bits)
+    for block in _blocks(freqs, xl):
+        t = _sines(xl, block)
         t[0] += s
         t = np.cumsum(t, axis=0)
         s = t[-1]
@@ -300,4 +300,4 @@ def _lil_limbs(freqs, xl: np.ndarray, bits: int) -> LilTrajectory:
             peak = l_n[l_n.argmax(axis=0), np.arange(points)]
             best = np.where(peak > best, peak, best)
         done += len(block.fs)
-    return LilTrajectory(first, best, bits)
+    return LilTrajectory(first, best, 32 * len(xl))

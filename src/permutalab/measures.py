@@ -102,8 +102,8 @@ class DiscreteMeasure:
     """Finite atomic probability measure with strictly increasing positions."""
 
     atoms: tuple[tuple[float, float], ...]
-    _pos: np.ndarray = field(init=False, repr=False, compare=False)
-    _mass: np.ndarray = field(init=False, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
     # cumulative masses after a leading 0.0: _cum0[i] = F(t) with i atoms <= t
     _cum0: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -122,7 +122,7 @@ class DiscreteMeasure:
         if abs(total - 1.0) > MASS_TOL:
             raise LabError("bad-measure", f"masses sum to {total!r}, not 1")
         cum0 = np.concatenate(([0.0], np.cumsum(mass)))
-        for name, arr in (("_pos", pos), ("_mass", mass), ("_cum0", cum0)):
+        for name, arr in (("positions", pos), ("masses", mass), ("_cum0", cum0)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -155,21 +155,13 @@ class DiscreteMeasure:
 
     # -- queries ------------------------------------------------------
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self._pos
-
-    @property
-    def masses(self) -> np.ndarray:
-        return self._mass
-
     def cdf_many(self, ts: np.ndarray) -> np.ndarray:
         """Right-continuous distribution function F(t)."""
-        return self._cum0[np.searchsorted(self._pos, ts, side="right")]
+        return self._cum0[np.searchsorted(self.positions, ts, side="right")]
 
     def cdf_left_many(self, ts: np.ndarray) -> np.ndarray:
         """Left limits F(t-)."""
-        return self._cum0[np.searchsorted(self._pos, ts, side="left")]
+        return self._cum0[np.searchsorted(self.positions, ts, side="left")]
 
     def quantile_many(self, us: np.ndarray) -> np.ndarray:
         """Positions of the atoms the uniforms ``us`` invert to, in their shape.
@@ -180,7 +172,7 @@ class DiscreteMeasure:
         64 atoms count thresholds, larger ones use binary search; both give
         the same atoms (:func:`inverse_index`).
         """
-        return self._pos.take(inverse_index(self._cum0[1:], us))
+        return self.positions.take(inverse_index(self._cum0[1:], us))
 
     def sample(self, m: int, seed: int) -> EmpiricalSample:
         """m i.i.d. draws; deterministic for a fixed seed."""
@@ -197,18 +189,18 @@ class DiscreteMeasure:
         that overflows; that raises ``bad-measure``.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(np.dot(self._pos, self._mass))
-            var = float(np.dot((self._pos - mean) ** 2, self._mass))
+            mean = float(np.dot(self.positions, self.masses))
+            var = float(np.dot((self.positions - mean) ** 2, self.masses))
         if not math.isfinite(var):
             raise LabError("bad-measure", "second moment overflows the double range")
         return mean, var
 
     def jump_points(self) -> np.ndarray:
-        return self._pos
+        return self.positions
 
     def tail_prob(self, t: float) -> float:
         """P(|X| >= t)."""
-        return float(self._mass[np.abs(self._pos) >= t].sum())
+        return float(self.masses[np.abs(self.positions) >= t].sum())
 
 
 def _merged(pairs) -> tuple[tuple[float, float], ...]:

@@ -8,7 +8,7 @@ at a time, so that each block's arrays stay near a core's L2 cache.  Chunk
 and block sizes depend only on the sample count and the row width, never
 on ``threads``, and every sample is computed from seeds derived from its
 own index, so outputs are bit-identical for any ``threads`` value and any
-block size.
+block size.  :func:`map_chunks` rejects a total below 1 with ``bad-count``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
+
+from .errors import LabError
 
 CHUNK = 4096
 
@@ -35,7 +37,9 @@ BLOCK_ELEMENTS = 256 * 400
 def map_chunks(
     total: int, fn: Callable[[int, int], np.ndarray], threads: int = 1
 ) -> np.ndarray:
-    """Concatenate fn(start, count) over fixed chunks of the index range."""
+    """Concatenate fn(start, count) over fixed chunks of the index range [0, total)."""
+    if total < 1:
+        raise LabError("bad-count", "need M >= 1")
     tasks = [(start, min(CHUNK, total - start)) for start in range(0, total, CHUNK)]
     if threads <= 1 or len(tasks) <= 1:
         parts = [fn(s, c) for s, c in tasks]

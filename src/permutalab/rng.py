@@ -3,7 +3,9 @@
 All Monte Carlo code in this package draws from :class:`Stream` objects
 whose seeds come from :func:`derive_seed`.  splitmix64 is counter-based:
 the ``t``-th output of a stream is ``mix64(seed + (t+1) * GOLDEN)``, a pure
-function of ``(seed, t)``.  Two consequences we rely on everywhere:
+function of ``(seed, t)``.  The rule is stated twice, for one word
+(``Stream.u64``) and for a matrix of words (``_words``); every other draw
+reads one of the two.  Two consequences we rely on everywhere:
 
 * any block of draws can be produced in one vectorized numpy call
   (:func:`uniform_columns`), bit-identical to the scalar path;
@@ -126,12 +128,16 @@ class Stream:
         return uniform_columns(np.array([self.seed]), np.arange(start, self._count))[0]
 
 
+def _words(seeds: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """uint64 matrix: entry (i, j) is ``Stream(seeds[i])``'s ``columns[j]+1``-th ``u64()``."""
+    c = (columns.astype(np.uint64) + _U(1)) * _U(GOLDEN)
+    return mix64_vec(seeds.astype(np.uint64)[:, None] + c[None, :])
+
+
 def uniform_columns(seeds: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Matrix of uniforms: row i is draws ``columns`` of the stream ``seeds[i]``.
 
     ``columns`` are zero-based draw indices; entry (i, j) equals what
     ``Stream(seeds[i])`` would return as its ``columns[j]+1``-th uniform.
     """
-    s = seeds.astype(np.uint64)[:, None]
-    c = (columns.astype(np.uint64) + _U(1)) * _U(GOLDEN)
-    return (mix64_vec(s + c[None, :]) >> _U(11)) * 2.0**-53
+    return (_words(seeds, columns) >> _U(11)) * 2.0**-53

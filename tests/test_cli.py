@@ -322,6 +322,8 @@ class TestExitCodes:
             "dio-count": {"--seq": seq_file, "--a": "1", "--b": "-2", "--c": "0",
                           "--N-list": "5"},
             "lil": {"--seq": seq_file, "--Nmax": "5", "--xs": "1"},
+            "clt": {"--seq": seq_file, "--N": "5", "--M": "100"},
+            "permute-clt": {"--seq": seq_file, "--N": "5", "--M": "100", "--perm": "reverse"},
         }[command]
         argv.update(flags)
         return [command, *(str(t) for kv in argv.items() for t in kv),
@@ -393,6 +395,9 @@ class TestExitCodes:
         [
             ("exchangeable", "--M", "0"),
             ("exchangeable", "--k", "0"),
+            ("clt", "--M", "0"),
+            ("permute-clt", "--M", "-1"),
+            ("framework-check", "--M", "0"),
             ("framework-check", "--k-list", "0"),
             ("framework-check", "--k-list", "-3"),
             ("dio-count", "--N-list", "0"),

@@ -461,10 +461,10 @@ def _top_floats(xs: list[int], f: int, bits: int) -> list[float]:
     return [float(frac_mul(FixedPointX(x, bits), f).value >> (bits - 64)) for x in xs]
 
 
-def _one_block(xl: np.ndarray, fs: list[int], bits: int) -> np.ndarray:
+def _one_block(xl: np.ndarray, fs: list[int]) -> np.ndarray:
     """``_frac_tops`` of fs as a single block (few points: the budget never splits it)."""
-    [block] = _blocks(fs, bits, xl.shape[1])
-    return _frac_tops(xl, block, bits)
+    [block] = _blocks(fs, xl)
+    return _frac_tops(xl, block)
 
 
 @contextlib.contextmanager
@@ -473,9 +473,9 @@ def _counting_recomputes():
     original = lacunary._bigint_tops
     seen = []
 
-    def spy(xl, f, bits):
+    def spy(xl, f):
         seen.append((f, xl.shape[1]))
-        return original(xl, f, bits)
+        return original(xl, f)
 
     lacunary._bigint_tops = spy
     try:
@@ -572,7 +572,7 @@ class TestLimbKernel:
         # frequencies with fewer limbs than the block's widest are padded
         # with zero weights; every row must still be its own frequency's
         bits, fs, xs = case
-        got = _one_block(_limbs(xs, bits), fs, bits)
+        got = _one_block(_limbs(xs, bits), fs)
         assert got.shape == (len(fs), len(xs))
         for row, f in zip(got, fs):
             assert row.tolist() == _top_floats(xs, f, bits)
@@ -587,7 +587,7 @@ class TestLimbKernel:
         others = st.lists(st.integers(1, 2 ** (bits - 65)), max_size=3)
         fs = [1] + data.draw(others, label="before") + [f] + data.draw(others, label="after")
         with _counting_recomputes() as seen:
-            got = _one_block(_limbs(xs, bits), fs, bits)
+            got = _one_block(_limbs(xs, bits), fs)
         for row, g in zip(got, fs):
             assert row.tolist() == _top_floats(xs, g, bits)
         assert f in [g for g, _ in seen]
@@ -601,7 +601,7 @@ class TestLimbKernel:
         bits, fs, xs = case
         points = 8192
         xl = np.tile(_limbs(xs, bits), points // len(xs) + 1)[:, :points]
-        blocks = _blocks(fs, bits, points)
+        blocks = _blocks(fs, xl)
         assert [f for b in blocks for f in b.fs] == fs
         size = _ROWS * points
         widths = [len(b.limb) for b in blocks]
@@ -610,7 +610,7 @@ class TestLimbKernel:
         for b, w, nxt in zip(blocks, widths, blocks[1:]):
             grown = max(w, np.count_nonzero(nxt.weight[:, 0]))
             assert (len(b.fs) + 1) * grown * size > BLOCK_ELEMENTS
-        got = np.concatenate([_frac_tops(xl, b, bits) for b in blocks])
+        got = np.concatenate([_frac_tops(xl, b) for b in blocks])
         for row, f in zip(got, fs):
             assert row.tolist() == (_top_floats(xs, f, bits) * (points // len(xs) + 1))[:points]
 
@@ -618,7 +618,7 @@ class TestLimbKernel:
     @given(_limb_cases())
     def test_matches_frac_mul(self, case):
         bits, f, xs = case
-        got = _one_block(_limbs(xs, bits), [f], bits)[0]
+        got = _one_block(_limbs(xs, bits), [f])[0]
         assert got.tolist() == _top_floats(xs, f, bits)
 
     @settings(max_examples=300, deadline=None)
@@ -626,7 +626,7 @@ class TestLimbKernel:
     def test_guard_digit_in_slack_is_recomputed(self, case):
         bits, f, xs = case
         with _counting_recomputes() as seen:
-            got = _one_block(_limbs(xs, bits), [f], bits)[0]
+            got = _one_block(_limbs(xs, bits), [f])[0]
         assert got.tolist() == _top_floats(xs, f, bits)
         assert seen and all(g == f for g, _ in seen)
 
@@ -634,8 +634,8 @@ class TestLimbKernel:
         # a guard digit lands in the slack with probability about 2 m / 2**32
         xl = _x_limbs(3, "clt-x", 0, 4096, 384)
         with _counting_recomputes() as seen:
-            for block in _blocks([1, 3, 2**200 + 12345, 2**319 - 1], 384, 4096):
-                _frac_tops(xl, block, 384)
+            for block in _blocks([1, 3, 2**200 + 12345, 2**319 - 1], xl):
+                _frac_tops(xl, block)
         assert seen == []
 
     @settings(max_examples=200, deadline=None)
@@ -647,7 +647,7 @@ class TestLimbKernel:
         rest = data.draw(st.integers(0, 2 ** (bits - 64) - 1))
         target = ((2**64 - 1) << (bits - 64)) | rest
         x = target * pow(f, -1, 2**bits) % 2**bits
-        got = _one_block(_limbs([x], bits), [f], bits)[0]
+        got = _one_block(_limbs([x], bits), [f])[0]
         assert got.tolist() == _top_floats([x], f, bits) == [2.0**64]
 
     def test_largest_frequency_and_point(self):
@@ -655,7 +655,7 @@ class TestLimbKernel:
             f = 2 ** (bits - 65)
             xs = [2**bits - 1, 1, 2 ** (bits - 1)]
             for g in (f, max(f - 1, 1), min(f, 2 ** ((bits - 65) // 2) + 1)):
-                got = _one_block(_limbs(xs, bits), [g], bits)[0]
+                got = _one_block(_limbs(xs, bits), [g])[0]
                 assert got.tolist() == _top_floats(xs, g, bits)
 
     def test_np_sin_equals_math_sin_on_kernel_outputs(self):
@@ -663,8 +663,8 @@ class TestLimbKernel:
         # the math.sin of the bigint oracles only if the two agree bit for bit
         xl = _x_limbs(11, "clt-x", 0, 4096, 320)
         t = np.concatenate(
-            [_frac_tops(xl, block, 320).ravel() * 2.0**-64
-             for block in _blocks(gen_hadamard(1.5, 1, 246).values, 320, 4096)]
+            [_frac_tops(xl, block).ravel() * 2.0**-64
+             for block in _blocks(gen_hadamard(1.5, 1, 246).values, xl)]
         )
         assert t.size >= 10**6
         got = np.sin(TWO_PI * t)
@@ -684,7 +684,7 @@ class TestLilTrajectory:
 
     def _at(self, *xs: FixedPointX):
         bits = xs[0].bits
-        got = _lil_limbs(self.SEQ.values, _limbs([x.value for x in xs], bits), bits)
+        got = _lil_limbs(self.SEQ.values, _limbs([x.value for x in xs], bits))
         first, maxes = _lil_oracle(self.SEQ, 64, list(xs))
         assert got.first.tobytes() == first.tobytes()
         assert got.max_values.tobytes() == maxes.tobytes()
@@ -733,7 +733,7 @@ def test_lil_matches_bigint_oracle(q, n_max, xs, seed):
     xl = _x_limbs(seed, "lil-x", 0, xs, got.bits)
     if n_max <= 600:
         for i in range(1, xs):
-            rest = _lil_limbs(seq.values[:n_max], xl[:, i:], got.bits)
+            rest = _lil_limbs(seq.values[:n_max], xl[:, i:])
             assert rest.first.tobytes() == _lil_oracle(seq, n_max, points[i:i + 1])[0].tobytes()
 
 
@@ -753,14 +753,14 @@ def test_lil_matches_bigint_oracle_around_a_block_boundary(points):
     # n_max stops one before that edge, on it and one past it
     seq = gen_hadamard(1.5, 1, 1000)
     bits = required_bits(seq.values[-1])
-    blocks = _blocks(seq.values, bits, points)
-    assert (len(blocks) > 1) == (points > 1)
-    edge = len(blocks[0].fs) if len(blocks) > 1 else len(seq) - 1
     xs = [FixedPointX.random(Stream(derive_seed(13, "lil-x", i)), bits) for i in range(points)]
     xl = _limbs([x.value for x in xs], bits)
+    blocks = _blocks(seq.values, xl)
+    assert (len(blocks) > 1) == (points > 1)
+    edge = len(blocks[0].fs) if len(blocks) > 1 else len(seq) - 1
     trajs = [lil_trajectory_bigint(seq, x, edge + 1) for x in xs]
     for n_max in (edge - 1, edge, edge + 1):
-        got = _lil_limbs(seq.values[:n_max], xl, bits)
+        got = _lil_limbs(seq.values[:n_max], xl)
         first = np.array([v for _, v in trajs[0].points[: n_max - 2]])
         maxes = np.array([_first_wins_max(v for _, v in t.points[: n_max - 2]) for t in trajs])
         assert got.first.tobytes() == first.tobytes()

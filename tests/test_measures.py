@@ -289,8 +289,8 @@ class TestMixture:
 
 
 # -- CDF oracles: the three separate routines each law had before they
-# shared one path, copied verbatim (the private ``_cum`` and ``_pos`` of a
-# discrete law read as ``np.cumsum(m.masses)`` and ``m.positions``)
+# shared one path, copied verbatim (a discrete law's private ``_cum`` reads
+# as ``np.cumsum(m.masses)``, and its ``_pos`` as the ``positions`` field)
 
 
 def reference_discrete_cdf(m: DiscreteMeasure, t: float) -> float:

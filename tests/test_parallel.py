@@ -16,6 +16,7 @@ from permutalab import (
     random_permutation,
     simulate_fk,
 )
+from permutalab.errors import LabError
 from permutalab.parallel import BLOCK_ELEMENTS, CHUNK, map_chunks, row_blocks
 
 
@@ -58,6 +59,16 @@ class TestChunks:
             _, calls = _recorded(CHUNK, 1, width)
             assert calls[0] == (0, rows)
         assert 1 < BLOCK_ELEMENTS // 400 < CHUNK
+
+    @pytest.mark.parametrize("total", [0, -3])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_total_below_one_is_bad_count(self, total, threads):
+        calls = []
+        with pytest.raises(LabError) as err:
+            map_chunks(total, lambda s, c: calls.append((s, c)), threads)
+        assert err.value.token == "bad-count"
+        assert str(err.value) == "need M >= 1"
+        assert calls == []
 
 
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
