@@ -4,11 +4,9 @@ Every run resolves its configuration, executes the module operation, and
 writes results into ``--out-dir``: a ``manifest.json`` echoing the full
 resolved config (plus artifact version and wall time), the named CSV/JSON
 tables, and optional SVG plots.  All files are written atomically (temp
-file + rename).  Reals are serialized with ``repr``, which round-trips
-doubles exactly; rerunning a manifest reproduces every table byte for
-byte, for any ``--threads`` value.  JSON files never hold a NaN or an
-infinity: such a number stops the run with ``non-finite`` before any file
-is written.
+file + rename); ``errors.table_text`` writes every table and
+``errors.json_text`` every JSON file, so rerunning a manifest reproduces
+every table byte for byte, for any ``--threads`` value.
 
 Exit codes: 0 ok; 2 for ``bad-config`` (a bad flag, an unreadable input
 file or an unwritable ``--out-dir``), ``malformed-input`` or ``empty-table``
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -31,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import LabError, table_rows
+from .errors import LabError, json_text, table_rows, table_text
 from .exchangeable import model_from_json, strong_law_trajectory, permutation_invariance_check
 from .framework import THEOREMS, RegularLimitTheorem, limit_convergence_check
 from .lacunary import clt_sample, lil_trajectory
@@ -61,29 +58,6 @@ from .svg import render_cdf_overlay, render_trajectory
 
 # error tokens of a bad configuration or input file, reported as exit code 2
 _INPUT_TOKENS = frozenset({"bad-config", "empty-table", "malformed-input"})
-
-
-def _csv(rows) -> str:
-    """A table: one line per row (a tuple), its fields written with ``repr``.
-
-    Fields must be Python ints and floats; convert numpy values with
-    ``tolist()`` first, because numpy 2 writes ``repr(np.float64(x))`` as
-    ``np.float64(x)``.  A table without rows is one newline.
-    """
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return "\n"
-    fmt = ",".join(["%r"] * len(first)) + "\n"
-    return fmt % first + "".join([fmt % row for row in rows])
-
-
-def _json(obj) -> str:
-    """Indented JSON text; a NaN or infinity in ``obj`` raises ``non-finite``."""
-    try:
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise LabError("non-finite", f"cannot write a non-finite number as JSON ({exc})") from None
 
 
 def _umask() -> int:
@@ -178,13 +152,14 @@ def _cmd_gen_seq(args) -> tuple[dict, dict]:
 def _cmd_dio_count(args) -> tuple[dict, dict]:
     seq = IndexSequence.from_csv(_read_text(args.seq))
     rows = diophantine_growth_scan(seq, args.a, args.b, args.c, _parse_ints(args.N_list))
-    return {args.out: _csv(rows)}, {"counts": {str(n): cnt for n, cnt, _ in rows}}
+    return {args.out: table_text(rows)}, {"counts": {str(n): cnt for n, cnt, _ in rows}}
 
 
 def _cmd_clt(args) -> tuple[dict, dict]:
     seq = IndexSequence.from_csv(_read_text(args.seq))
-    perm_n = args.perm_n if args.perm_n is not None else args.N
-    perm = None if args.perm == "identity" else _make_permutation(args.perm, perm_n)
+    # the default domain stops at the sequence: a larger N is bad-count in clt_sample
+    perm_n = args.perm_n if args.perm_n is not None else min(args.N, len(seq))
+    perm = _make_permutation(args.perm, perm_n)
     sample = clt_sample(
         seq, args.N, args.M, norm=args.norm, perm=perm, seed=args.seed, threads=args.threads
     )
@@ -198,7 +173,7 @@ def _cmd_clt(args) -> tuple[dict, dict]:
         "M": args.M,
         "perm": args.perm,
     }
-    return {args.out: _csv(zip(arr.tolist()))}, summary
+    return {args.out: table_text(zip(arr.tolist()))}, summary
 
 
 def _cmd_lil(args) -> tuple[dict, dict]:
@@ -211,8 +186,8 @@ def _cmd_lil(args) -> tuple[dict, dict]:
         "bits": traj.bits,
     }
     tables = {
-        args.out: _csv(zip(range(3, args.Nmax + 1), traj.first.tolist())),
-        "lil_max.csv": _csv(enumerate(traj.max_values.tolist())),
+        args.out: table_text(zip(range(3, args.Nmax + 1), traj.first.tolist())),
+        "lil_max.csv": table_text(enumerate(traj.max_values.tolist())),
     }
     return tables, summary
 
@@ -233,7 +208,7 @@ def _cmd_prohorov(args) -> tuple[dict, dict]:
             summary["agrees"] = None
     if args.coupling:
         coupling = strassen_coupling(mu, nu, dist + 1e-9)
-        tables[args.coupling] = _csv(map(tuple, coupling.tolist()))
+        tables[args.coupling] = table_text(map(tuple, coupling.tolist()))
     print(repr(float(dist)))
     return tables, summary
 
@@ -245,7 +220,7 @@ def _cmd_framework_check(args) -> tuple[dict, dict]:
         T, mu, _parse_ints(args.k_list), args.M, args.seed, threads=args.threads
     )
     summary = {"theorem": args.theorem, "ks": {str(k): ks for k, ks in rows}}
-    return {args.out: _csv(rows)}, summary
+    return {args.out: table_text(rows)}, summary
 
 
 def _cmd_exchangeable(args) -> tuple[dict, dict]:
@@ -258,13 +233,13 @@ def _cmd_exchangeable(args) -> tuple[dict, dict]:
         model, T, args.k, perms, args.M, args.seed, threads=args.threads
     )
     payload = {**dataclasses.asdict(report), "perms": args.perms, "k": args.k, "M": args.M}
-    return {args.out: _json(payload)}, payload
+    return {args.out: json_text(payload)}, payload
 
 
 def _cmd_strong_law(args) -> tuple[dict, dict]:
     model = model_from_json(_read_text(args.model))
     traj = strong_law_trajectory(model, args.p, args.N, args.seed)
-    table = _csv(zip(range(1, args.N + 1), traj.tolist()))
+    table = table_text(zip(range(1, args.N + 1), traj.tolist()))
     return {args.out: table}, {"p": args.p, "N": args.N, "final": float(traj[-1])}
 
 
@@ -400,8 +375,8 @@ def run(args: argparse.Namespace) -> None:
     }
     files = [
         *tables.items(),
-        ("manifest.json", _json(manifest)),
-        ("summary.json", _json(summary)),
+        ("manifest.json", json_text(manifest)),
+        ("summary.json", json_text(summary)),
     ]
     for name, text in files:
         try:

@@ -1,14 +1,15 @@
-"""Error type shared by all modules, and the one reader of text tables.
+"""Error type shared by all modules, and the one reader and writer of text.
 
 Every failure mode that is part of a module contract carries a stable
-short token (e.g. ``"bad-eps"``) that the CLI prints on stderr.  Every
-table the program reads (a measure, a sequence, a table to plot) goes
-through :func:`table_rows`, so a bad line or an empty table ends in the
-same two tokens, ``malformed-input`` and ``empty-table``.
+short token (e.g. ``"bad-eps"``) that the CLI prints on stderr.  Tables
+are read by :func:`table_rows`, so a bad line or an empty table ends in
+``malformed-input`` or ``empty-table``, and written by :func:`table_text`;
+every JSON file is written by :func:`json_text`.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable
 
 
@@ -41,3 +42,26 @@ def table_rows(text: str, what: str, expected: str, parse: Callable[[str], objec
     if not rows:
         raise LabError("empty-table", f"empty {what}")
     return rows
+
+
+def table_text(rows) -> str:
+    """A table: one line per row (a tuple), its fields written with ``repr``.
+
+    Fields must be Python ints and floats; convert numpy values with
+    ``tolist()`` first, because numpy 2 writes ``repr(np.float64(x))`` as
+    ``np.float64(x)``.  A table without rows is one newline.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return "\n"
+    fmt = ",".join(["%r"] * len(first)) + "\n"
+    return fmt % first + "".join([fmt % row for row in rows])
+
+
+def json_text(obj) -> str:
+    """Indented JSON text; a NaN or infinity in ``obj`` raises ``non-finite``."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise LabError("non-finite", f"cannot write a non-finite number as JSON ({exc})") from None

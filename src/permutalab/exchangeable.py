@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import LabError
+from .errors import LabError, json_text
 from .framework import RegularLimitTheorem, ThinningPlan, mc_tolerance, simulate_fk
 from .measures import (
     MASS_TOL,
@@ -266,6 +266,9 @@ def permuted_statistic(
     return EmpiricalSample(map_chunks(m, row_blocks(run, width), threads))
 
 
+_INVARIANCE_TOL = 0.05  # both KS comparisons of permutation_invariance_check
+
+
 @dataclass(frozen=True)
 class PermutationInvarianceReport:
     """Permutation-invariance check: distances to the limit and to each other."""
@@ -284,11 +287,12 @@ def permutation_invariance_check(
     perms: list[Permutation],
     m: int,
     seed: int,
-    tol_limit: float = 0.05,
-    tol_pairwise: float = 0.05,
     threads: int = 1,
 ) -> PermutationInvarianceReport:
-    """Check that every permuted law matches the mixed-normal limit and peers."""
+    """Check that every permuted law matches the mixed-normal limit and peers.
+
+    Both comparisons hold within KS distance 0.05; the report has the distances.
+    """
     if len(perms) < 2:
         raise LabError("bad-count", "need at least two permutations")
     limit = model.limit_mixed_normal()
@@ -302,8 +306,8 @@ def permutation_invariance_check(
     for i in range(len(empirics)):
         for j in range(i + 1, len(empirics)):
             pairwise = max(pairwise, ks_distance(empirics[i], empirics[j]))
-    holds = all(v <= tol_limit for v in ks_lim) and pairwise <= tol_pairwise
-    return PermutationInvarianceReport(ks_lim, pairwise, tol_limit, tol_pairwise, holds)
+    holds = all(v <= _INVARIANCE_TOL for v in ks_lim) and pairwise <= _INVARIANCE_TOL
+    return PermutationInvarianceReport(ks_lim, pairwise, _INVARIANCE_TOL, _INVARIANCE_TOL, holds)
 
 
 def mixture_approximation_check(
@@ -405,7 +409,7 @@ def model_to_json(model: ExchangeableModel) -> str:
         },
         "grid": model.grid,
     }
-    return json.dumps(obj, indent=2)
+    return json_text(obj)
 
 
 def model_from_json(text: str) -> ExchangeableModel:

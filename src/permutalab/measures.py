@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabError, table_rows
+from .errors import LabError, table_rows, table_text
 from .rng import Stream, derive_seed
 
 MASS_TOL = 1e-12
@@ -277,13 +277,9 @@ class MixedNormal:
 # -- serialization ----------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def measure_to_csv(measure: DiscreteMeasure) -> str:
-    """One ``position,mass`` pair per line."""
-    return "\n".join(f"{_fmt(p)},{_fmt(m)}" for p, m in measure.atoms) + "\n"
+    """One ``position,mass`` pair per line (:func:`~permutalab.errors.table_text`)."""
+    return table_text(zip(measure.positions.tolist(), measure.masses.tolist()))
 
 
 def _atom(line: str) -> tuple[float, float]:

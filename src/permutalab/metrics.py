@@ -333,7 +333,7 @@ def mixture_bound_check(
         raise LabError("bad-eps", f"eps={eps!r} must be >= 0")
     pairs = [(c, a, b) for c, a, b in pairs if c > 0]
     heavy = sum(c for c, a, b in pairs if prohorov_distance(a, b) >= eps)
-    if heavy > eps + 1e-12:
+    if heavy > eps + MASS_TOL:
         raise LabError(
             "mixture-bound-precondition",
             f"weight {heavy!r} of far components exceeds eps={eps!r}",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LabError, table_rows
+from .errors import LabError, table_rows, table_text
 from .rng import Stream, derive_seed
 
 
@@ -36,7 +36,7 @@ class IndexSequence:
         return len(self.values)
 
     def to_csv(self) -> str:
-        return "\n".join(str(v) for v in self.values) + "\n"
+        return table_text((int(v),) for v in self.values)
 
     @classmethod
     def from_csv(cls, text: str) -> "IndexSequence":

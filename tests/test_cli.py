@@ -100,6 +100,18 @@ class TestClt:
             tmp_path / "i" / "dist.csv"
         ).read_bytes()
 
+    def test_identity_is_an_ordinary_pattern(self, tmp_path):
+        # an identity permutation longer than N gives the sample of no --perm
+        assert run_cli("gen-seq", "--kind", "hadamard", "--q", "2", "--N", "16",
+                       "--out-dir", str(tmp_path)) == 0
+        outs = []
+        for sub, perm in (("plain", ()), ("identity", ("--perm", "identity", "--perm-n", "16"))):
+            rc = run_cli("clt", "--seq", str(tmp_path / "seq.csv"), "--N", "8", "--M", "50",
+                         *perm, "--out-dir", str(tmp_path / sub))
+            assert rc == 0
+            outs.append((tmp_path / sub / "dist.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_summary_fields(self, tmp_path, seq_file):
         rc = run_cli(
             "clt", "--seq", str(seq_file), "--N", "4", "--M", "100", "--seed", "1",
@@ -412,6 +424,30 @@ class TestExitCodes:
     def test_count_below_one_is_bad_count(self, tmp_path, seq_file, capsys, command, flag, value):
         rc = run_cli(*self._argv(tmp_path, seq_file, command, **{flag: value}))
         self._assert_runtime_error(rc, capsys, "bad-count")
+
+    def test_n_past_the_sequence_builds_no_n_term_permutation(
+        self, tmp_path, seq_file, capsys, monkeypatch
+    ):
+        sizes = []
+        build = cli_module.identity_permutation
+        # the spy builds at most 5 terms, so a default domain of N allocates nothing here
+        monkeypatch.setattr(cli_module, "identity_permutation",
+                            lambda n: sizes.append(n) or build(min(n, 5)))
+        rc = run_cli(*self._argv(tmp_path, seq_file, "clt", **{"--N": str(10**9)}))
+        self._assert_runtime_error(rc, capsys, "bad-count")
+        assert sizes == [5]  # the 5-term sequence, not N
+
+    @pytest.mark.parametrize(
+        "command, perm_n", [("clt", "4"), ("clt", "0"), ("permute-clt", "7")]
+    )
+    def test_identity_shorter_than_n_is_perm_size(self, tmp_path, capsys, command, perm_n):
+        # identity is built at --perm-n terms like every other pattern
+        assert run_cli("gen-seq", "--kind", "hadamard", "--q", "2", "--N", "16",
+                       "--out-dir", str(tmp_path)) == 0
+        capsys.readouterr()
+        rc = run_cli(command, "--seq", str(tmp_path / "seq.csv"), "--N", "8", "--M", "10",
+                     "--perm", "identity", "--perm-n", perm_n, "--out-dir", str(tmp_path / "out"))
+        self._assert_runtime_error(rc, capsys, "perm-size")
 
     @pytest.mark.parametrize(
         "command, flag", [("dio-count", "--N-list"), ("framework-check", "--k-list")]

@@ -116,8 +116,9 @@ class TestModel:
     def test_json_round_trip(self):
         spec = PerturbSpec((0.2, 0.1), 0.05, 0.5)
         model = ExchangeableModel(((0.5, RADEMACHER), (0.5, WIDE)), 0.0, spec, 2.0**-20)
-        back = model_from_json(model_to_json(model))
-        assert back == model
+        text = model_to_json(model)
+        assert text.endswith("}\n")  # one newline, as every JSON file of the lab
+        assert model_from_json(text) == model
 
     @pytest.mark.parametrize(
         "text",
@@ -223,9 +224,8 @@ class TestPermutationInvariance:
     def test_two_atom_model_holds(self):
         T = RegularLimitTheorem("trimmed-clt")
         perms = [identity_permutation(64), reverse_permutation(64), random_permutation(64, 3)]
-        rep = permutation_invariance_check(TWO_ATOM, T, 64, perms, 10_000, seed=9, tol_limit=0.08,
-                             tol_pairwise=0.04)
-        assert rep.holds, rep
+        rep = permutation_invariance_check(TWO_ATOM, T, 64, perms, 10_000, seed=9)
+        assert max(rep.ks_to_limit) <= 0.08 and rep.max_pairwise_ks <= 0.04, rep
 
     def test_degenerate_point_model(self):
         # all statistics deterministic: pairwise distance 0, distance to the
@@ -233,9 +233,9 @@ class TestPermutationInvariance:
         T = RegularLimitTheorem("trimmed-clt")
         model = ExchangeableModel(((1.0, DiscreteMeasure.point(0.0)),), grid=0.0)
         perms = [identity_permutation(16), reverse_permutation(16)]
-        rep = permutation_invariance_check(model, T, 16, perms, 500, seed=2, tol_limit=1.0, tol_pairwise=0.01)
+        rep = permutation_invariance_check(model, T, 16, perms, 500, seed=2)
         assert rep.max_pairwise_ks == 0.0
-        assert rep.holds
+        assert max(rep.ks_to_limit) <= 1.0 and rep.max_pairwise_ks <= 0.01
 
 
 class TestPropositionBound:

@@ -646,6 +646,29 @@ class TestStrassenCoupling:
                 infeasible_below += 1
         assert infeasible_below >= 1  # boundary consistency, recorded not sharp
 
+    @staticmethod
+    def _grid_measure(stream: Stream, max_atoms: int) -> DiscreteMeasure:
+        """1..max_atoms atoms on the 1/8 grid of [-1, 1], small integer weights."""
+        n = 1 + stream.below(max_atoms)
+        positions = sorted({stream.below(17) / 8.0 - 1.0 for _ in range(n)})
+        weights = [1 + stream.below(4) for _ in positions]
+        return DiscreteMeasure(tuple((p, w / sum(weights)) for p, w in zip(positions, weights)))
+
+    @pytest.mark.parametrize("kind", ["uniform", "grid"])
+    def test_distance_is_the_smallest_feasible_double(self, kind):
+        # the distance is the smallest double t >= 0 with deficit(t) <= t, and
+        # the coupling tests that same predicate: feasible at d, not one ulp below
+        stream = Stream(1618 if kind == "uniform" else 1619)
+        for _ in range(300):
+            if kind == "uniform":
+                mu, nu = (random_discrete_measure(stream, max_atoms=12) for _ in range(2))
+            else:
+                mu, nu = (self._grid_measure(stream, 12) for _ in range(2))
+            d = prohorov_distance(mu, nu)
+            assert strassen_coupling(mu, nu, d) is not None
+            if d > 0:
+                assert strassen_coupling(mu, nu, math.nextafter(d, 0.0)) is None
+
 
 class TestWasserstein2:
     def test_identity(self):

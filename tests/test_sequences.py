@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,6 +331,10 @@ class TestDiophantine:
     def test_csv_round_trip(self):
         seq = gen_hadamard(2, 1, 80)
         assert IndexSequence.from_csv(seq.to_csv()) == seq
+
+    def test_csv_of_numpy_integers_is_plain_digits(self):
+        seq = IndexSequence(tuple(np.array([1, 3, 2**40], dtype=np.int64)))
+        assert seq.to_csv() == "1\n3\n1099511627776\n"
 
     def test_csv_with_a_non_integer_is_malformed_input(self):
         with pytest.raises(LabError) as err:
