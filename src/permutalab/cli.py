@@ -105,7 +105,14 @@ def _parse_ints(text: str) -> list[int]:
     return ints
 
 
+# the largest --perm-n: building a permutation of 2**20 terms peaks near 100 MB
+PERM_MAX_TERMS = 2**20
+
+
 def _make_permutation(pattern: str, n: int):
+    """The ``--perm`` pattern at ``n`` terms; ``n`` above PERM_MAX_TERMS raises ``perm-size``."""
+    if n > PERM_MAX_TERMS:
+        raise LabError("perm-size", f"--perm-n {n} exceeds {PERM_MAX_TERMS} terms")
     if pattern == "identity":
         return identity_permutation(n)
     if pattern == "reverse":
@@ -152,7 +159,7 @@ def _cmd_gen_seq(args) -> tuple[dict, dict]:
 def _cmd_dio_count(args) -> tuple[dict, dict]:
     seq = IndexSequence.from_csv(_read_text(args.seq))
     rows = diophantine_growth_scan(seq, args.a, args.b, args.c, _parse_ints(args.N_list))
-    return {args.out: table_text(rows)}, {"counts": {str(n): cnt for n, cnt, _ in rows}}
+    return {args.out: table_text(*zip(*rows))}, {"counts": {str(n): cnt for n, cnt, _ in rows}}
 
 
 def _cmd_clt(args) -> tuple[dict, dict]:
@@ -173,7 +180,7 @@ def _cmd_clt(args) -> tuple[dict, dict]:
         "M": args.M,
         "perm": args.perm,
     }
-    return {args.out: table_text(zip(arr.tolist()))}, summary
+    return {args.out: table_text(arr)}, summary
 
 
 def _cmd_lil(args) -> tuple[dict, dict]:
@@ -186,8 +193,8 @@ def _cmd_lil(args) -> tuple[dict, dict]:
         "bits": traj.bits,
     }
     tables = {
-        args.out: table_text(zip(range(3, args.Nmax + 1), traj.first.tolist())),
-        "lil_max.csv": table_text(enumerate(traj.max_values.tolist())),
+        args.out: table_text(range(3, args.Nmax + 1), traj.first),
+        "lil_max.csv": table_text(range(len(traj.max_values)), traj.max_values),
     }
     return tables, summary
 
@@ -208,7 +215,7 @@ def _cmd_prohorov(args) -> tuple[dict, dict]:
             summary["agrees"] = None
     if args.coupling:
         coupling = strassen_coupling(mu, nu, dist + 1e-9)
-        tables[args.coupling] = table_text(map(tuple, coupling.tolist()))
+        tables[args.coupling] = table_text(*coupling.T)
     print(repr(float(dist)))
     return tables, summary
 
@@ -220,7 +227,7 @@ def _cmd_framework_check(args) -> tuple[dict, dict]:
         T, mu, _parse_ints(args.k_list), args.M, args.seed, threads=args.threads
     )
     summary = {"theorem": args.theorem, "ks": {str(k): ks for k, ks in rows}}
-    return {args.out: table_text(rows)}, summary
+    return {args.out: table_text(*zip(*rows))}, summary
 
 
 def _cmd_exchangeable(args) -> tuple[dict, dict]:
@@ -239,7 +246,7 @@ def _cmd_exchangeable(args) -> tuple[dict, dict]:
 def _cmd_strong_law(args) -> tuple[dict, dict]:
     model = model_from_json(_read_text(args.model))
     traj = strong_law_trajectory(model, args.p, args.N, args.seed)
-    table = table_text(zip(range(1, args.N + 1), traj.tolist()))
+    table = table_text(range(1, args.N + 1), traj)
     return {args.out: table}, {"p": args.p, "N": args.N, "final": float(traj[-1])}
 
 

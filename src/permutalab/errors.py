@@ -5,6 +5,14 @@ short token (e.g. ``"bad-eps"``) that the CLI prints on stderr.  Tables
 are read by :func:`table_rows`, so a bad line or an empty table ends in
 ``malformed-input`` or ``empty-table``, and written by :func:`table_text`;
 every JSON file is written by :func:`json_text`.
+
+:func:`table_text` takes a table's columns, numpy arrays or Python
+sequences, and formats them in blocks of :data:`BLOCK_ROWS` rows, so only
+one block's Python objects are alive next to the finished text.  The
+result is one ``str``, as the CLI's atomic write takes it.  Integers
+longer than Python's int-str digit limit are refused before formatting or
+parsing with ``too-large`` (``sequences``), and a ``--perm-n`` above the
+CLI's ``PERM_MAX_TERMS`` with ``perm-size`` before any permutation is built.
 """
 
 from __future__ import annotations
@@ -44,19 +52,39 @@ def table_rows(text: str, what: str, expected: str, parse: Callable[[str], objec
     return rows
 
 
-def table_text(rows) -> str:
-    """A table: one line per row (a tuple), its fields written with ``repr``.
+# rows formatted at a time: a block's Python objects and field strings are
+# alive only while its lines are joined, so the writer's peak stays near
+# twice the finished text (the block strings and their join)
+BLOCK_ROWS = 4096
 
-    Fields must be Python ints and floats; convert numpy values with
-    ``tolist()`` first, because numpy 2 writes ``repr(np.float64(x))`` as
-    ``np.float64(x)``.  A table without rows is one newline.
+
+def _fields(column, start: int, stop: int):
+    part = column[start:stop]
+    tolist = getattr(part, "tolist", None)
+    return map(repr, part if tolist is None else tolist())
+
+
+def table_text(*columns) -> str:
+    """A table from its columns: one line per row, fields written with ``repr``.
+
+    A column is a numpy array (its values go through ``tolist()``, because
+    numpy 2 writes ``repr(np.float64(x))`` as ``np.float64(x)``) or a Python
+    sequence of ints and floats.  Rows are formatted in blocks of
+    :data:`BLOCK_ROWS`.  A table without rows is one newline; columns of
+    unequal length raise ``ValueError``.
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError("table columns differ in length")
+    if n == 0:
         return "\n"
-    fmt = ",".join(["%r"] * len(first)) + "\n"
-    return fmt % first + "".join([fmt % row for row in rows])
+    blocks = []
+    for start in range(0, n, BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        lines = map(",".join, zip(*[_fields(c, start, stop) for c in columns]))
+        blocks.append("\n".join(lines))
+    blocks.append("")
+    return "\n".join(blocks)
 
 
 def json_text(obj) -> str:

@@ -279,7 +279,7 @@ class MixedNormal:
 
 def measure_to_csv(measure: DiscreteMeasure) -> str:
     """One ``position,mass`` pair per line (:func:`~permutalab.errors.table_text`)."""
-    return table_text(zip(measure.positions.tolist(), measure.masses.tolist()))
+    return table_text(measure.positions, measure.masses)
 
 
 def _atom(line: str) -> tuple[float, float]:

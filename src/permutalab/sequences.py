@@ -10,6 +10,7 @@ fraction, so generators always pass their own checkers).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,12 +37,34 @@ class IndexSequence:
         return len(self.values)
 
     def to_csv(self) -> str:
-        return table_text((int(v),) for v in self.values)
+        """One base-10 integer per line; a value longer than Python's
+        int-to-string digit limit raises ``too-large``."""
+        limit = _max_digits()
+        if limit and int(self.values[-1]) >= 10**limit:
+            raise LabError("too-large", f"the last index has more than {limit} digits")
+        return table_text([int(v) for v in self.values])
 
     @classmethod
     def from_csv(cls, text: str) -> "IndexSequence":
-        """Parse one integer per line (:func:`~permutalab.errors.table_rows`)."""
-        return cls(tuple(table_rows(text, "sequence CSV", "an integer", int)))
+        """Parse one integer per line (:func:`~permutalab.errors.table_rows`).
+
+        A line with more digits than Python's string-to-int limit raises
+        ``too-large``.
+        """
+        limit = _max_digits()
+
+        def parse(line: str) -> int:
+            # int() counts the digits without the sign and the underscores
+            if limit and len(line) > limit and len(line.lstrip("+-").replace("_", "")) > limit:
+                raise LabError("too-large", f"an index has more than {limit} digits")
+            return int(line)
+
+        return cls(tuple(table_rows(text, "sequence CSV", "an integer", parse)))
+
+
+def _max_digits() -> int:
+    """Python's limit on the digits of an int-str conversion; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @dataclass(frozen=True)

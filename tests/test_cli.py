@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -448,6 +451,29 @@ class TestExitCodes:
         rc = run_cli(command, "--seq", str(tmp_path / "seq.csv"), "--N", "8", "--M", "10",
                      "--perm", "identity", "--perm-n", perm_n, "--out-dir", str(tmp_path / "out"))
         self._assert_runtime_error(rc, capsys, "perm-size")
+
+    @pytest.mark.parametrize("command", ["clt", "exchangeable"])
+    def test_perm_n_past_the_budget_builds_nothing(self, tmp_path, seq_file, capsys, command):
+        argv = self._argv(tmp_path, seq_file, command, **{"--perm-n": "1000000000"})
+        t0 = time.monotonic()
+        tracemalloc.start()
+        try:
+            rc = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert peak < 4 * 2**20
+        self._assert_runtime_error(rc, capsys, "perm-size")
+        assert cli_module.PERM_MAX_TERMS == 2**20
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() != 4300, reason="not the default limit")
+    def test_gen_seq_past_the_digit_limit_is_too_large(self, tmp_path, capsys):
+        # 2**14999 has 4,516 digits, more than Python's default 4,300
+        rc = run_cli("gen-seq", "--kind", "hadamard", "--q", "2", "--N", "15000",
+                     "--out-dir", str(tmp_path))
+        self._assert_runtime_error(rc, capsys, "too-large")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "command, flag", [("dio-count", "--N-list"), ("framework-check", "--k-list")]

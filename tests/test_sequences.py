@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -335,6 +336,19 @@ class TestDiophantine:
     def test_csv_of_numpy_integers_is_plain_digits(self):
         seq = IndexSequence(tuple(np.array([1, 3, 2**40], dtype=np.int64)))
         assert seq.to_csv() == "1\n3\n1099511627776\n"
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int digit limit")
+    def test_csv_past_the_digit_limit_is_too_large(self):
+        limit = sys.get_int_max_str_digits()
+        widest = IndexSequence((1, 10**limit - 1))
+        assert IndexSequence.from_csv(widest.to_csv()) == widest
+        assert IndexSequence.from_csv("1\n+" + "9" * limit + "\n") == widest
+        with pytest.raises(LabError) as err:
+            IndexSequence((1, 10**limit)).to_csv()
+        assert err.value.token == "too-large"
+        with pytest.raises(LabError) as err:
+            IndexSequence.from_csv("1\n1" + "0" * limit + "\n")
+        assert err.value.token == "too-large"
 
     def test_csv_with_a_non_integer_is_malformed_input(self):
         with pytest.raises(LabError) as err:
