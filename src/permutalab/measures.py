@@ -15,7 +15,8 @@ Conventions fixed here and relied on by the metric and simulation modules:
   ``empirical_measure`` the one ``np.unique`` sorts first), with no fuzzy
   dedup, so the exact transport oracles see exactly what the constructor
   saw;
-* normal CDFs go through ``math.erfc``; the absolute error of each mixture
+* normal CDFs go through ``math.erfc``, mapped over the points while the
+  rest of the arithmetic runs on arrays; the absolute error of each mixture
   component is below 1e-12;
 * a variance atom ``y = 0`` contributes a unit step at 0 to the mixed
   normal CDF;
@@ -44,11 +45,6 @@ MASS_TOL = 1e-12
 _COUNT_MAX_ATOMS = 64
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _phi(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def inverse_index(cum: np.ndarray, us) -> np.ndarray:
@@ -211,11 +207,14 @@ def _merged(pairs) -> tuple[tuple[float, float], ...]:
 
 
 def empirical_measure(sample: EmpiricalSample) -> DiscreteMeasure:
-    """Counting measure of a sample; duplicate values merged, mass 1/M each."""
+    """Counting measure of a sample; duplicate values merged, mass count/M each.
+
+    The atoms are ``np.unique``'s values and ``counts / M`` on arrays, one
+    IEEE division each, as ``float(c) / M`` per value gives.
+    """
     vals = sample.values
     uniq, counts = np.unique(vals, return_counts=True)
-    m = len(vals)
-    return DiscreteMeasure(tuple((float(v), float(c) / m) for v, c in zip(uniq, counts)))
+    return DiscreteMeasure(tuple(zip(uniq.tolist(), (counts / len(vals)).tolist())))
 
 
 @dataclass(frozen=True)
@@ -252,7 +251,10 @@ class MixedNormal:
         """F(t), or the left limit F(t-) when ``left``, at every t in ``ts``.
 
         Each point's value is summed over the variance atoms in order,
-        starting from 0.0, one IEEE addition per atom.
+        starting from 0.0, one IEEE addition per atom.  A normal atom adds
+        ``w * (0.5 * erfc(-(t / s) / sqrt(2)))`` with ``s = sqrt(y)``: the
+        arithmetic runs on arrays and ``math.erfc`` is mapped over the
+        points, so every value is the scalar formula's, bit for bit.
         """
         ts = np.asarray(ts, dtype=float)
         out = np.zeros(len(ts))
@@ -260,8 +262,9 @@ class MixedNormal:
             if y == 0.0:
                 out += np.where(ts > 0.0 if left else ts >= 0.0, w, 0.0)
             else:
-                s = math.sqrt(y)
-                out += np.array([w * _phi(t / s) for t in ts.tolist()])
+                z = -(ts / math.sqrt(y)) / _SQRT2
+                e = np.fromiter(map(math.erfc, z.tolist()), dtype=float, count=len(z))
+                out += w * (0.5 * e)
         return out
 
     def cdf_many(self, ts: np.ndarray) -> np.ndarray:

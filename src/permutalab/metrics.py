@@ -58,7 +58,8 @@ a mixture with weights P(A_i), so a coupled pair of random measures is
 checked as the triples ``(P(A_i), law_i, law'_i)``.
 
 ``ks_distance`` is exact and has one path: its first law is discrete, so
-the supremum lies at a jump point of either law or at its left limit.
+the supremum lies at a jump point of either law or at its left limit, and a
+continuous second law is evaluated once.
 """
 
 from __future__ import annotations
@@ -302,14 +303,23 @@ def ks_distance(f: DiscreteMeasure, g: DiscreteMeasure | MixedNormal) -> float:
 
     Between consecutive jump points of either law the step CDF of ``f`` is
     constant and that of ``g`` is monotone, so the supremum is attained at
-    a jump point or its left limit; both are evaluated there.  An ``f``
-    that is not a ``DiscreteMeasure`` raises ``ks-not-discrete``.
+    a jump point or its left limit; both are evaluated there.  A ``g``
+    without jump points (a mixed normal with no zero-variance atom) is
+    continuous: the points are the jumps of ``f``, and the left limits of
+    ``g`` are its values, so ``g`` is evaluated once.  An ``f`` that is not
+    a ``DiscreteMeasure`` raises ``ks-not-discrete``.
     """
     if not isinstance(f, DiscreteMeasure):
         raise LabError("ks-not-discrete", "the first law of ks_distance must be discrete")
-    ts = np.union1d(f.jump_points(), g.jump_points())
-    d_right = np.abs(f.cdf_many(ts) - g.cdf_many(ts))
-    d_left = np.abs(f.cdf_left_many(ts) - g.cdf_left_many(ts))
+    g_jumps = g.jump_points()
+    if len(g_jumps):
+        ts = np.union1d(f.jump_points(), g_jumps)
+        g_right, g_left = g.cdf_many(ts), g.cdf_left_many(ts)
+    else:
+        ts = f.jump_points()
+        g_right = g_left = g.cdf_many(ts)
+    d_right = np.abs(f.cdf_many(ts) - g_right)
+    d_left = np.abs(f.cdf_left_many(ts) - g_left)
     return float(max(d_right.max(), d_left.max()))
 
 

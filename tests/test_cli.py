@@ -563,6 +563,23 @@ class TestExitCodes:
         self._assert_runtime_error(rc, capsys, token)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, table",
+        [("cdf-overlay", "-1e308\n1e308\n"), ("trajectory", "1,-1e308\n2,1e308\n")],
+    )
+    def test_plot_of_a_range_that_overflows(self, tmp_path, capsys, kind, table):
+        # the table is finite but its width is not: the plot used to exit 0
+        # with nan coordinates in the SVG
+        data = tmp_path / "wide.csv"
+        data.write_text(table)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli("plot", "--in", str(data), "--kind", kind, "--out", "wide.svg",
+                         "--out-dir", str(tmp_path / "out"))
+        assert [str(w.message) for w in caught] == []
+        self._assert_runtime_error(rc, capsys, "non-finite")
+        assert not (tmp_path / "out").exists()
+
     def test_prohorov_of_atoms_at_the_ends_of_the_double_range(self, tmp_path, capsys):
         self._edge_law_inputs(tmp_path, None)
         rademacher = tmp_path / "rademacher.csv"

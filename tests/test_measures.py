@@ -19,13 +19,12 @@ from permutalab import (
 from permutalab.measures import (
     MASS_TOL,
     _COUNT_MAX_ATOMS,
-    _phi,
     measure_from_csv,
     measure_to_csv,
 )
 from permutalab.rng import Stream
 
-from conftest import flatten_reference, random_discrete_measure
+from conftest import flatten_reference, mixed_normals, random_discrete_measure, sample_values
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
@@ -290,7 +289,15 @@ class TestMixture:
 
 # -- CDF oracles: the three separate routines each law had before they
 # shared one path, copied verbatim (a discrete law's private ``_cum`` reads
-# as ``np.cumsum(m.masses)``, and its ``_pos`` as the ``positions`` field)
+# as ``np.cumsum(m.masses)``, and its ``_pos`` as the ``positions`` field),
+# and the scalar normal CDF they call, which the package no longer has
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _phi(z: float) -> float:
+    """Standard normal CDF via the complementary error function."""
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def reference_discrete_cdf(m: DiscreteMeasure, t: float) -> float:
@@ -335,6 +342,55 @@ def reference_mixed_cdf_left_many(mn: MixedNormal, ts: np.ndarray) -> np.ndarray
     return out
 
 
+# -- per-point oracles of the array paths: the loops they replaced, copied
+# verbatim (``MixedNormal._cdf`` with ``self`` read as ``mn``)
+
+
+def reference_mixed_cdf_loop(mn: MixedNormal, ts, left: bool) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros(len(ts))
+    for y, w in mn.variance_atoms:
+        if y == 0.0:
+            out += np.where(ts > 0.0 if left else ts >= 0.0, w, 0.0)
+        else:
+            s = math.sqrt(y)
+            out += np.array([w * _phi(t / s) for t in ts.tolist()])
+    return out
+
+
+def reference_empirical_measure(sample: EmpiricalSample) -> DiscreteMeasure:
+    vals = sample.values
+    uniq, counts = np.unique(vals, return_counts=True)
+    m = len(vals)
+    return DiscreteMeasure(tuple((float(v), float(c) / m) for v, c in zip(uniq, counts)))
+
+
+class TestArrayPathsMatchLoops:
+    """The array paths give the bytes of the per-point loops they replaced."""
+
+    @pytest.mark.parametrize("zero_atom", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_normal_cdf(self, zero_atom, data):
+        mn = data.draw(mixed_normals(zero_atom), label="law")
+        ts = np.array(data.draw(sample_values(), label="ts"))
+        assert mn.cdf_many(ts).tobytes() == reference_mixed_cdf_loop(mn, ts, False).tobytes()
+        assert mn.cdf_left_many(ts).tobytes() == reference_mixed_cdf_loop(mn, ts, True).tobytes()
+
+    @given(values=sample_values())
+    @settings(max_examples=60, deadline=None)
+    def test_empirical_measure(self, values):
+        sample = EmpiricalSample(np.array(values))
+        got, want = empirical_measure(sample), reference_empirical_measure(sample)
+        # repr tells -0.0 from 0.0, which tuple equality does not
+        assert repr(got.atoms) == repr(want.atoms)
+
+    def test_empty_points(self):
+        for mn in (MixedNormal.standard(), MixedNormal(((0.0, 0.5), (2.0, 0.5)))):
+            assert mn.cdf_many(np.array([])).tobytes() == b""
+            assert mn.cdf_left_many([]).shape == (0,)
+
+
 def cdf_points(anchors, extra) -> np.ndarray:
     """The anchors, both neighbouring doubles of each, SPECIAL_TS and ``extra``."""
     anchors = np.asarray(anchors, dtype=float)
@@ -352,17 +408,6 @@ def assert_cdfs_match(law, ts: np.ndarray, cdf, cdf_many, cdf_left_many) -> None
     assert law.cdf_left_many(ts).tobytes() == cdf_left_many(law, ts).tobytes()
     want = np.array([cdf(law, t) for t in ts.tolist()])
     assert law.cdf_many(ts).tobytes() == want.tobytes()
-
-
-@st.composite
-def mixed_normals(draw, zero_atom: bool):
-    n = draw(st.integers(min_value=1, max_value=4))
-    ys = draw(st.lists(st.floats(1e-6, 100.0), min_size=n, max_size=n))
-    if zero_atom:
-        ys[draw(st.integers(0, n - 1))] = 0.0
-    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
-    ws = (np.array(raw) / sum(raw)).tolist()
-    return MixedNormal(tuple(zip(ys, ws)))
 
 
 class TestCdfOracles:

@@ -36,7 +36,13 @@ from permutalab.measures import MASS_TOL, EmpiricalSample
 from permutalab.metrics import MASS_SCALE, _integer_masses, _transport
 from permutalab.rng import Stream
 
-from conftest import flatten_reference, perturbed_measure, random_discrete_measure
+from conftest import (
+    flatten_reference,
+    mixed_normals,
+    perturbed_measure,
+    random_discrete_measure,
+    sample_values,
+)
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
@@ -714,6 +720,38 @@ class TestKsDistance:
     def test_empirical_vs_step(self):
         emp = empirical_measure(EmpiricalSample((0.0, 0.0, 1.0, 2.0)))
         assert ks_distance(emp, D0) == 0.5
+
+    def test_zero_variance_atom_keeps_its_left_limit(self):
+        # a zero-variance atom is a jump of g at 0, where F(0-) = G(0-) = 0:
+        # taking G(0) = 1 as its left limit would give 1
+        assert ks_distance(D0, MixedNormal.normal(0.0)) == 0.0
+        assert ks_distance(D0, MixedNormal(((0.0, 0.5), (1.0, 0.5)))) == 0.25
+
+
+def reference_ks_distance(f, g) -> float:
+    """The two-sided evaluation, verbatim but for the type check: both CDFs
+    and both left limits of each law at every jump point of either law."""
+    ts = np.union1d(f.jump_points(), g.jump_points())
+    d_right = np.abs(f.cdf_many(ts) - g.cdf_many(ts))
+    d_left = np.abs(f.cdf_left_many(ts) - g.cdf_left_many(ts))
+    return float(max(d_right.max(), d_left.max()))
+
+
+@st.composite
+def _second_laws(draw):
+    """A mixed normal with or without a zero-variance atom, or an empirical law."""
+    kind = draw(st.sampled_from(["normal", "zero-atom", "empirical"]))
+    if kind == "empirical":
+        return empirical_measure(EmpiricalSample(np.array(draw(sample_values(2_000)))))
+    return draw(mixed_normals(kind == "zero-atom"))
+
+
+class TestKsDistanceOracle:
+    @given(values=sample_values(), g=_second_laws())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_two_sided_evaluation(self, values, g):
+        f = empirical_measure(EmpiricalSample(np.array(values)))
+        assert repr(ks_distance(f, g)) == repr(reference_ks_distance(f, g))
 
 
 class TestMixtureBounds:

@@ -1,14 +1,21 @@
-"""SVG trajectory plots: one well-formed document, one path, finite coordinates."""
+"""SVG plots: well-formed documents with finite coordinates, and the bytes
+of the per-point renderers they replaced."""
 
 from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permutalab import LabError
-from permutalab.svg import render_trajectory
+from permutalab.measures import MixedNormal
+from permutalab.svg import render_cdf_overlay, render_trajectory
+
+from conftest import sample_values
 
 _NS = "{http://www.w3.org/2000/svg}"
 
@@ -66,4 +73,135 @@ def test_one_vertex_per_point():
 def test_degenerate_ranges_render(points):
     vertices = _path_points(render_trajectory(points))
     assert len(vertices) == len(points)
+    _assert_in_viewport(vertices)
+
+
+# -- byte oracles: the per-point renderers, copied verbatim (module names
+# prefixed with ``reference_``)
+
+_W, _H = 800, 600
+_ML, _MR, _MT, _MB = 60, 40, 40, 40
+
+_HEADER = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+    'viewBox="0 0 {w} {h}">\n'
+)
+
+
+def reference_x_map(lo: float, hi: float):
+    span = hi - lo if hi > lo else 1.0
+    return lambda v: _ML + (_W - _ML - _MR) * (v - lo) / span
+
+
+def reference_y_map(lo: float, hi: float):
+    span = hi - lo if hi > lo else 1.0
+    return lambda v: _H - _MB - (_H - _MT - _MB) * (v - lo) / span
+
+
+def reference_axes() -> str:
+    return (
+        f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
+        'stroke="black" stroke-width="1"/>\n'
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
+        'stroke="black" stroke-width="1"/>\n'
+    )
+
+
+def reference_path(points: list[tuple[float, float]], color: str) -> str:
+    cmds = [f"{'M' if i == 0 else 'L'} {px:.3f} {py:.3f}" for i, (px, py) in enumerate(points)]
+    return f'<path d="{" ".join(cmds)}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+
+
+def reference_render_cdf_overlay(values: list[float]) -> str:
+    if not values:
+        raise LabError("empty-table", "no values to plot")
+    vals = sorted(values)
+    lo = min(vals[0], -3.5)
+    hi = max(vals[-1], 3.5)
+    fx, fy = reference_x_map(lo, hi), reference_y_map(0.0, 1.0)
+    m = len(vals)
+    steps = [(lo, 0.0)]
+    for i, v in enumerate(vals):
+        steps.append((v, i / m))
+        steps.append((v, (i + 1) / m))
+    steps.append((hi, 1.0))
+    stair = [(fx(a), fy(b)) for a, b in steps]
+    grid = [lo + (hi - lo) * t / 200 for t in range(201)]
+    ref = [(fx(t), fy(c)) for t, c in zip(grid, MixedNormal.standard().cdf_many(grid).tolist())]
+    return (
+        _HEADER.format(w=_W, h=_H)
+        + reference_axes()
+        + reference_path(stair, "steelblue")
+        + reference_path(ref, "crimson")
+        + "</svg>\n"
+    )
+
+
+def reference_render_trajectory(points: list[tuple[float, float]]) -> str:
+    if not points:
+        raise LabError("empty-table", "no points to plot")
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    fx = reference_x_map(min(xs), max(xs))
+    fy = reference_y_map(min(min(ys), 0.0), max(max(ys), 1e-9))
+    line = [(fx(a), fy(b)) for a, b in points]
+    return (
+        _HEADER.format(w=_W, h=_H) + reference_axes() + reference_path(line, "steelblue")
+        + "</svg>\n"
+    )
+
+
+@given(values=sample_values())
+@example(values=[0.0])
+@example(values=[-0.0, 0.0, -0.0])
+@example(values=[5.0] * 3)
+@example(values=[-3.5, 3.5])
+@settings(max_examples=80, deadline=None)
+def test_cdf_overlay_bytes_match_the_per_point_renderer(values):
+    assert render_cdf_overlay(values) == reference_render_cdf_overlay(values)
+
+
+@st.composite
+def _trajectories(draw) -> list[tuple[float, float]]:
+    """(index, value) rows: strong-law style 1..n indices, or drawn x values."""
+    ys = draw(sample_values())
+    if draw(st.booleans()):
+        return [(float(i), y) for i, y in enumerate(ys, start=1)]
+    xs = draw(sample_values(len(ys)))
+    return list(zip(np.resize(xs, len(ys)).tolist(), ys))
+
+
+@given(points=_trajectories())
+@example(points=[(1.0, 0.0)])
+@example(points=[(0.0, -0.0), (-0.0, 0.0)])
+@settings(max_examples=80, deadline=None)
+def test_trajectory_bytes_match_the_per_point_renderer(points):
+    assert render_trajectory(points) == reference_render_trajectory(points)
+
+
+@pytest.mark.parametrize(
+    "render, reference, rows",
+    [
+        (render_cdf_overlay, reference_render_cdf_overlay, [-1e308, 1e308]),
+        (render_cdf_overlay, reference_render_cdf_overlay, [-1e306, 1e306]),
+        (render_trajectory, reference_render_trajectory, [(1.0, -1e308), (2.0, 1e308)]),
+        (render_trajectory, reference_render_trajectory, [(1.0, 1e306), (2.0, 0.5)]),
+        (render_trajectory, reference_render_trajectory, [(-1e306, 0.5), (1e306, 0.5)]),
+    ],
+    ids=["overlay-range", "overlay-pixels", "trajectory-range", "trajectory-pixels",
+         "trajectory-index"],
+)
+def test_range_too_wide_for_doubles_raises_non_finite(render, reference, rows):
+    # the width overflows, or only its size in pixels does: the per-point
+    # renderer wrote nan or inf coordinates
+    assert "nan" in reference(rows) or "inf" in reference(rows)
+    with pytest.raises(LabError) as err:
+        render(rows)
+    assert err.value.token == "non-finite"
+
+
+def test_widest_range_that_fits_renders_finite_coordinates():
+    rows = [(1.0, -1e305), (2.0, 1e305)]
+    assert render_trajectory(rows) == reference_render_trajectory(rows)
+    vertices = _path_points(render_trajectory(rows))
     _assert_in_viewport(vertices)
