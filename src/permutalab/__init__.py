@@ -20,7 +20,6 @@ from .metrics import (
     prohorov_distance,
     prohorov_oracle,
     strassen_coupling,
-    wasserstein2,
 )
 from .sequences import (
     IndexSequence,
@@ -40,25 +39,18 @@ from .sequences import (
 from .lacunary import clt_sample, lil_trajectory
 from .framework import (
     RegularLimitTheorem,
-    ThinningPlan,
-    lipschitz_probe,
     limit_convergence_check,
-    mc_tolerance,
-    plan_thinning,
     simulate_fk,
-    statistic_stability_check,
 )
 from .exchangeable import (
     DrawnSequence,
     ExchangeableModel,
     PerturbSpec,
     PermutationInvarianceReport,
-    conditional_noise_check,
     draw_sequence,
     model_from_json,
     model_to_json,
     permuted_statistic,
-    mixture_approximation_check,
     strong_law_trajectory,
     permutation_invariance_check,
 )
@@ -74,7 +66,6 @@ __all__ = [
     "prohorov_distance",
     "prohorov_oracle",
     "strassen_coupling",
-    "wasserstein2",
     "IndexSequence",
     "Permutation",
     "apply_permutation",
@@ -91,23 +82,16 @@ __all__ = [
     "clt_sample",
     "lil_trajectory",
     "RegularLimitTheorem",
-    "ThinningPlan",
-    "lipschitz_probe",
     "limit_convergence_check",
-    "mc_tolerance",
-    "plan_thinning",
     "simulate_fk",
-    "statistic_stability_check",
     "DrawnSequence",
     "ExchangeableModel",
     "PerturbSpec",
     "PermutationInvarianceReport",
-    "conditional_noise_check",
     "draw_sequence",
     "model_from_json",
     "model_to_json",
     "permuted_statistic",
-    "mixture_approximation_check",
     "strong_law_trajectory",
     "permutation_invariance_check",
 ]

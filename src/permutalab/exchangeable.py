@@ -27,9 +27,8 @@ only when the noise can read them, that is when some good atom has
 ``outlier_prob > 0``; the atom and value columns keep their indices either
 way, so the values do not depend on whether the noise is drawn.
 
-A model's atoms form a finite random measure, the mixture with weights
-P(A_i); :func:`conditional_noise_check` checks its stability bound by
-passing ``(p, law, noisy_law)`` triples to ``metrics.mixture_bound_check``.
+The mixture-approximation and conditional-noise checks of the thinning
+layer, and the model's tail bound they read, live in ``tests/thinning.py``.
 """
 
 from __future__ import annotations
@@ -37,12 +36,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import LabError, json_text
-from .framework import RegularLimitTheorem, ThinningPlan, mc_tolerance, simulate_fk
+from .framework import RegularLimitTheorem
 from .measures import (
     MASS_TOL,
     DiscreteMeasure,
@@ -53,10 +51,10 @@ from .measures import (
     measure_from_csv,
     measure_to_csv,
 )
-from .metrics import ks_distance, mixture_bound_check, prohorov_distance
+from .metrics import ks_distance
 from .parallel import map_chunks, row_blocks
-from .rng import Stream, derive_seed, derive_seed_vec, uniform_columns
-from .sequences import Permutation, random_permutation
+from .rng import derive_seed, derive_seed_vec, uniform_columns
+from .sequences import Permutation
 
 DEFAULT_GRID = 2.0**-20
 
@@ -132,15 +130,6 @@ class ExchangeableModel:
             else:
                 break
         return n
-
-    def tail_bound(self, t: float) -> float:
-        """Upper bound for sup_j P(|X_j| >= t) under this model."""
-        margin = self.grid / 2.0
-        if self.perturb is not None:
-            margin += self.perturb.outlier_size
-        if self.n_bad > 0:
-            margin += _BAD_ATOM_SHIFT
-        return DiscreteMeasure.mixture(self.atoms).tail_prob(t - margin)
 
     def limit_mixed_normal(self) -> MixedNormal:
         """The mixture of centered normals with the atom variances."""
@@ -308,64 +297,6 @@ def permutation_invariance_check(
             pairwise = max(pairwise, ks_distance(empirics[i], empirics[j]))
     holds = all(v <= _INVARIANCE_TOL for v in ks_lim) and pairwise <= _INVARIANCE_TOL
     return PermutationInvarianceReport(ks_lim, pairwise, _INVARIANCE_TOL, _INVARIANCE_TOL, holds)
-
-
-def mixture_approximation_check(
-    model: ExchangeableModel,
-    T: RegularLimitTheorem,
-    k: int,
-    plan: ThinningPlan,
-    m: int,
-    seed: int,
-    threads: int = 1,
-) -> tuple[float, float, bool]:
-    """Distance of a permuted statistic law to the atomwise mixture law.
-
-    lhs: Prohorov distance between the empirical law of f_k on the drawn
-    window under a seeded random permutation of 1..q_k and the P(A)-weighted
-    mixture of per-atom simulated f_k laws.  rhs: ``3 eps_{r_k} q_k + 1/r_k``
-    evaluated exactly from the plan.  holds allows the fixed Monte Carlo slack.
-    """
-    r_k = plan.r_at(k)
-    eps_rk = plan.eps_at(r_k)
-    _, q = T.window(k)
-    rhs = float(3 * Fraction(eps_rk) * q + Fraction(1, r_k))
-    perm = random_permutation(q, derive_seed(seed, "prop-perm"))
-    emp = empirical_measure(
-        permuted_statistic(model, T, k, perm, m, derive_seed(seed, "prop-x"), threads)
-    )
-    comps = []
-    for a, (p_a, law) in enumerate(model.atoms):
-        sample = simulate_fk(T, k, law, m, derive_seed(seed, "prop-mix", a), threads)
-        comps.append((p_a, empirical_measure(sample)))
-    lhs = prohorov_distance(emp, DiscreteMeasure.mixture(comps))
-    return lhs, rhs, lhs <= rhs + mc_tolerance(m)
-
-
-def conditional_noise_check(
-    model: ExchangeableModel, eps_n: float, seed: int
-) -> tuple[float, bool]:
-    """Exercise the noisy-conditional-law variant of the stability bound.
-
-    Builds a coupled random measure whose component laws differ from the
-    model's by less than eps_n except on atoms of total weight <= eps_n,
-    then passes the ``(p, law, noisy_law)`` triples to
-    :func:`mixture_bound_check`.  An eps_n that is not finite and > 0, NaN
-    included, raises ``bad-eps`` before any shifted law is built.
-    """
-    if not 0 < eps_n < math.inf:
-        raise LabError("bad-eps", f"eps_n={eps_n!r} must be finite and > 0")
-    stream = Stream(derive_seed(seed, "cond-noise"))
-    pairs = []
-    budget = eps_n
-    for p, law in model.atoms:
-        if p <= budget:
-            budget -= p
-            shift = 3.0 * eps_n  # a genuinely far component, allowed by its weight
-        else:
-            shift = eps_n * 0.4 * stream.uniform()
-        pairs.append((p, law, DiscreteMeasure(tuple((x + shift, w) for x, w in law.atoms))))
-    return mixture_bound_check(pairs, eps_n)
 
 
 def strong_law_trajectory(

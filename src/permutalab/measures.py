@@ -62,8 +62,8 @@ def inverse_index(cum: np.ndarray, us) -> np.ndarray:
     last.  The count costs O(n) per draw, ``searchsorted`` O(log n).
     Measured on 2-vCPU x86-64 with numpy 2.4, on a (2048, 398) block of
     uniforms: 2 atoms 5 ms against 20 ms, 64 atoms 33 against 63 ms, and the
-    two meet near 128 atoms; so larger laws (large empirical laws in
-    ``wasserstein2`` or a model's ``law_csv``) keep ``searchsorted``.
+    two meet near 128 atoms; so larger laws (a large empirical law or a
+    model's ``law_csv``) keep ``searchsorted``.
     """
     n = len(cum)
     if n > _COUNT_MAX_ATOMS:
@@ -193,10 +193,6 @@ class DiscreteMeasure:
 
     def jump_points(self) -> np.ndarray:
         return self.positions
-
-    def tail_prob(self, t: float) -> float:
-        """P(|X| >= t)."""
-        return float(self.masses[np.abs(self.positions) >= t].sum())
 
 
 def _merged(pairs) -> tuple[tuple[float, float], ...]:

@@ -280,24 +280,6 @@ def strassen_coupling(
     return coupling
 
 
-def wasserstein2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Quadratic transport distance via the quantile coupling on (0, 1).
-
-    Both quantile functions are step functions; the integral is evaluated
-    exactly on the merged breakpoint partition.
-    """
-    cum_mu = np.cumsum(mu.masses)[:-1]
-    cum_nu = np.cumsum(nu.masses)[:-1]
-    bk = np.unique(np.concatenate((cum_mu, cum_nu, [0.0, 1.0])))
-    bk = bk[(bk >= 0.0) & (bk <= 1.0)]
-    widths = np.diff(bk)
-    mids = 0.5 * (bk[:-1] + bk[1:])
-    keep = widths > 0
-    q_mu = mu.quantile_many(mids[keep])
-    q_nu = nu.quantile_many(mids[keep])
-    return float(math.sqrt(np.dot(widths[keep], (q_mu - q_nu) ** 2)))
-
-
 def ks_distance(f: DiscreteMeasure, g: DiscreteMeasure | MixedNormal) -> float:
     """Exact sup-distance of the CDFs of a discrete law ``f`` and a law ``g``.
 

@@ -20,6 +20,7 @@ from permutalab.cli import main as cli_main
 
 from conftest import perturbed_measure, random_discrete_measure
 from test_metrics import max_marginal_error, violation
+from thinning import mixture_approximation_check, plan_thinning, statistic_stability_check, tail_bound
 
 RADEMACHER = pl.DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
 WIDE = pl.DiscreteMeasure(((-2.0, 0.5), (2.0, 0.5)))
@@ -133,7 +134,7 @@ def test_07_stability_property_suites():
         mu = random_discrete_measure(stream, max_atoms=4)
         nu = random_discrete_measure(stream, max_atoms=4)
         k = (1, 2, 4, 8, 16)[stream.below(5)]
-        _, _, holds = pl.statistic_stability_check(T, k, mu, nu, 4000, seed=stream.u64())
+        _, _, holds = statistic_stability_check(T, k, mu, nu, 4000, seed=stream.u64())
         viol_a += 0 if holds else 1
 
     # (B): 500 mixture instances (<= 4 atoms, <= 5 pairs)
@@ -212,8 +213,8 @@ def test_09_mixture_approximation_bound():
         )
         model = pl.ExchangeableModel(atoms, grid=0.0)
         k = 16 + stream.below(17)
-        plan = pl.plan_thinning(T, model.tail_bound, k)
-        _, _, holds = pl.mixture_approximation_check(model, T, k, plan, 2500, seed=stream.u64())
+        plan = plan_thinning(T, tail_bound(model), k)
+        _, _, holds = mixture_approximation_check(model, T, k, plan, 2500, seed=stream.u64())
         violations += 0 if holds else 1
     _verdict(9, violations == 0,
              f"mixture-approximation bound: {violations}/50 violations on random models")

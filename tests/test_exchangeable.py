@@ -19,15 +19,12 @@ from permutalab import (
     Permutation,
     PerturbSpec,
     RegularLimitTheorem,
-    conditional_noise_check,
     draw_sequence,
     empirical_measure,
     ks_distance,
     model_from_json,
     model_to_json,
     permuted_statistic,
-    plan_thinning,
-    mixture_approximation_check,
     random_permutation,
     reverse_permutation,
     identity_permutation,
@@ -39,6 +36,8 @@ from permutalab.measures import _COUNT_MAX_ATOMS
 from permutalab import parallel
 from permutalab.parallel import map_chunks
 from permutalab.rng import Stream, derive_seed, derive_seed_vec, uniform_columns
+
+from thinning import conditional_noise_check, mixture_approximation_check, plan_thinning, tail_bound
 
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
 WIDE = DiscreteMeasure(((-2.0, 0.5), (2.0, 0.5)))
@@ -242,20 +241,20 @@ class TestPropositionBound:
     def test_single_atom_lhs_small(self):
         T = RegularLimitTheorem("trimmed-clt")
         model = ExchangeableModel(((1.0, SMALL_A),), grid=0.0)
-        plan = plan_thinning(T, model.tail_bound, 16)
+        plan = plan_thinning(T, tail_bound(model), 16)
         lhs, rhs, holds = mixture_approximation_check(model, T, 16, plan, 3000, seed=4)
         assert holds
         assert lhs <= 0.1
 
     def test_two_atom_bounded_model(self):
         T = RegularLimitTheorem("trimmed-clt")
-        plan = plan_thinning(T, BOUNDED.tail_bound, 16)
+        plan = plan_thinning(T, tail_bound(BOUNDED), 16)
         lhs, rhs, holds = mixture_approximation_check(BOUNDED, T, 16, plan, 3000, seed=8)
         assert holds, (lhs, rhs)
 
     def test_rhs_exact_rational(self):
         T = RegularLimitTheorem("trimmed-clt")
-        plan = plan_thinning(T, BOUNDED.tail_bound, 16)
+        plan = plan_thinning(T, tail_bound(BOUNDED), 16)
         _, rhs, _ = mixture_approximation_check(BOUNDED, T, 16, plan, 200, seed=8)
         from fractions import Fraction
 

@@ -12,6 +12,11 @@ outside its own definition: in its module by name, elsewhere through
 ``from .module import name`` or an attribute ``module.name``.  A private
 helper that only the tests call belongs in the tests.
 
+The same rule holds for the public names in ``permutalab.__all__``, with
+the re-exports of ``__init__.py`` not counted as reads: each is read by
+package code outside its own definition, or named in a ``bench/*.py``
+file, whose workloads call the package as its users do.
+
 ``permutalab.__all__`` names exactly the public names that ``__init__.py``
 imports, and each resolves, so a removal cannot leave a stale entry that
 only ``from permutalab import *`` would trip on.
@@ -20,6 +25,7 @@ only ``from permutalab import *`` would trip on.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +34,7 @@ import permutalab
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "permutalab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,8 +60,12 @@ def test_no_unused_module_imports(module):
     assert unused_imports(module.read_text()) == []
 
 
-def _private_definitions(tree: ast.Module):
-    """``(name, node)`` of the top-level defs, classes and assignments of ``_x`` names."""
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _definitions(tree: ast.Module, wanted):
+    """``(name, node)`` of the top-level defs, classes and assignments of ``wanted`` names."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -65,20 +76,21 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if wanted(name):
                 yield name, node
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each private module-level name no package code reads.
+def unreferenced_names(sources: dict[str, str], wanted=_is_private) -> list[str]:
+    """``module.name`` of each ``wanted`` module-level name no package code reads.
 
-    ``sources`` maps module names to their source text.
+    ``sources`` maps module names to their source text; ``wanted`` picks
+    the names to check, by default the private ones.
     """
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     dead = []
     for mod, tree in trees.items():
         elsewhere = [n for other, t in trees.items() if other != mod for n in ast.walk(t)]
-        for name, definition in _private_definitions(tree):
+        for name, definition in _definitions(tree, wanted):
             own = {id(n) for n in ast.walk(definition)}
             read_here = any(
                 isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == name
@@ -103,12 +115,13 @@ def test_private_guard_sees_dead_and_live_names():
              "def public():\n    return _LIMIT\n",
         "b": "from .a import _Box\nfrom . import a\nx = a._SEEN\n",
     }
-    assert unreferenced_private_names(sources) == ["a._fact"]
+    assert unreferenced_names(sources) == ["a._fact"]
+    assert unreferenced_names(sources, {"public", "_Box"}.__contains__) == ["a.public"]
 
 
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources) == []
 
 
 def imported_public_names(source: str) -> set[str]:
@@ -133,3 +146,17 @@ def test_all_names_the_imported_public_names():
     assert set(all_names) == imported_public_names((PACKAGE / "__init__.py").read_text())
     for name in all_names:
         assert getattr(permutalab, name) is not None
+
+
+# model_to_json writes the model JSON format that model_from_json reads; the
+# pair is the format's interface, so the writer stays though only the tests
+# call it
+UNREAD_PUBLIC_NAMES = {"model_to_json"}
+
+
+def test_every_public_name_has_a_caller():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    bench = "\n".join(p.read_text() for p in sorted(BENCH.glob("*.py")))
+    unread = unreferenced_names(sources, set(permutalab.__all__).__contains__)
+    names = {qualified.split(".", 1)[1] for qualified in unread}
+    assert {n for n in names if not re.search(rf"\b{n}\b", bench)} == UNREAD_PUBLIC_NAMES

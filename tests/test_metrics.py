@@ -3,10 +3,11 @@
 The maximal in-range transport (the core of the distance scan) is checked
 against an LP solved by scipy on random instances, and against the
 union-find greedy fill on dense windows it replaced for exact equality; the
-quantile-coupling Wasserstein integral is checked against the LP transport
-optimum; the distance itself is checked against the subset-enumeration
-oracle, and against the dense candidate scan it replaced
-(``_prohorov_dense_reference``) for exact equality.
+quantile-coupling Wasserstein integral (``thinning.wasserstein2``, a test
+oracle) is checked against the LP transport optimum; the distance itself
+is checked against the subset-enumeration oracle, and against the dense
+candidate scan it replaced (``_prohorov_dense_reference``) for exact
+equality.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from permutalab import (
     prohorov_distance,
     prohorov_oracle,
     strassen_coupling,
-    wasserstein2,
 )
 from permutalab.measures import MASS_TOL, EmpiricalSample
 from permutalab.metrics import MASS_SCALE, _integer_masses, _transport
@@ -43,6 +43,7 @@ from conftest import (
     random_discrete_measure,
     sample_values,
 )
+from thinning import wasserstein2
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
