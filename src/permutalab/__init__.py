@@ -32,9 +32,8 @@ from .sequences import (
     diophantine_growth_scan,
     gen_erdos,
     gen_hadamard,
-    identity_permutation,
+    permutation,
     random_permutation,
-    reverse_permutation,
 )
 from .lacunary import clt_sample, lil_trajectory
 from .framework import (
@@ -76,9 +75,8 @@ __all__ = [
     "diophantine_growth_scan",
     "gen_erdos",
     "gen_hadamard",
-    "identity_permutation",
+    "permutation",
     "random_permutation",
-    "reverse_permutation",
     "clt_sample",
     "lil_trajectory",
     "RegularLimitTheorem",

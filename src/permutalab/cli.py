@@ -42,16 +42,13 @@ from .metrics import (
 )
 from .sequences import (
     IndexSequence,
-    block_interleave_permutation,
     check_erdos,
     check_hadamard,
     diophantine_growth_scan,
     gap_report,
     gen_erdos,
     gen_hadamard,
-    identity_permutation,
-    random_permutation,
-    reverse_permutation,
+    permutation,
 )
 from .svg import render_cdf_overlay, render_trajectory
 
@@ -105,31 +102,6 @@ def _parse_ints(text: str) -> list[int]:
     return ints
 
 
-# the largest --perm-n: building a permutation of 2**20 terms peaks near 100 MB
-PERM_MAX_TERMS = 2**20
-
-
-def _make_permutation(pattern: str, n: int):
-    """The ``--perm`` pattern at ``n`` terms; ``n`` above PERM_MAX_TERMS raises ``perm-size``."""
-    if n > PERM_MAX_TERMS:
-        raise LabError("perm-size", f"--perm-n {n} exceeds {PERM_MAX_TERMS} terms")
-    if pattern == "identity":
-        return identity_permutation(n)
-    if pattern == "reverse":
-        return reverse_permutation(n)
-    kind, _, arg = pattern.partition(":")
-    if kind not in ("block", "random"):
-        raise LabError("bad-config", f"unknown permutation pattern {pattern!r}")
-    try:
-        value = int(arg)
-    except ValueError:
-        msg = f"permutation pattern {pattern!r} needs an integer after ':'"
-        raise LabError("bad-config", msg) from None
-    if kind == "block":
-        return block_interleave_permutation(n, value)
-    return random_permutation(n, value)
-
-
 # -- subcommand handlers ------------------------------------------------
 # each returns (tables: {filename: text}, summary: dict)
 
@@ -166,7 +138,7 @@ def _cmd_clt(args) -> tuple[dict, dict]:
     seq = IndexSequence.from_csv(_read_text(args.seq))
     # the default domain stops at the sequence: a larger N is bad-count in clt_sample
     perm_n = args.perm_n if args.perm_n is not None else min(args.N, len(seq))
-    perm = _make_permutation(args.perm, perm_n)
+    perm = permutation(args.perm, perm_n)
     sample = clt_sample(
         seq, args.N, args.M, norm=args.norm, perm=perm, seed=args.seed, threads=args.threads
     )
@@ -235,7 +207,7 @@ def _cmd_exchangeable(args) -> tuple[dict, dict]:
     T = RegularLimitTheorem(args.theorem)
     _, q = T.window(args.k)
     perm_n = args.perm_n if args.perm_n is not None else q
-    perms = [_make_permutation(s.strip(), perm_n) for s in args.perms.split(",") if s.strip()]
+    perms = [permutation(s.strip(), perm_n) for s in args.perms.split(",") if s.strip()]
     report = permutation_invariance_check(
         model, T, args.k, perms, args.M, args.seed, threads=args.threads
     )
@@ -251,21 +223,19 @@ def _cmd_strong_law(args) -> tuple[dict, dict]:
 
 
 def _cmd_plot(args) -> tuple[dict, dict]:
-    need = 2 if args.kind == "trajectory" else 1
+    trajectory = args.kind == "trajectory"
+    need = 2 if trajectory else 1
 
-    def parse(line: str) -> list[float]:
+    def parse(line: str) -> float | list[float]:
         row = [float(t) for t in line.split(",")]
         if len(row) < need or not all(map(math.isfinite, row)):
             raise ValueError(line)
-        return row
+        return row[-2:] if trajectory else row[0]
 
     expected = f"comma-separated finite numbers (at least {need})"
-    rows = table_rows(_read_text(getattr(args, "in")), "table", expected, parse)
-    if args.kind == "cdf-overlay":
-        svg = render_cdf_overlay([r[0] for r in rows])
-    else:
-        svg = render_trajectory([(r[-2], r[-1]) for r in rows])
-    return {args.out: svg}, {"kind": args.kind, "points": len(rows)}
+    drawn = np.array(table_rows(_read_text(getattr(args, "in")), "table", expected, parse))
+    svg = render_trajectory(*drawn.T) if trajectory else render_cdf_overlay(drawn)
+    return {args.out: svg}, {"kind": args.kind, "points": len(drawn)}
 
 
 _HANDLERS = {

@@ -11,8 +11,8 @@ sequences, and formats them in blocks of :data:`BLOCK_ROWS` rows, so only
 one block's Python objects are alive next to the finished text.  The
 result is one ``str``, as the CLI's atomic write takes it.  Integers
 longer than Python's int-str digit limit are refused before formatting or
-parsing with ``too-large`` (``sequences``), and a ``--perm-n`` above the
-CLI's ``PERM_MAX_TERMS`` with ``perm-size`` before any permutation is built.
+parsing with ``too-large`` (``sequences``), and a permutation of more than
+``sequences.PERM_MAX_TERMS`` terms with ``perm-size`` before it is built.
 """
 
 from __future__ import annotations

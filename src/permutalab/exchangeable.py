@@ -240,9 +240,7 @@ def permuted_statistic(
     as the measure argument.
     """
     p, q = T.window(k)
-    if len(perm) < q:
-        raise LabError("perm-size", "permutation shorter than the window end")
-    window_idx = np.array([perm.image[i - 1] - 1 for i in range(p, q + 1)])
+    window_idx = np.array(perm.window(p - 1, q))
 
     def run(start: int, count: int) -> np.ndarray:
         seeds = derive_seed_vec(seed, np.arange(start, start + count), "perm-stat")

@@ -74,6 +74,9 @@ from .measures import MASS_TOL, DiscreteMeasure, MixedNormal
 
 MASS_SCALE = 10**12
 ORACLE_MAX_ATOMS = 14
+# the most atom pairs of a coupling: prohorov --coupling peaks near 31 MB plus
+# 54-58 B per pair (85 MB at 10**6, 246-265 MB at 4 * 10**6), so about 1.2 GB
+COUPLING_MAX_PAIRS = 2 * 10**7
 
 
 def _integer_masses(mass: np.ndarray) -> list[int]:
@@ -256,11 +259,12 @@ def strassen_coupling(
     atoms of ``mu`` and columns those of ``nu``.  When feasible, it ships the
     maximal in-range mass, then the residual by the same fill with every pair
     in range: the marginals are exact to the integer scale (< 1e-12 per atom).
-    An eps that is not >= 0, NaN included, raises ``bad-eps``.
+    An eps that is not >= 0, NaN included, raises ``bad-eps``, and more than
+    COUPLING_MAX_PAIRS atom pairs ``too-large``.
     """
     if not eps >= 0:
         raise LabError("bad-eps", f"eps={eps!r} must be >= 0")
-    if mu.positions.size * nu.positions.size > 2 * 10**8:
+    if mu.positions.size * nu.positions.size > COUPLING_MAX_PAIRS:
         raise LabError("too-large", "atom count product too large for a dense coupling matrix")
     x, y = mu.positions.tolist(), nu.positions.tolist()
     ia, ib = _integer_masses(mu.masses), _integer_masses(nu.masses)

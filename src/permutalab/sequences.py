@@ -67,6 +67,10 @@ def _max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+# the largest permutation: building a random one of 2**20 terms peaks near 100 MB
+PERM_MAX_TERMS = 2**20
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..N}, stored as the image (sigma(1), ..., sigma(N))."""
@@ -79,6 +83,17 @@ class Permutation:
 
     def __len__(self) -> int:
         return len(self.image)
+
+    def window(self, start: int, stop: int) -> list[int]:
+        """The 0-based images of positions start+1..stop.
+
+        A permutation shorter than ``stop`` raises ``perm-size``.
+        """
+        if stop > len(self.image):
+            raise LabError(
+                "perm-size", f"a permutation of {len(self.image)} terms has no position {stop}"
+            )
+        return [i - 1 for i in self.image[start:stop]]
 
 
 def _check_q(q: float) -> None:
@@ -193,14 +208,6 @@ def diophantine_growth_scan(
     return rows
 
 
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
-def reverse_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 def block_interleave_permutation(n: int, block: int) -> Permutation:
     """Write 1..N row-major into (block x N/block), read column-major."""
     if block < 1:
@@ -224,11 +231,34 @@ def random_permutation(n: int, seed: int) -> Permutation:
     return Permutation(tuple(arr))
 
 
+def permutation(pattern: str, n: int) -> Permutation:
+    """The permutation pattern ``identity``, ``reverse``, ``block:k`` or ``random:seed`` on n terms.
+
+    n above PERM_MAX_TERMS raises ``perm-size`` before anything is built; an
+    unknown pattern or a non-integer argument raises ``bad-config``.
+    """
+    if n > PERM_MAX_TERMS:
+        raise LabError("perm-size", f"--perm-n {n} exceeds {PERM_MAX_TERMS} terms")
+    if pattern == "identity":
+        return Permutation(tuple(range(1, n + 1)))
+    if pattern == "reverse":
+        return Permutation(tuple(range(n, 0, -1)))
+    kind, _, arg = pattern.partition(":")
+    if kind not in ("block", "random"):
+        raise LabError("bad-config", f"unknown permutation pattern {pattern!r}")
+    try:
+        value = int(arg)
+    except ValueError:
+        msg = f"permutation pattern {pattern!r} needs an integer after ':'"
+        raise LabError("bad-config", msg) from None
+    if kind == "block":
+        return block_interleave_permutation(n, value)
+    return random_permutation(n, value)
+
+
 def apply_permutation(seq: IndexSequence, perm: Permutation, n: int) -> tuple[int, ...]:
     """(n_{sigma(1)}, ..., n_{sigma(n)}); generally not increasing."""
-    if n > len(seq) or n > len(perm):
-        raise LabError("perm-size", "n exceeds sequence or permutation length")
-    image = perm.image[:n]
-    if max(image) > len(seq):
+    window = perm.window(0, n)
+    if max(window) >= len(seq):
         raise LabError("perm-size", "permutation reaches past the sequence")
-    return tuple(seq.values[i - 1] for i in image)
+    return tuple(seq.values[i] for i in window)

@@ -75,14 +75,14 @@ def _path(px: np.ndarray, py: np.ndarray, color: str) -> str:
     return f'<path d="{"".join(blocks)}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
 
 
-def render_cdf_overlay(values: list[float]) -> str:
+def render_cdf_overlay(values: np.ndarray) -> str:
     """Empirical CDF staircase plus the standard normal CDF.
 
     The staircase runs ``(lo, 0)``, then ``(v_i, i/m)`` and ``(v_i, (i+1)/m)``
     for each sorted value, then ``(hi, 1)``, over ``[lo, hi]`` =
     ``[min(v, -3.5), max(v, 3.5)]``.
     """
-    if not values:
+    if not len(values):
         raise LabError("empty-table", "no values to plot")
     vals = np.sort(np.asarray(values, dtype=float), kind="stable")
     lo = min(float(vals[0]), -3.5)
@@ -102,11 +102,10 @@ def render_cdf_overlay(values: list[float]) -> str:
     )
 
 
-def render_trajectory(points: list[tuple[float, float]]) -> str:
-    """Polyline through (index, value) points."""
-    if not points:
+def render_trajectory(xs: np.ndarray, ys: np.ndarray) -> str:
+    """Polyline through the (index, value) points ``(xs[i], ys[i])``."""
+    if not len(xs):
         raise LabError("empty-table", "no points to plot")
-    xs, ys = np.array(points, dtype=float).T
     fx = _x_map(float(xs.min()), float(xs.max()))
     fy = _y_map(min(float(ys.min()), 0.0), max(float(ys.max()), 1e-9))
     line = _path(fx(xs), fy(ys), "steelblue")

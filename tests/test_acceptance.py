@@ -188,8 +188,8 @@ def test_08_exchangeable_permutation_check():
     model = pl.ExchangeableModel(((0.5, RADEMACHER), (0.5, WIDE)))
     T = pl.RegularLimitTheorem("trimmed-clt")
     perms = [
-        pl.identity_permutation(400),
-        pl.reverse_permutation(400),
+        pl.permutation("identity", 400),
+        pl.permutation("reverse", 400),
         pl.random_permutation(400, 3),
     ]
     rep = pl.permutation_invariance_check(model, T, 400, perms, 100_000, seed=1008)

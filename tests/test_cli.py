@@ -13,10 +13,13 @@ from pathlib import Path
 import pytest
 
 from permutalab import cli as cli_module
+from permutalab import metrics
 from permutalab.cli import main
 from permutalab.errors import LabError
 from permutalab.exchangeable import ExchangeableModel, model_to_json
 from permutalab.measures import DiscreteMeasure, measure_to_csv
+from permutalab.metrics import COUPLING_MAX_PAIRS
+from permutalab.sequences import PERM_MAX_TERMS, permutation
 
 
 def run_cli(*argv) -> int:
@@ -346,7 +349,7 @@ class TestExitCodes:
 
     def test_unknown_permutation_pattern_is_bad_config(self):
         with pytest.raises(LabError) as err:
-            cli_module._make_permutation("bogus", 4)
+            permutation("bogus", 4)
         assert err.value.token == "bad-config"
 
     @pytest.mark.parametrize("pattern", ["block:x", "random:y", "block:"])
@@ -432,10 +435,9 @@ class TestExitCodes:
         self, tmp_path, seq_file, capsys, monkeypatch
     ):
         sizes = []
-        build = cli_module.identity_permutation
         # the spy builds at most 5 terms, so a default domain of N allocates nothing here
-        monkeypatch.setattr(cli_module, "identity_permutation",
-                            lambda n: sizes.append(n) or build(min(n, 5)))
+        monkeypatch.setattr(cli_module, "permutation",
+                            lambda pattern, n: sizes.append(n) or permutation(pattern, min(n, 5)))
         rc = run_cli(*self._argv(tmp_path, seq_file, "clt", **{"--N": str(10**9)}))
         self._assert_runtime_error(rc, capsys, "bad-count")
         assert sizes == [5]  # the 5-term sequence, not N
@@ -465,7 +467,22 @@ class TestExitCodes:
         assert time.monotonic() - t0 < 1.0
         assert peak < 4 * 2**20
         self._assert_runtime_error(rc, capsys, "perm-size")
-        assert cli_module.PERM_MAX_TERMS == 2**20
+        assert PERM_MAX_TERMS == 2**20
+
+    def test_coupling_one_pair_past_the_limit_is_too_large(self, tmp_path, capsys, monkeypatch):
+        # 4 x 5 atom pairs: refused one pair past the limit, written at it
+        (tmp_path / "mu.csv").write_text("".join(f"{i}.0,0.25\n" for i in range(4)))
+        (tmp_path / "nu.csv").write_text("".join(f"{i}.5,0.2\n" for i in range(5)))
+        argv = ["prohorov", "--mu", str(tmp_path / "mu.csv"), "--nu", str(tmp_path / "nu.csv"),
+                "--coupling", "c.csv", "--out-dir"]
+        monkeypatch.setattr(metrics, "COUPLING_MAX_PAIRS", 4 * 5 - 1)
+        rc = run_cli(*argv, str(tmp_path / "past"))
+        self._assert_runtime_error(rc, capsys, "too-large")
+        assert not (tmp_path / "past").exists()
+        monkeypatch.setattr(metrics, "COUPLING_MAX_PAIRS", 4 * 5)
+        assert run_cli(*argv, str(tmp_path / "at")) == 0
+        assert (tmp_path / "at" / "c.csv").is_file()
+        assert COUPLING_MAX_PAIRS == 2 * 10**7
 
     @pytest.mark.skipif(sys.get_int_max_str_digits() != 4300, reason="not the default limit")
     def test_gen_seq_past_the_digit_limit_is_too_large(self, tmp_path, capsys):

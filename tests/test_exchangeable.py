@@ -24,10 +24,9 @@ from permutalab import (
     ks_distance,
     model_from_json,
     model_to_json,
+    permutation,
     permuted_statistic,
     random_permutation,
-    reverse_permutation,
-    identity_permutation,
     strong_law_trajectory,
     permutation_invariance_check,
 )
@@ -186,7 +185,7 @@ class TestPermutedStatistic:
         T = RegularLimitTheorem("trimmed-clt")
         k, m = 32, 4000
         base = empirical_measure(
-            permuted_statistic(TWO_ATOM, T, k, identity_permutation(32), m, seed=50)
+            permuted_statistic(TWO_ATOM, T, k, permutation("identity", 32), m, seed=50)
         )
         for i in range(10):
             perm = random_permutation(32, seed=1000 + i)
@@ -198,31 +197,31 @@ class TestPermutedStatistic:
     def test_single_atom_converges_to_normal(self):
         T = RegularLimitTheorem("trimmed-clt")
         model = ExchangeableModel(((1.0, RADEMACHER),), grid=0.0)
-        sample = permuted_statistic(model, T, 256, reverse_permutation(256), 20_000, seed=5)
+        sample = permuted_statistic(model, T, 256, permutation("reverse", 256), 20_000, seed=5)
         ks = ks_distance(empirical_measure(sample), model.limit_mixed_normal())
         assert ks <= 0.05
 
     def test_perm_must_cover_window(self):
         T = RegularLimitTheorem("trimmed-clt")
         with pytest.raises(LabError) as err:
-            permuted_statistic(TWO_ATOM, T, 64, identity_permutation(32), 10, seed=1)
+            permuted_statistic(TWO_ATOM, T, 64, permutation("identity", 32), 10, seed=1)
         assert err.value.token == "perm-size"
 
     def test_thread_invariance(self):
         T = RegularLimitTheorem("trimmed-clt")
-        a = permuted_statistic(TWO_ATOM, T, 16, reverse_permutation(16), 9000, seed=1, threads=1)
-        b = permuted_statistic(TWO_ATOM, T, 16, reverse_permutation(16), 9000, seed=1, threads=4)
+        a = permuted_statistic(TWO_ATOM, T, 16, permutation("reverse", 16), 9000, seed=1, threads=1)
+        b = permuted_statistic(TWO_ATOM, T, 16, permutation("reverse", 16), 9000, seed=1, threads=4)
         assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestPermutationInvariance:
     def test_needs_two_perms(self):
         with pytest.raises(LabError):
-            permutation_invariance_check(TWO_ATOM, RegularLimitTheorem("trimmed-clt"), 16, [identity_permutation(16)], 100, 1)
+            permutation_invariance_check(TWO_ATOM, RegularLimitTheorem("trimmed-clt"), 16, [permutation("identity", 16)], 100, 1)
 
     def test_two_atom_model_holds(self):
         T = RegularLimitTheorem("trimmed-clt")
-        perms = [identity_permutation(64), reverse_permutation(64), random_permutation(64, 3)]
+        perms = [permutation("identity", 64), permutation("reverse", 64), random_permutation(64, 3)]
         rep = permutation_invariance_check(TWO_ATOM, T, 64, perms, 10_000, seed=9)
         assert max(rep.ks_to_limit) <= 0.08 and rep.max_pairwise_ks <= 0.04, rep
 
@@ -231,7 +230,7 @@ class TestPermutationInvariance:
         # unit step recorded
         T = RegularLimitTheorem("trimmed-clt")
         model = ExchangeableModel(((1.0, DiscreteMeasure.point(0.0)),), grid=0.0)
-        perms = [identity_permutation(16), reverse_permutation(16)]
+        perms = [permutation("identity", 16), permutation("reverse", 16)]
         rep = permutation_invariance_check(model, T, 16, perms, 500, seed=2)
         assert rep.max_pairwise_ks == 0.0
         assert max(rep.ks_to_limit) <= 1.0 and rep.max_pairwise_ks <= 0.01
@@ -445,8 +444,8 @@ class TestNoiseColumnsOracle:
     def test_permuted_statistic_matches_full_layout(self, name, theorem, perm_kind):
         model, T = ORACLE_MODELS[name], RegularLimitTheorem(theorem)
         perm = {
-            "identity": identity_permutation(self.K),
-            "reverse": reverse_permutation(self.K),
+            "identity": permutation("identity", self.K),
+            "reverse": permutation("reverse", self.K),
             # longer than the window end, so the old flag columns start past it
             "random": random_permutation(self.K + 9, seed=77),
         }[perm_kind]

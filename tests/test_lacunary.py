@@ -38,7 +38,7 @@ from permutalab.rng import GOLDEN, Stream, derive_seed, derive_seed_vec, mix64_v
 from permutalab.sequences import (
     IndexSequence,
     block_interleave_permutation,
-    reverse_permutation,
+    permutation,
 )
 
 
@@ -283,7 +283,7 @@ class TestCltSample:
         # any permutation mapping {1..N} onto itself gives bit-identical
         # samples: the summation order is canonicalized
         n = 16
-        perm = reverse_permutation(n)
+        perm = permutation("reverse", n)
         a = clt_sample(self.SEQ, n, 200, seed=3)
         b = clt_sample(self.SEQ, n, 200, perm=perm, seed=3)
         assert a.values.tobytes() == b.values.tobytes()

@@ -23,9 +23,8 @@ from permutalab import (
     diophantine_growth_scan,
     gen_erdos,
     gen_hadamard,
-    identity_permutation,
+    permutation,
     random_permutation,
-    reverse_permutation,
 )
 from permutalab.sequences import _check_c_alpha, _check_q, gap_report
 from permutalab.rng import Stream
@@ -359,7 +358,7 @@ class TestDiophantine:
 
 class TestPermutations:
     def test_reverse(self):
-        assert reverse_permutation(3).image == (3, 2, 1)
+        assert permutation("reverse", 3).image == (3, 2, 1)
 
     def test_block_interleave(self):
         assert block_interleave_permutation(4, 2).image == (1, 3, 2, 4)
@@ -383,13 +382,37 @@ class TestPermutations:
             Permutation(image)
         assert err.value.token == "bad-permutation"
 
+    @pytest.mark.parametrize(
+        "pattern, image",
+        [
+            ("identity", (1, 2, 3, 4, 5, 6)),
+            ("reverse", (6, 5, 4, 3, 2, 1)),
+            ("block:2", (1, 4, 2, 5, 3, 6)),
+            ("block:3", (1, 3, 5, 2, 4, 6)),
+            ("random:9", random_permutation(6, 9).image),
+        ],
+    )
+    def test_pattern_images(self, pattern, image):
+        assert permutation(pattern, 6).image == image
+
+    def test_window_is_the_zero_based_images(self):
+        perm = Permutation((3, 1, 4, 2, 5))
+        assert perm.window(0, 5) == [2, 0, 3, 1, 4]
+        assert perm.window(1, 3) == [0, 3]
+        assert perm.window(2, 2) == []
+
+    def test_window_past_the_permutation_is_perm_size(self):
+        with pytest.raises(LabError) as err:
+            Permutation((2, 1, 3)).window(1, 4)
+        assert err.value.token == "perm-size"
+
     def test_apply_identity(self):
         seq = IndexSequence((1, 2, 4, 8))
-        assert apply_permutation(seq, identity_permutation(4), 3) == (1, 2, 4)
+        assert apply_permutation(seq, permutation("identity", 4), 3) == (1, 2, 4)
 
     def test_apply_reverse(self):
         seq = IndexSequence((1, 2, 4))
-        assert apply_permutation(seq, reverse_permutation(3), 3) == (4, 2, 1)
+        assert apply_permutation(seq, permutation("reverse", 3), 3) == (4, 2, 1)
 
     def test_apply_multiset_invariant(self):
         seq = gen_hadamard(1.7, 3, 20)
@@ -401,5 +424,5 @@ class TestPermutations:
     def test_apply_size_mismatch(self):
         seq = IndexSequence((1, 2))
         with pytest.raises(LabError) as err:
-            apply_permutation(seq, reverse_permutation(3), 3)
+            apply_permutation(seq, permutation("reverse", 3), 3)
         assert err.value.token == "perm-size"

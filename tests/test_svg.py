@@ -33,6 +33,16 @@ def _path_points(svg: str) -> list[tuple[float, float]]:
     return [(float(tokens[k + 1]), float(tokens[k + 2])) for k in range(0, len(tokens), 3)]
 
 
+def _overlay(values: list[float]) -> str:
+    return render_cdf_overlay(np.array(values, dtype=float))
+
+
+def _trajectory(points: list[tuple[float, float]]) -> str:
+    """The trajectory of the rows, passed as the index and value arrays."""
+    xs, ys = np.array(points, dtype=float).reshape(-1, 2).T
+    return render_trajectory(xs, ys)
+
+
 def _assert_in_viewport(points):
     for px, py in points:
         assert math.isfinite(px) and math.isfinite(py)
@@ -41,13 +51,13 @@ def _assert_in_viewport(points):
 
 def test_empty_list_raises_empty_table():
     with pytest.raises(LabError) as err:
-        render_trajectory([])
+        _trajectory([])
     assert err.value.token == "empty-table"
 
 
 def test_one_vertex_per_point():
     points = [(1.0, 0.5), (2.0, 1.5), (3.0, -0.25), (4.0, 2.0)]
-    svg = render_trajectory(points)
+    svg = _trajectory(points)
     assert svg.count("<svg") == 1 and svg.endswith("</svg>\n")
     vertices = _path_points(svg)
     assert len(vertices) == len(points)
@@ -55,7 +65,7 @@ def test_one_vertex_per_point():
     # x increases with the index; a larger value sits higher (smaller y)
     assert [px for px, _ in vertices] == sorted(px for px, _ in vertices)
     assert vertices[3][1] < vertices[1][1] < vertices[0][1] < vertices[2][1]
-    assert render_trajectory(points) == svg
+    assert _trajectory(points) == svg
 
 
 @pytest.mark.parametrize(
@@ -71,7 +81,7 @@ def test_one_vertex_per_point():
     ids=["all-negative", "all-zero", "constant", "constant-negative", "one-point", "one-index"],
 )
 def test_degenerate_ranges_render(points):
-    vertices = _path_points(render_trajectory(points))
+    vertices = _path_points(_trajectory(points))
     assert len(vertices) == len(points)
     _assert_in_viewport(vertices)
 
@@ -158,7 +168,7 @@ def reference_render_trajectory(points: list[tuple[float, float]]) -> str:
 @example(values=[-3.5, 3.5])
 @settings(max_examples=80, deadline=None)
 def test_cdf_overlay_bytes_match_the_per_point_renderer(values):
-    assert render_cdf_overlay(values) == reference_render_cdf_overlay(values)
+    assert _overlay(values) == reference_render_cdf_overlay(values)
 
 
 @st.composite
@@ -176,17 +186,17 @@ def _trajectories(draw) -> list[tuple[float, float]]:
 @example(points=[(0.0, -0.0), (-0.0, 0.0)])
 @settings(max_examples=80, deadline=None)
 def test_trajectory_bytes_match_the_per_point_renderer(points):
-    assert render_trajectory(points) == reference_render_trajectory(points)
+    assert _trajectory(points) == reference_render_trajectory(points)
 
 
 @pytest.mark.parametrize(
     "render, reference, rows",
     [
-        (render_cdf_overlay, reference_render_cdf_overlay, [-1e308, 1e308]),
-        (render_cdf_overlay, reference_render_cdf_overlay, [-1e306, 1e306]),
-        (render_trajectory, reference_render_trajectory, [(1.0, -1e308), (2.0, 1e308)]),
-        (render_trajectory, reference_render_trajectory, [(1.0, 1e306), (2.0, 0.5)]),
-        (render_trajectory, reference_render_trajectory, [(-1e306, 0.5), (1e306, 0.5)]),
+        (_overlay, reference_render_cdf_overlay, [-1e308, 1e308]),
+        (_overlay, reference_render_cdf_overlay, [-1e306, 1e306]),
+        (_trajectory, reference_render_trajectory, [(1.0, -1e308), (2.0, 1e308)]),
+        (_trajectory, reference_render_trajectory, [(1.0, 1e306), (2.0, 0.5)]),
+        (_trajectory, reference_render_trajectory, [(-1e306, 0.5), (1e306, 0.5)]),
     ],
     ids=["overlay-range", "overlay-pixels", "trajectory-range", "trajectory-pixels",
          "trajectory-index"],
@@ -202,6 +212,6 @@ def test_range_too_wide_for_doubles_raises_non_finite(render, reference, rows):
 
 def test_widest_range_that_fits_renders_finite_coordinates():
     rows = [(1.0, -1e305), (2.0, 1e305)]
-    assert render_trajectory(rows) == reference_render_trajectory(rows)
-    vertices = _path_points(render_trajectory(rows))
+    assert _trajectory(rows) == reference_render_trajectory(rows)
+    vertices = _path_points(_trajectory(rows))
     _assert_in_viewport(vertices)
