@@ -257,7 +257,12 @@ def permutation(pattern: str, n: int) -> Permutation:
 
 
 def apply_permutation(seq: IndexSequence, perm: Permutation, n: int) -> tuple[int, ...]:
-    """(n_{sigma(1)}, ..., n_{sigma(n)}); generally not increasing."""
+    """(n_{sigma(1)}, ..., n_{sigma(n)}); generally not increasing.
+
+    n below 1 raises ``bad-count``.
+    """
+    if n < 1:
+        raise LabError("bad-count", "need n >= 1")
     window = perm.window(0, n)
     if max(window) >= len(seq):
         raise LabError("perm-size", "permutation reaches past the sequence")

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from permutalab import lacunary
 from permutalab.lacunary import (
     DEFAULT_BITS,
     TWO_PI,
+    _ANGLE,
+    _DIGITS,
     _ROWS,
     _blocks,
     _frac_tops,
@@ -326,9 +333,9 @@ class TestCltSample:
         assert err.value.token == "bad-norm"
 
 
-# -- bigint oracle of the limb kernel ------------------------------------
+# -- bigint oracle of the kernel ------------------------------------------
 # Per-sample Python-int computation of clt_sample's values: the reference
-# that its limb kernel must match bit for bit.
+# that its kernel must match bit for bit.
 
 _U = np.uint64
 
@@ -423,6 +430,35 @@ def test_clt_sample_matches_bigint_oracle(seq, n, perm, m, threads):
     got = clt_sample(seq, n, m, perm=perm, seed=7, threads=threads)
     want = _clt_bigint_reference(seq, n, m, perm=perm, seed=7, threads=threads)
     assert got.values.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+_Q15_DIGEST = """
+import hashlib
+from permutalab import clt_sample, gen_hadamard
+from permutalab.sequences import permutation
+
+seq = gen_hadamard(1.5, 1, 512)
+sample = clt_sample(seq, 128, 4097, perm=permutation("block:32", 512), seed=7, threads=2)
+print(hashlib.sha256(sample.values.tobytes()).hexdigest())
+"""
+
+
+def test_clt_sample_bytes_do_not_depend_on_the_blas_threads():
+    # the digit branch's matrix products are exact in any summation order,
+    # so OpenBLAS on one thread and at its default give the same bytes
+    src = str(Path(lacunary.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _Q15_DIGEST], env=run_env, capture_output=True, text=True,
+            check=True, timeout=300,
+        ).stdout
+        for run_env in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env)
+    ]
+    seq = gen_hadamard(1.5, 1, 512)
+    here = clt_sample(seq, 128, 4097, perm=permutation("block:32", 512), seed=7, threads=2)
+    assert digests == [hashlib.sha256(here.values.tobytes()).hexdigest() + "\n"] * 2
 
 
 def test_clt_sample_precision_is_set_by_the_largest_frequency():
@@ -524,9 +560,10 @@ def _guard_cases(draw):
 
     The kernel's guard row is row ``B/32 - 3`` of the product.
     Each x is solved from a target ``f * x mod 2**B`` whose guard row is
-    all ones (so that the partial guard digit is at least ``2**32 - 2 m``
-    whatever the skipped carry) or a small value (so that the skipped
-    carry wraps it); the first x always takes the all-ones row.
+    all ones (so that the formed guard digit is at least the slack,
+    ``2**32 - 2`` for a one-limb f and ``2**32 - 1 - e`` for f of e nonzero
+    16-bit digits, whatever the skipped carry) or a small value (so that
+    the skipped carry wraps it); the first x always takes the all-ones row.
     """
     bits = draw(_precisions())
     guard = bits // 32 - 3
@@ -565,6 +602,62 @@ def _block_cases(draw, max_bits: int = 1100):
     return bits, fs, draw(st.lists(x, min_size=1, max_size=5))
 
 
+def _nonzero_limbs(f: int, bits: int) -> int:
+    return sum((f >> (32 * j)) & 0xFFFFFFFF != 0 for j in range(bits // 32))
+
+
+def _largest_array(fs, bits: int, points: int) -> int:
+    """The largest array of one kernel call on fs at points columns, by the module's rule.
+
+    A limb block's gather, ``_ROWS x F x points``; a digit block's output,
+    ``F x points``, or its weight matrix, ``_DIGITS x F x (K + 1)``, K the x
+    digits from ``D - 6 - (digits of the longest f)`` up, from a whole limb.
+    """
+    if max(_nonzero_limbs(f, bits) for f in fs) == 1:
+        return _ROWS * len(fs) * points
+    digits = bits // 16
+    first = max(0, digits - 6 - max(-(-f.bit_length() // 16) for f in fs)) // 2 * 2
+    return len(fs) * max(points, _DIGITS * (digits - first + 1))
+
+
+@st.composite
+def _wide(draw, bits: int):
+    """A frequency allowed at bits with two or more nonzero 32-bit limbs, of any length."""
+    length = draw(st.integers(33, bits - 65))
+    top = 2 ** (length - 1)
+    f = draw(
+        st.one_of(
+            st.just(2 ** (bits - 65)),
+            st.just(2 * top - 1),
+            st.integers(top, 2 * top - 1),
+            _limb_runs(bits).map(lambda v: top | v % top),
+        )
+    )
+    assume(_nonzero_limbs(f, bits) > 1)
+    return f
+
+
+@st.composite
+def _digit_cases(draw):
+    """(bits, fs, xs, points): one to four wide frequencies at 1 to 1,200 columns of xs."""
+    bits = draw(_precisions())
+    fs = draw(st.lists(_wide(bits), min_size=1, max_size=4))
+    x = st.one_of(st.just(2**bits - 1), st.just(0), st.integers(0, 2**bits - 1), _limb_runs(bits))
+    return bits, fs, draw(st.lists(x, min_size=1, max_size=5)), draw(st.integers(1, 1200))
+
+
+@st.composite
+def _digit_guard_cases(draw):
+    """(bits, f, xs): an odd wide f and points x whose ``f * x mod 2**B`` has the
+    guard row ``B/32 - 3`` and the 16-bit digit below it all ones."""
+    bits = draw(_precisions())
+    f = draw(_wide(bits)) | 1
+    assume(f <= 2 ** (bits - 65) and _nonzero_limbs(f, bits) > 1)
+    ones = (2**48 - 1) << (32 * (bits // 32 - 3) - 16)
+    targets = draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=4))
+    return bits, f, [(t | ones) * pow(f, -1, 2**bits) % 2**bits for t in targets]
+
+
 class TestLimbKernel:
     @settings(max_examples=200, deadline=None)
     @given(_block_cases())
@@ -581,7 +674,7 @@ class TestLimbKernel:
     @given(_guard_cases(), st.data())
     def test_guard_digit_of_a_later_block_member_is_recomputed(self, case, data):
         # a one-limb frequency leads the block, so a slack taken from the
-        # block's first member (2 instead of 2 m) would miss the columns
+        # block's first member (2 instead of e + 1) would miss the columns
         # where the skipped carry of f wraps its guard digit
         bits, f, xs = case
         others = st.lists(st.integers(1, 2 ** (bits - 65)), max_size=3)
@@ -593,26 +686,80 @@ class TestLimbKernel:
         assert f in [g for g, _ in seen]
 
     @settings(max_examples=40, deadline=None)
-    @given(_block_cases(max_bits=400))
-    def test_budget_split_blocks_match_frac_mul(self, case):
-        # at 8,192 columns a block holds at most 3 limb-frequencies, so most
-        # of these lists are cut; each cut is where the next frequency
-        # would take the gather past the budget
+    @given(_block_cases(max_bits=400), st.sampled_from([8192, 32768]))
+    def test_budget_split_blocks_match_frac_mul(self, case, points):
+        # at 8,192 columns a limb block holds at most 3 frequencies and a
+        # digit block at most 12, at 32,768 columns 1 and 3, so many of
+        # these lists are cut; each cut is where the next frequency would
+        # take the block's largest array past the budget
         bits, fs, xs = case
-        points = 8192
         xl = np.tile(_limbs(xs, bits), points // len(xs) + 1)[:, :points]
         blocks = _blocks(fs, xl)
         assert [f for b in blocks for f in b.fs] == fs
-        size = _ROWS * points
-        widths = [len(b.limb) for b in blocks]
-        for b, w in zip(blocks, widths):
-            assert len(b.fs) == 1 or len(b.fs) * w * size <= BLOCK_ELEMENTS
-        for b, w, nxt in zip(blocks, widths, blocks[1:]):
-            grown = max(w, np.count_nonzero(nxt.weight[:, 0]))
-            assert (len(b.fs) + 1) * grown * size > BLOCK_ELEMENTS
+        for b in blocks:
+            assert (b.limb is None) == (max(_nonzero_limbs(f, bits) for f in b.fs) > 1)
+            assert len(b.fs) == 1 or _largest_array(b.fs, bits, points) <= BLOCK_ELEMENTS
+        for b, nxt in zip(blocks, blocks[1:]):
+            assert _largest_array([*b.fs, nxt.fs[0]], bits, points) > BLOCK_ELEMENTS
         got = np.concatenate([_frac_tops(xl, b) for b in blocks])
         for row, f in zip(got, fs):
             assert row.tolist() == (_top_floats(xs, f, bits) * (points // len(xs) + 1))[:points]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_digit_cases())
+    def test_digit_branch_matches_frac_mul(self, case):
+        # frequencies of two or more nonzero limbs go through the matrix
+        # product, over point tiles and the product's sub-tiles
+        bits, fs, xs, points = case
+        reps = points // len(xs) + 1
+        xl = np.tile(_limbs(xs, bits), reps)[:, :points]
+        [block] = _blocks(fs, xl)
+        assert block.limb is None
+        got = _frac_tops(xl, block)
+        for row, f in zip(got, fs):
+            assert row.tolist() == (_top_floats(xs, f, bits) * reps)[:points]
+        # the formed guard digit sits at most e (f's nonzero 16-bit digits)
+        # below the true one: a position formed short by one product would not
+        _, guards = lacunary._digit_tops(xl, block)
+        for row, f in zip(guards.tolist(), fs):
+            e = sum((f >> (16 * j)) & 0xFFFF != 0 for j in range(bits // 16))
+            true = [(f * x % 2**bits) >> (bits - 96) & 0xFFFFFFFF for x in xs] * reps
+            assert all((t - g) % 2**32 <= e for t, g in zip(true, row))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_digit_guard_cases())
+    def test_digit_guard_row_and_the_digit_below_all_ones_is_recomputed(self, case):
+        # the formed guard digit is at least 2**32 - 1 - e whatever the
+        # carry the skipped positions would add, so every column is
+        # recomputed, once, however the all-ones digit below it carries
+        bits, f, xs = case
+        xl = _limbs(xs, bits)
+        [block] = _blocks([f], xl)
+        assert block.limb is None
+        with _counting_recomputes() as seen:
+            got = _frac_tops(xl, block)[0]
+        assert got.tolist() == _top_floats(xs, f, bits)
+        assert seen == [(f, len(xs))]
+
+    def test_frequency_of_too_many_digits_is_recomputed_at_every_column(self):
+        # the guard sum of 52,000 digits near 2**16 - 1 wraps its uint64
+        # word at most points; from _WIDEST digits on no column is read
+        rng = np.random.default_rng(5)
+
+        def high_digits(count: int) -> int:
+            return int.from_bytes(rng.integers(0xF0, 0x100, 2 * count, dtype=np.uint8).tobytes(), "little")
+
+        f = high_digits(52_000)
+        bits = required_bits(f)
+        xs = [high_digits(bits // 16) for _ in range(3)]
+        limbs = [np.frombuffer(x.to_bytes(bits // 8, "little"), "<u4") for x in xs]
+        xl = np.stack(limbs, axis=1).astype(np.uint64)
+        [block] = _blocks([f], xl)
+        assert block.slack.tolist() == [0]
+        with _counting_recomputes() as seen:
+            got = _frac_tops(xl, block)[0]
+        assert got.tolist() == _top_floats(xs, f, bits)
+        assert seen == [(f, 3)]
 
     @settings(max_examples=300, deadline=None)
     @given(_limb_cases())
@@ -660,13 +807,15 @@ class TestLimbKernel:
 
     def test_np_sin_equals_math_sin_on_kernel_outputs(self):
         # clt and lil sum np.sin of the kernel's outputs; their bytes equal
-        # the math.sin of the bigint oracles only if the two agree bit for bit
+        # the math.sin of the bigint oracles only if the two agree bit for
+        # bit.  They scale a top word by _ANGLE, one multiply, which equals
+        # scaling it by 2**-64 first: a power of two scales exactly here
         xl = _x_limbs(11, "clt-x", 0, 4096, 320)
-        t = np.concatenate(
-            [_frac_tops(xl, block).ravel() * 2.0**-64
-             for block in _blocks(gen_hadamard(1.5, 1, 246).values, xl)]
-        )
+        blocks = _blocks(gen_hadamard(1.5, 1, 246).values, xl)
+        tops = np.concatenate([_frac_tops(xl, block).ravel() for block in blocks])
+        t = tops * 2.0**-64
         assert t.size >= 10**6
+        assert (tops * _ANGLE).tobytes() == (TWO_PI * t).tobytes()
         got = np.sin(TWO_PI * t)
         want = np.array([math.sin(TWO_PI * v) for v in t.tolist()])
         assert got.tobytes() == want.tobytes()
@@ -745,19 +894,21 @@ def _first_wins_max(values) -> float:
     return best
 
 
-@pytest.mark.parametrize("points", [1, 10, 200])
+@pytest.mark.parametrize("points", [1, 10, 200, 2000])
 def test_lil_matches_bigint_oracle_around_a_block_boundary(points):
-    # q = 1.5 frequencies gain a limb every ~55 terms, so the first block
-    # ends at a different N for each point count (after 64 terms at 200
-    # points, 365 at 10, and one block holds all 1,000 at 1 point);
-    # n_max stops one before that edge, on it and one past it
+    # the first block ends at a different N for each point count: after
+    # 541 terms at 1 and 10 points, where its weight matrix fills the
+    # budget, 512 at 200, where its output does, and 12 at 2,000, a limb
+    # block of the first 12 one-limb terms before a digit block; n_max
+    # stops one before that edge, on it and one past it
     seq = gen_hadamard(1.5, 1, 1000)
     bits = required_bits(seq.values[-1])
     xs = [FixedPointX.random(Stream(derive_seed(13, "lil-x", i)), bits) for i in range(points)]
     xl = _limbs([x.value for x in xs], bits)
     blocks = _blocks(seq.values, xl)
-    assert (len(blocks) > 1) == (points > 1)
-    edge = len(blocks[0].fs) if len(blocks) > 1 else len(seq) - 1
+    assert len(blocks) > 1
+    assert (blocks[0].limb is None) == (points < 2000)
+    edge = len(blocks[0].fs)
     trajs = [lil_trajectory_bigint(seq, x, edge + 1) for x in xs]
     for n_max in (edge - 1, edge, edge + 1):
         got = _lil_limbs(seq.values[:n_max], xl)

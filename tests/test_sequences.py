@@ -421,6 +421,15 @@ class TestPermutations:
             out = apply_permutation(seq, perm, 20)
             assert sorted(out) == list(seq.values)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_apply_fewer_than_one_term_is_bad_count(self, n):
+        # 0 used to end in max() of an empty window, and -1 returned all
+        # but the last term
+        seq = IndexSequence((1, 2, 4))
+        with pytest.raises(LabError) as err:
+            apply_permutation(seq, permutation("identity", 3), n)
+        assert err.value.token == "bad-count"
+
     def test_apply_size_mismatch(self):
         seq = IndexSequence((1, 2))
         with pytest.raises(LabError) as err:
