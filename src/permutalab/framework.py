@@ -7,7 +7,9 @@ law with finitely many atoms is an admissible input.  Its one field,
 ``name``, picks one of two instances: the plain normalized-sum CLT ``clt``
 (window (1, k)) and its trimmed variant ``trimmed-clt`` (window
 (floor(k^(1/4)), k)).  ``RegularLimitTheorem(name)`` is the only
-constructor; an unknown name raises ``bad-theorem``.  The limits are kept
+constructor; an unknown name raises ``bad-theorem``.  A window wider than
+``sequences.PERM_MAX_TERMS`` (2**20, the most terms a permutation of it
+may have) raises ``too-large`` before any draw.  The limits are kept
 symbolic as centered normals so distribution distances against them use
 the erfc-based CDF rather than a discretization.
 
@@ -28,6 +30,7 @@ from .measures import DiscreteMeasure, EmpiricalSample, MixedNormal, empirical_m
 from .metrics import ks_distance
 from .parallel import map_chunks, row_blocks
 from .rng import derive_seed, derive_seed_vec, uniform_columns
+from .sequences import PERM_MAX_TERMS
 
 
 # window start p_k of each theorem; the window end is q_k = k
@@ -44,7 +47,8 @@ class RegularLimitTheorem:
 
     ``name`` is one of :data:`THEOREMS`: ``clt`` takes the full window,
     p_k = 1; ``trimmed-clt`` drops the first floor(k^(1/4)) - 1 coordinates.
-    The window rejects k < 1.
+    The window rejects k < 1 with ``bad-count`` and a window wider than
+    ``PERM_MAX_TERMS`` with ``too-large``.
     """
 
     name: str
@@ -56,7 +60,10 @@ class RegularLimitTheorem:
     def window(self, k: int) -> tuple[int, int]:
         if k < 1:
             raise LabError("bad-count", f"need k >= 1, got {k}")
-        return _WINDOW_START[self.name](k), k
+        p = _WINDOW_START[self.name](k)
+        if k - p + 1 > PERM_MAX_TERMS:
+            raise LabError("too-large", f"window of k = {k} is wider than {PERM_MAX_TERMS} terms")
+        return p, k
 
     def window_width(self, k: int) -> int:
         p, q = self.window(k)
@@ -104,7 +111,12 @@ def limit_convergence_check(
     seed: int,
     threads: int = 1,
 ) -> list[tuple[int, float]]:
-    """Rows (k, KS distance of the empirical f_k law to G(mu))."""
+    """Rows (k, KS distance of the empirical f_k law to G(mu)).
+
+    Every k's window is checked before the first draw.
+    """
+    for k in k_list:
+        T.window(k)
     rows = []
     for k in k_list:
         sample = simulate_fk(T, k, mu, m, derive_seed(seed, "conv", k), threads)

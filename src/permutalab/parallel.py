@@ -23,18 +23,12 @@ from .errors import LabError
 CHUNK = 4096
 
 # Elements per block, one budget for the row blocks of row_blocks (256 rows
-# of 400 columns) and the blocks of the n*x mod 1 kernel: a limb block's
-# gather (4 products per frequency and point), a digit block's output
-# rows, weight matrix, and each point tile of its digits and matrix
-# product (7 positions per frequency and point).  A block's arrays (0.8 MB
-# each) then stay near a 2 MiB L2; 25 digit-block frequencies fill the
-# budget on a 4,096-point chunk.  On 2-vCPU x86-64 (2 MiB L2 per core,
+# of 400 columns) and the blocks of the n*x mod 1 kernel (the lacunary
+# module docstring says how it applies there).  A block's arrays (0.8 MB
+# each) then stay near a 2 MiB L2.  On 2-vCPU x86-64 (2 MiB L2 per core,
 # numpy 2.4), k = 400 and M = 8192 at one thread, medians of 20 runs:
 # simulate_fk 26 ms at 256 rows, 33 at 512, 35 at 1,024 and 54 at 4,096;
-# permuted_statistic 35, 32, 42 and 64 ms.  Twice the budget in the kernel,
-# when multi-limb blocks were still a gather, raised the lacunary-mc
-# benchmark's peak RSS by about 10% and slowed q = 1.5 clt chunks, whose
-# blocks then outgrew the cache.
+# permuted_statistic 35, 32, 42 and 64 ms.
 BLOCK_ELEMENTS = 256 * 400
 
 

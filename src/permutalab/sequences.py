@@ -234,11 +234,12 @@ def random_permutation(n: int, seed: int) -> Permutation:
 def permutation(pattern: str, n: int) -> Permutation:
     """The permutation pattern ``identity``, ``reverse``, ``block:k`` or ``random:seed`` on n terms.
 
-    n above PERM_MAX_TERMS raises ``perm-size`` before anything is built; an
-    unknown pattern or a non-integer argument raises ``bad-config``.
+    n below 1 or above PERM_MAX_TERMS raises ``perm-size`` before anything is
+    built, whatever the pattern; an unknown pattern or a non-integer
+    argument raises ``bad-config``.
     """
-    if n > PERM_MAX_TERMS:
-        raise LabError("perm-size", f"--perm-n {n} exceeds {PERM_MAX_TERMS} terms")
+    if not 1 <= n <= PERM_MAX_TERMS:
+        raise LabError("perm-size", f"--perm-n {n} is not in 1..{PERM_MAX_TERMS} terms")
     if pattern == "identity":
         return Permutation(tuple(range(1, n + 1)))
     if pattern == "reverse":

@@ -469,6 +469,25 @@ class TestExitCodes:
         self._assert_runtime_error(rc, capsys, "perm-size")
         assert PERM_MAX_TERMS == 2**20
 
+    @pytest.mark.parametrize(
+        "command, flag", [("framework-check", "--k-list"), ("exchangeable", "--k")]
+    )
+    def test_window_past_the_budget_draws_nothing(self, tmp_path, seq_file, capsys, command, flag):
+        # a window of 10**9 terms would ask numpy for a 7.45 GiB arange of
+        # draw columns; it is refused before the first draw
+        argv = self._argv(tmp_path, seq_file, command, **{flag: "1000000000", "--M": "1"})
+        t0 = time.monotonic()
+        tracemalloc.start()
+        try:
+            rc = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert peak < 4 * 2**20
+        self._assert_runtime_error(rc, capsys, "too-large")
+        assert not (tmp_path / "out").exists()
+
     def test_coupling_one_pair_past_the_limit_is_too_large(self, tmp_path, capsys, monkeypatch):
         # 4 x 5 atom pairs: refused one pair past the limit, written at it
         (tmp_path / "mu.csv").write_text("".join(f"{i}.0,0.25\n" for i in range(4)))

@@ -21,9 +21,10 @@ from permutalab import (
     limit_convergence_check,
     simulate_fk,
 )
-from permutalab import parallel
+from permutalab import framework, parallel
 from permutalab.parallel import map_chunks
 from permutalab.rng import Stream, derive_seed_vec, uniform_columns
+from permutalab.sequences import PERM_MAX_TERMS
 
 from conftest import random_discrete_measure
 from thinning import lipschitz_probe, mc_tolerance, plan_thinning, statistic_stability_check
@@ -69,6 +70,20 @@ class TestCltInstances:
         with pytest.raises(LabError) as err:
             RegularLimitTheorem("lil")
         assert err.value.token == "bad-theorem"
+
+    @pytest.mark.parametrize("name, k", [("clt", 2**20), ("trimmed-clt", 2**20 + 31)])
+    def test_window_wider_than_the_term_cap_is_too_large(self, name, k):
+        # the widest window each theorem accepts is 2**20 terms wide: trimmed-clt
+        # drops 31 of them at this k; one more term is refused before any draw
+        T = RegularLimitTheorem(name)
+        assert T.window_width(k) == PERM_MAX_TERMS == 2**20
+        for call in (lambda: T.window(k + 1), lambda: simulate_fk(T, k + 1, RADEMACHER, 1, 0),
+                     lambda: limit_convergence_check(T, RADEMACHER, [1, k + 1], 1, 0)):
+            with mock.patch.object(framework, "map_chunks", side_effect=AssertionError("drew")):
+                with pytest.raises(LabError) as err:
+                    call()
+            assert err.value.token == "too-large"
+            assert str(k + 1) in str(err.value)
 
     def test_windows_monotone(self):
         T = RegularLimitTheorem("trimmed-clt")

@@ -36,6 +36,7 @@ from permutalab.lacunary import (
     _blocks,
     _frac_tops,
     _lil_limbs,
+    _sines,
     _x_limbs,
     ceil_log2,
     required_bits,
@@ -493,8 +494,9 @@ def _limbs(xs: list[int], bits: int) -> np.ndarray:
     )
 
 
-def _top_floats(xs: list[int], f: int, bits: int) -> list[float]:
-    return [float(frac_mul(FixedPointX(x, bits), f).value >> (bits - 64)) for x in xs]
+def _top_words(xs: list[int], f: int, bits: int) -> list[int]:
+    """The exact top words ``(f * x mod 2**B) >> (B - 64)`` of the bigint oracle."""
+    return [frac_mul(FixedPointX(x, bits), f).value >> (bits - 64) for x in xs]
 
 
 def _one_block(xl: np.ndarray, fs: list[int]) -> np.ndarray:
@@ -666,9 +668,9 @@ class TestLimbKernel:
         # with zero weights; every row must still be its own frequency's
         bits, fs, xs = case
         got = _one_block(_limbs(xs, bits), fs)
-        assert got.shape == (len(fs), len(xs))
+        assert got.shape == (len(fs), len(xs)) and got.dtype == np.uint64
         for row, f in zip(got, fs):
-            assert row.tolist() == _top_floats(xs, f, bits)
+            assert row.tolist() == _top_words(xs, f, bits)
 
     @settings(max_examples=150, deadline=None)
     @given(_guard_cases(), st.data())
@@ -682,7 +684,7 @@ class TestLimbKernel:
         with _counting_recomputes() as seen:
             got = _one_block(_limbs(xs, bits), fs)
         for row, g in zip(got, fs):
-            assert row.tolist() == _top_floats(xs, g, bits)
+            assert row.tolist() == _top_words(xs, g, bits)
         assert f in [g for g, _ in seen]
 
     @settings(max_examples=40, deadline=None)
@@ -703,7 +705,7 @@ class TestLimbKernel:
             assert _largest_array([*b.fs, nxt.fs[0]], bits, points) > BLOCK_ELEMENTS
         got = np.concatenate([_frac_tops(xl, b) for b in blocks])
         for row, f in zip(got, fs):
-            assert row.tolist() == (_top_floats(xs, f, bits) * (points // len(xs) + 1))[:points]
+            assert row.tolist() == (_top_words(xs, f, bits) * (points // len(xs) + 1))[:points]
 
     @settings(max_examples=200, deadline=None)
     @given(_digit_cases())
@@ -717,7 +719,7 @@ class TestLimbKernel:
         assert block.limb is None
         got = _frac_tops(xl, block)
         for row, f in zip(got, fs):
-            assert row.tolist() == (_top_floats(xs, f, bits) * reps)[:points]
+            assert row.tolist() == (_top_words(xs, f, bits) * reps)[:points]
         # the formed guard digit sits at most e (f's nonzero 16-bit digits)
         # below the true one: a position formed short by one product would not
         _, guards = lacunary._digit_tops(xl, block)
@@ -738,7 +740,7 @@ class TestLimbKernel:
         assert block.limb is None
         with _counting_recomputes() as seen:
             got = _frac_tops(xl, block)[0]
-        assert got.tolist() == _top_floats(xs, f, bits)
+        assert got.tolist() == _top_words(xs, f, bits)
         assert seen == [(f, len(xs))]
 
     def test_frequency_of_too_many_digits_is_recomputed_at_every_column(self):
@@ -758,7 +760,7 @@ class TestLimbKernel:
         assert block.slack.tolist() == [0]
         with _counting_recomputes() as seen:
             got = _frac_tops(xl, block)[0]
-        assert got.tolist() == _top_floats(xs, f, bits)
+        assert got.tolist() == _top_words(xs, f, bits)
         assert seen == [(f, 3)]
 
     @settings(max_examples=300, deadline=None)
@@ -766,7 +768,7 @@ class TestLimbKernel:
     def test_matches_frac_mul(self, case):
         bits, f, xs = case
         got = _one_block(_limbs(xs, bits), [f])[0]
-        assert got.tolist() == _top_floats(xs, f, bits)
+        assert got.tolist() == _top_words(xs, f, bits)
 
     @settings(max_examples=300, deadline=None)
     @given(_guard_cases())
@@ -774,7 +776,7 @@ class TestLimbKernel:
         bits, f, xs = case
         with _counting_recomputes() as seen:
             got = _one_block(_limbs(xs, bits), [f])[0]
-        assert got.tolist() == _top_floats(xs, f, bits)
+        assert got.tolist() == _top_words(xs, f, bits)
         assert seen and all(g == f for g, _ in seen)
 
     def test_no_recompute_on_random_points(self):
@@ -788,14 +790,19 @@ class TestLimbKernel:
     @settings(max_examples=200, deadline=None)
     @given(_precisions(640), st.data())
     def test_top_word_all_ones_rounds_to_two_to_64(self, bits, data):
-        # pick x so that f * x mod 2**B has 64 leading ones, whatever the rest
+        # pick x so that f * x mod 2**B has 64 leading ones, whatever the rest:
+        # the kernel's word is exact, and _sines reads it as 2**64, as the
+        # oracle's float(word) does
         f = data.draw(st.integers(1, 2 ** (bits - 65)))
         assume(f % 2 == 1)
         rest = data.draw(st.integers(0, 2 ** (bits - 64) - 1))
         target = ((2**64 - 1) << (bits - 64)) | rest
         x = target * pow(f, -1, 2**bits) % 2**bits
-        got = _one_block(_limbs([x], bits), [f])[0]
-        assert got.tolist() == _top_floats([x], f, bits) == [2.0**64]
+        xl = _limbs([x], bits)
+        assert _one_block(xl, [f])[0].tolist() == _top_words([x], f, bits) == [2**64 - 1]
+        [rows] = _sines([f], xl)
+        assert rows.tolist() == [[math.sin(TWO_PI * frac_mul(FixedPointX(x, bits), f).to_float())]]
+        assert frac_mul(FixedPointX(x, bits), f).to_float() == 1.0
 
     def test_largest_frequency_and_point(self):
         for bits in (256, 320, 384, 4160):
@@ -803,20 +810,21 @@ class TestLimbKernel:
             xs = [2**bits - 1, 1, 2 ** (bits - 1)]
             for g in (f, max(f - 1, 1), min(f, 2 ** ((bits - 65) // 2) + 1)):
                 got = _one_block(_limbs(xs, bits), [g])[0]
-                assert got.tolist() == _top_floats(xs, g, bits)
+                assert got.tolist() == _top_words(xs, g, bits)
 
     def test_np_sin_equals_math_sin_on_kernel_outputs(self):
-        # clt and lil sum np.sin of the kernel's outputs; their bytes equal
-        # the math.sin of the bigint oracles only if the two agree bit for
-        # bit.  They scale a top word by _ANGLE, one multiply, which equals
-        # scaling it by 2**-64 first: a power of two scales exactly here
+        # clt and lil sum the rows of _sines; their bytes equal the math.sin
+        # of the bigint oracles only if _sines reads each word as
+        # float(word) * 2**-64 does and np.sin agrees with math.sin bit for
+        # bit.  It scales the converted word by _ANGLE, one multiply, which
+        # equals scaling it by 2**-64 first: a power of two scales exactly
+        freqs = gen_hadamard(1.5, 1, 246).values
         xl = _x_limbs(11, "clt-x", 0, 4096, 320)
-        blocks = _blocks(gen_hadamard(1.5, 1, 246).values, xl)
-        tops = np.concatenate([_frac_tops(xl, block).ravel() for block in blocks])
-        t = tops * 2.0**-64
-        assert t.size >= 10**6
-        assert (tops * _ANGLE).tobytes() == (TWO_PI * t).tobytes()
-        got = np.sin(TWO_PI * t)
+        words = np.concatenate([_frac_tops(xl, block).ravel() for block in _blocks(freqs, xl)])
+        assert words.size >= 10**6
+        t = np.array([float(w) * 2.0**-64 for w in words.tolist()])
+        assert (words.astype(np.float64) * _ANGLE).tobytes() == (TWO_PI * t).tobytes()
+        got = np.concatenate([rows.ravel() for rows in _sines(freqs, xl)])
         want = np.array([math.sin(TWO_PI * v) for v in t.tolist()])
         assert got.tobytes() == want.tobytes()
 

@@ -26,6 +26,7 @@ from permutalab import (
     permutation,
     random_permutation,
 )
+from permutalab import sequences
 from permutalab.sequences import _check_c_alpha, _check_q, gap_report
 from permutalab.rng import Stream
 
@@ -394,6 +395,21 @@ class TestPermutations:
     )
     def test_pattern_images(self, pattern, image):
         assert permutation(pattern, 6).image == image
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("pattern", ["identity", "reverse", "block:2", "random:3"])
+    def test_pattern_below_one_term_is_perm_size(self, monkeypatch, pattern, n):
+        # every pattern refuses n < 1 alike, naming n, before a term is built:
+        # identity and reverse used to build an empty permutation, block:2 an
+        # empty one at 0 and bad-block at -1, and random:3 raised bad-count
+        def built(image):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(sequences, "Permutation", built)
+        with pytest.raises(LabError) as err:
+            permutation(pattern, n)
+        assert err.value.token == "perm-size"
+        assert f"--perm-n {n} " in str(err.value)
 
     def test_window_is_the_zero_based_images(self):
         perm = Permutation((3, 1, 4, 2, 5))
