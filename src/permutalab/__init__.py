@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .errors import LabError
 from .measures import (
     DiscreteMeasure,
-    EmpiricalSample,
     MixedNormal,
     empirical_measure,
 )
@@ -57,7 +56,6 @@ from .exchangeable import (
 __all__ = [
     "LabError",
     "DiscreteMeasure",
-    "EmpiricalSample",
     "MixedNormal",
     "empirical_measure",
     "ks_distance",

@@ -139,11 +139,10 @@ def _cmd_clt(args) -> tuple[dict, dict]:
     # the default domain stops at the sequence: a larger N is bad-count in clt_sample
     perm_n = args.perm_n if args.perm_n is not None else min(args.N, len(seq))
     perm = permutation(args.perm, perm_n)
-    sample = clt_sample(
+    arr = clt_sample(
         seq, args.N, args.M, norm=args.norm, perm=perm, seed=args.seed, threads=args.threads
     )
-    arr = sample.values
-    ks = ks_distance(empirical_measure(sample), MixedNormal.standard())
+    ks = ks_distance(empirical_measure(arr), MixedNormal.standard())
     summary = {
         "ks_to_normal": ks,
         "mean": float(arr.mean()),

@@ -44,7 +44,6 @@ from .framework import RegularLimitTheorem
 from .measures import (
     MASS_TOL,
     DiscreteMeasure,
-    EmpiricalSample,
     MixedNormal,
     empirical_measure,
     inverse_index,
@@ -54,7 +53,7 @@ from .measures import (
 from .metrics import ks_distance
 from .parallel import map_chunks, row_blocks
 from .rng import derive_seed, derive_seed_vec, uniform_columns
-from .sequences import Permutation
+from .sequences import PERM_MAX_TERMS, Permutation
 
 DEFAULT_GRID = 2.0**-20
 
@@ -108,7 +107,7 @@ class ExchangeableModel:
         if self.grid > 0.0:
             # a bound on |z + eta| of every drawn value, in Python floats so
             # that an overflow gives inf without a RuntimeWarning
-            reach = max(abs(float(law.atoms[i][0])) for _, law in self.atoms for i in (0, -1))
+            reach = max(abs(float(law.positions[i])) for _, law in self.atoms for i in (0, -1))
             noise = self.perturb.outlier_size if self.perturb is not None else 0.0
             reach += max(noise, _BAD_ATOM_SHIFT if self.n_bad > 0 else 0.0)
             if not math.isfinite(reach / self.grid):
@@ -216,9 +215,11 @@ def _draw(model: ExchangeableModel, seeds: np.ndarray, length: int, window_idx: 
 
 
 def draw_sequence(model: ExchangeableModel, m: int, seed: int) -> DrawnSequence:
-    """Sample an atom, then m conditionally-i.i.d. perturbed values."""
+    """Sample an atom, then m <= ``PERM_MAX_TERMS`` conditionally-i.i.d. perturbed values."""
     if m < 1:
         raise LabError("bad-count", "need m >= 1")
+    if m > PERM_MAX_TERMS:
+        raise LabError("too-large", f"a sequence of {m} terms is longer than {PERM_MAX_TERMS}")
     seeds = np.array([derive_seed(seed, "draw")], dtype=np.uint64)
     ((atom, _, _, z, x),) = _draw(model, seeds, m, np.arange(m))
     return DrawnSequence(atom, z[0], x[0])
@@ -232,8 +233,8 @@ def permuted_statistic(
     m: int,
     seed: int,
     threads: int = 1,
-) -> EmpiricalSample:
-    """Law of f_k over the window of the permuted drawn sequence.
+) -> np.ndarray:
+    """Law of f_k over the window of the permuted drawn sequence, one value per run.
 
     Each of the m runs draws its own atom and sequence; f_k is evaluated on
     coordinates p_k..q_k of the permuted sequence with the drawn atom's law
@@ -250,7 +251,7 @@ def permuted_statistic(
         return out
 
     width = 1 + len(_value_columns(model, len(perm), window_idx))
-    return EmpiricalSample(map_chunks(m, row_blocks(run, width), threads))
+    return map_chunks(m, row_blocks(run, width), threads)
 
 
 _INVARIANCE_TOL = 0.05  # both KS comparisons of permutation_invariance_check
@@ -309,9 +310,7 @@ def strong_law_trajectory(
     """
     if not 0.0 < p <= 2.0:
         raise LabError("bad-p", "need 0 < p <= 2")
-    if n < 1:
-        raise LabError("bad-count", "need N >= 1")
-    drawn = draw_sequence(model, n, seed)
+    drawn = draw_sequence(model, n, seed)  # N below 1 or above PERM_MAX_TERMS is refused
     mean = model.atoms[drawn.atom_index][1].mean_var()[0]
     idx = np.arange(1, n + 1, dtype=float)
     sums = np.cumsum(drawn.x)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabError
-from .measures import DiscreteMeasure, EmpiricalSample, MixedNormal, empirical_measure
+from .measures import DiscreteMeasure, MixedNormal, empirical_measure
 from .metrics import ks_distance
 from .parallel import map_chunks, row_blocks
 from .rng import derive_seed, derive_seed_vec, uniform_columns
@@ -86,8 +86,8 @@ def simulate_fk(
     m: int,
     seed: int,
     threads: int = 1,
-) -> EmpiricalSample:
-    """m independent evaluations of f_k on i.i.d. window draws from mu.
+) -> np.ndarray:
+    """m independent evaluations of f_k on i.i.d. window draws from mu, as an array.
 
     Runs are drawn in row blocks sized by the window width
     (``parallel.row_blocks``); each run's values depend only on its index.
@@ -100,7 +100,7 @@ def simulate_fk(
         draws = mu.quantile_many(us)
         return T.evaluate(draws, mu, k)
 
-    return EmpiricalSample(map_chunks(m, row_blocks(run, width), threads))
+    return map_chunks(m, row_blocks(run, width), threads)
 
 
 def limit_convergence_check(

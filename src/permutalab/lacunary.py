@@ -113,7 +113,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LabError
-from .measures import EmpiricalSample
 from .parallel import BLOCK_ELEMENTS, map_chunks
 from .rng import _words, derive_seed_vec
 from .sequences import IndexSequence, Permutation, apply_permutation
@@ -365,8 +364,8 @@ def clt_sample(
     perm: Permutation | None = None,
     seed: int = 0,
     threads: int = 1,
-) -> EmpiricalSample:
-    """Monte Carlo law of the normalized trigonometric sum.
+) -> np.ndarray:
+    """Monte Carlo law of the normalized trigonometric sum, one value per sample.
 
     Each of the m samples draws its own uniform x (a fresh B-bit value from
     the stream of its sample index, B = ``required_bits`` of the largest
@@ -392,7 +391,7 @@ def clt_sample(
                 acc += row
         return acc / divisor
 
-    return EmpiricalSample(map_chunks(m, run, threads))
+    return map_chunks(m, run, threads)
 
 
 @dataclass(frozen=True)
@@ -412,16 +411,23 @@ def lil_trajectory(seq: IndexSequence, xs: int, n_max: int, seed: int = 0) -> Li
     """L_N = S_N / sqrt(N log log N) for N = 3..n_max at xs seeded points.
 
     Point i is ``Stream(derive_seed(seed, "lil-x", i)).bits(B)`` with B
-    ``required_bits(n_{n_max})``.
+    ``required_bits(n_{n_max})``; points run in ``map_chunks`` chunks, which bound xs.
     """
-    if xs < 1:
-        raise LabError("bad-count", "need at least one sample point")
     if n_max < 3:
         raise LabError("bad-count", "need N_max >= 3 for log log N")
     if n_max > len(seq):
         raise LabError("bad-count", "N_max exceeds sequence length")
     bits = required_bits(seq.values[n_max - 1])
-    return _lil_limbs(seq.values[:n_max], _x_limbs(seed, "lil-x", 0, xs, bits))
+    first = []  # L_N of point 0, from the chunk that holds it
+
+    def run(start: int, count: int) -> np.ndarray:
+        traj = _lil_limbs(seq.values[:n_max], _x_limbs(seed, "lil-x", start, count, bits))
+        if start == 0:
+            first.append(traj.first)
+        return traj.max_values
+
+    max_values = map_chunks(xs, run)
+    return LilTrajectory(first[0], max_values, bits)
 
 
 def _lil_limbs(freqs, xl: np.ndarray) -> LilTrajectory:

@@ -1,12 +1,12 @@
 """Finite atomic probability measures and mixed normals.
 
-A :class:`DiscreteMeasure` is an ordered list of ``(position, mass)`` atoms
-and is the concrete representative of a probability law on the reals used
-throughout the package.  A finite random measure on atoms A_1..A_r (the
-desk-scale model of a random limit law) is a list of ``(P(A_i), law_i)``
-components; :meth:`DiscreteMeasure.mixture` gives its mean measure.  A
-:class:`MixedNormal` is a variance mixture of centered normals, the
-canonical limit object for thin subsequences.
+A :class:`DiscreteMeasure`, one read-only ``(n, 2)`` array of ``(position,
+mass)`` atoms, represents every law on the reals; equality is identity.  A
+Monte Carlo sample is a plain 1-D array (:func:`empirical_measure`).  A finite
+random measure on atoms A_1..A_r (the desk-scale model of a random limit
+law) is a list of ``(P(A_i), law_i)`` components; :meth:`DiscreteMeasure.mixture`
+gives its mean measure.  A :class:`MixedNormal` is a variance mixture of
+centered normals, the canonical limit object for thin subsequences.
 
 Conventions fixed here and relied on by the metric and simulation modules:
 
@@ -76,39 +76,28 @@ def inverse_index(cum: np.ndarray, us) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalSample:
-    """Raw simulation output: a read-only 1-D float64 array of values.
+class DiscreteMeasure:
+    """Finite atomic probability measure with strictly increasing positions.
 
-    ``values`` is a read-only view of the given array (no copy when it is
-    already float64), so the sample cannot be changed through it.
+    ``atoms`` takes any ``(n, 2)`` array-like, n >= 1, else ``bad-measure``; it is
+    copied column-major, so ``positions`` and ``masses`` are contiguous views.
     """
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).view()
-        if values.ndim != 1 or values.size == 0:
-            raise LabError("empty-sample", "empirical sample needs a nonempty 1-D array")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finite atomic probability measure with strictly increasing positions."""
-
-    atoms: tuple[tuple[float, float], ...]
-    positions: np.ndarray = field(init=False, repr=False, compare=False)
-    masses: np.ndarray = field(init=False, repr=False, compare=False)
+    atoms: np.ndarray
+    positions: np.ndarray = field(init=False, repr=False)
+    masses: np.ndarray = field(init=False, repr=False)
     # cumulative masses after a leading 0.0: _cum0[i] = F(t) with i atoms <= t
-    _cum0: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.atoms) < 1:
-            raise LabError("bad-measure", "measure needs at least one atom")
-        pos = np.array([p for p, _ in self.atoms], dtype=float)
-        mass = np.array([m for _, m in self.atoms], dtype=float)
-        if np.any(~np.isfinite(pos)) or np.any(~np.isfinite(mass)):
+        try:
+            atoms = np.array(self.atoms, dtype=np.float64, order="F")
+        except (TypeError, ValueError, OverflowError):
+            raise LabError("bad-measure", "atoms must be (position, mass) pairs") from None
+        if atoms.ndim != 2 or atoms.shape[1] != 2 or len(atoms) < 1:
+            raise LabError("bad-measure", f"atoms must have shape (n >= 1, 2), not {atoms.shape}")
+        pos, mass = atoms.T
+        if not np.isfinite(atoms).all():
             raise LabError("bad-measure", "non-finite atom")
         if np.any(pos[1:] <= pos[:-1]):
             raise LabError("bad-measure", "positions must be strictly increasing")
@@ -118,7 +107,7 @@ class DiscreteMeasure:
         if abs(total - 1.0) > MASS_TOL:
             raise LabError("bad-measure", f"masses sum to {total!r}, not 1")
         cum0 = np.concatenate(([0.0], np.cumsum(mass)))
-        for name, arr in (("positions", pos), ("masses", mass), ("_cum0", cum0)):
+        for name, arr in (("atoms", atoms), ("positions", pos), ("masses", mass), ("_cum0", cum0)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -139,7 +128,7 @@ class DiscreteMeasure:
 
         A total off 1 by more than ``MASS_TOL`` but at most ``(1 + MASS_TOL)**2 - 1`` is rescaled.
         """
-        atoms = _merged((p, w * m) for w, law in components for p, m in law.atoms)
+        atoms = _merged((p, w * m) for w, law in components for p, m in law.atoms.tolist())
         total = float(np.sum([m for _, m in atoms]))
         if MASS_TOL < abs(total - 1.0) <= (1.0 + MASS_TOL) ** 2 - 1.0:
             atoms = tuple((p, m / total) for p, m in atoms)
@@ -170,13 +159,13 @@ class DiscreteMeasure:
         """
         return self.positions.take(inverse_index(self._cum0[1:], us))
 
-    def sample(self, m: int, seed: int) -> EmpiricalSample:
+    def sample(self, m: int, seed: int) -> np.ndarray:
         """m i.i.d. draws; deterministic for a fixed seed."""
         if m < 1:
             raise LabError("bad-count", "need m >= 1")
         stream = Stream(derive_seed(seed, "measure-sample"))
         us = stream.uniform_block(m)
-        return EmpiricalSample(self.quantile_many(us))
+        return self.quantile_many(us)
 
     def mean_var(self) -> tuple[float, float]:
         """Exact first moment and central second moment.
@@ -202,15 +191,16 @@ def _merged(pairs) -> tuple[tuple[float, float], ...]:
     return tuple(sorted(merged.items()))
 
 
-def empirical_measure(sample: EmpiricalSample) -> DiscreteMeasure:
-    """Counting measure of a sample; duplicate values merged, mass count/M each.
+def empirical_measure(values: np.ndarray) -> DiscreteMeasure:
+    """Counting measure of a nonempty 1-D sample (else ``bad-measure``), mass count/M each.
 
     The atoms are ``np.unique``'s values and ``counts / M`` on arrays, one
     IEEE division each, as ``float(c) / M`` per value gives.
     """
-    vals = sample.values
-    uniq, counts = np.unique(vals, return_counts=True)
-    return DiscreteMeasure(tuple(zip(uniq.tolist(), (counts / len(vals)).tolist())))
+    if values.ndim != 1 or values.size == 0:
+        raise LabError("bad-measure", "empirical law needs a nonempty 1-D sample")
+    uniq, counts = np.unique(values, return_counts=True)
+    return DiscreteMeasure(np.column_stack((uniq, counts / len(values))))
 
 
 @dataclass(frozen=True)
@@ -288,5 +278,5 @@ def _atom(line: str) -> tuple[float, float]:
 
 def measure_from_csv(text: str) -> DiscreteMeasure:
     """Parse ``position,mass`` lines (:func:`~permutalab.errors.table_rows`)."""
-    return DiscreteMeasure(tuple(table_rows(text, "measure CSV", "'position,mass'", _atom)))
+    return DiscreteMeasure(table_rows(text, "measure CSV", "'position,mass'", _atom))
 

@@ -83,7 +83,7 @@ def test_02_strassen_consistency(pair_batch):
 def test_03_hadamard_clt(clt_sample_256):
     sample, elapsed = clt_sample_256
     ks = pl.ks_distance(pl.empirical_measure(sample), pl.MixedNormal.standard())
-    var = float(sample.values.var())
+    var = float(sample.var())
     ok = ks <= 0.03 and abs(var - 1.0) <= 0.05 and elapsed < 60.0
     _verdict(3, ok, f"doubling-sequence CLT N=256 M=1e5: ks={ks:.4f} <= 0.03, "
                     f"var={var:.4f} within 1+-0.05, runtime {elapsed:.1f}s < 60s")
@@ -241,7 +241,7 @@ def test_12_determinism(doubling_512, clt_sample_256, tmp_path):
     # kernel level: the criterion-3 run repeated with 8 workers is bit-identical
     base, _ = clt_sample_256
     redo = pl.clt_sample(doubling_512, 256, 100_000, seed=1003, threads=8)
-    kernel_ok = redo.values.tobytes() == base.values.tobytes()
+    kernel_ok = redo.tobytes() == base.tobytes()
 
     # CLI level: a pipeline rerun twice and under both thread counts gives
     # byte-identical CSV outputs

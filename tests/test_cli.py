@@ -19,6 +19,7 @@ from permutalab.errors import LabError
 from permutalab.exchangeable import ExchangeableModel, model_to_json
 from permutalab.measures import DiscreteMeasure, measure_to_csv
 from permutalab.metrics import COUPLING_MAX_PAIRS
+from permutalab.parallel import MAX_TOTAL
 from permutalab.sequences import PERM_MAX_TERMS, permutation
 
 
@@ -342,6 +343,7 @@ class TestExitCodes:
             "lil": {"--seq": seq_file, "--Nmax": "5", "--xs": "1"},
             "clt": {"--seq": seq_file, "--N": "5", "--M": "100"},
             "permute-clt": {"--seq": seq_file, "--N": "5", "--M": "100", "--perm": "reverse"},
+            "strong-law": {"--model": model, "--p": "1.5", "--N": "10"},
         }[command]
         argv.update(flags)
         return [command, *(str(t) for kv in argv.items() for t in kv),
@@ -476,6 +478,28 @@ class TestExitCodes:
         # a window of 10**9 terms would ask numpy for a 7.45 GiB arange of
         # draw columns; it is refused before the first draw
         argv = self._argv(tmp_path, seq_file, command, **{flag: "1000000000", "--M": "1"})
+        t0 = time.monotonic()
+        tracemalloc.start()
+        try:
+            rc = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert peak < 4 * 2**20
+        self._assert_runtime_error(rc, capsys, "too-large")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("clt", "--M", MAX_TOTAL + 1), ("lil", "--xs", MAX_TOTAL + 1),
+         ("strong-law", "--N", PERM_MAX_TERMS + 1)],
+    )
+    def test_count_past_its_cap_draws_nothing(self, tmp_path, seq_file, capsys, command, flag,
+                                              value):
+        # each would draw one value per sample, point or term: refused before
+        # the first draw
+        argv = self._argv(tmp_path, seq_file, command, **{flag: str(value)})
         t0 = time.monotonic()
         tracemalloc.start()
         try:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from permutalab import (
     DiscreteMeasure,
     DrawnSequence,
-    EmpiricalSample,
     ExchangeableModel,
     LabError,
     Permutation,
@@ -30,11 +29,13 @@ from permutalab import (
     strong_law_trajectory,
     permutation_invariance_check,
 )
+from permutalab import exchangeable
 from permutalab.exchangeable import _BAD_ATOM_SHIFT, _noise_is_read, _quantize
 from permutalab.measures import _COUNT_MAX_ATOMS
 from permutalab import parallel
 from permutalab.parallel import map_chunks
 from permutalab.rng import Stream, derive_seed, derive_seed_vec, uniform_columns
+from permutalab.sequences import PERM_MAX_TERMS
 
 from thinning import conditional_noise_check, mixture_approximation_check, plan_thinning, tail_bound
 
@@ -116,7 +117,12 @@ class TestModel:
         model = ExchangeableModel(((0.5, RADEMACHER), (0.5, WIDE)), 0.0, spec, 2.0**-20)
         text = model_to_json(model)
         assert text.endswith("}\n")  # one newline, as every JSON file of the lab
-        assert model_from_json(text) == model
+        again = model_from_json(text)
+        assert model_to_json(again) == text
+        assert [p for p, _ in again.atoms] == [p for p, _ in model.atoms]
+        for (_, got), (_, want) in zip(again.atoms, model.atoms, strict=True):
+            assert got.atoms.tobytes() == want.atoms.tobytes()
+        assert (again.bad_mass, again.perturb, again.grid) == (model.bad_mass, spec, model.grid)
 
     @pytest.mark.parametrize(
         "text",
@@ -144,6 +150,16 @@ class TestDrawSequence:
         b = draw_sequence(TWO_ATOM, 64, seed=11)
         assert a.atom_index == b.atom_index
         assert np.array_equal(a.x, b.x)
+
+    def test_longer_than_the_term_cap_is_too_large(self, monkeypatch):
+        with pytest.raises(LabError) as err:
+            draw_sequence(TWO_ATOM, PERM_MAX_TERMS + 1, seed=1)
+        assert err.value.token == "too-large"
+        monkeypatch.setattr(exchangeable, "PERM_MAX_TERMS", 64)
+        assert len(draw_sequence(TWO_ATOM, 64, seed=1).x) == 64
+        with pytest.raises(LabError) as err:
+            draw_sequence(TWO_ATOM, 65, seed=1)
+        assert err.value.token == "too-large"
 
     def test_outlier_fraction_binomial(self):
         spec = PerturbSpec((0.1,), 0.05, 1.0)
@@ -211,7 +227,7 @@ class TestPermutedStatistic:
         T = RegularLimitTheorem("trimmed-clt")
         a = permuted_statistic(TWO_ATOM, T, 16, permutation("reverse", 16), 9000, seed=1, threads=1)
         b = permuted_statistic(TWO_ATOM, T, 16, permutation("reverse", 16), 9000, seed=1, threads=4)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 class TestPermutationInvariance:
@@ -350,7 +366,7 @@ def _permuted_statistic_full_layout_reference(
     m: int,
     seed: int,
     threads: int = 1,
-) -> EmpiricalSample:
+) -> np.ndarray:
     """Law of f_k over the window of the permuted drawn sequence.
 
     Each of the m runs draws its own atom and sequence; f_k is evaluated on
@@ -392,7 +408,7 @@ def _permuted_statistic_full_layout_reference(
             out[rows] = T.evaluate(x, law, k)
         return out
 
-    return EmpiricalSample(map_chunks(m, run, threads))
+    return map_chunks(m, run, threads)
 
 
 NEG_ZERO = DiscreteMeasure.point(-0.0)
@@ -453,7 +469,7 @@ class TestNoiseColumnsOracle:
             for threads in (1, 2):
                 want = _permuted_statistic_full_layout_reference(model, T, self.K, perm, m, 31, threads)
                 got = permuted_statistic(model, T, self.K, perm, m, 31, threads)
-                assert _bits(got.values) == _bits(want.values), (m, threads)
+                assert _bits(got) == _bits(want), (m, threads)
 
     @pytest.mark.parametrize("name", list(ORACLE_MODELS))
     def test_draw_sequence_matches_three_blocks(self, name):
@@ -515,4 +531,4 @@ class TestRowBlocksOracle:
         want = _permuted_statistic_full_layout_reference(model, T, self.K, perm, m, seed, threads)
         with mock.patch.object(parallel, "BLOCK_ELEMENTS", elements):
             got = permuted_statistic(model, T, self.K, perm, m, seed, threads)
-        assert _bits(got.values) == _bits(want.values)
+        assert _bits(got) == _bits(want)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from permutalab import (
     DiscreteMeasure,
-    EmpiricalSample,
     LabError,
     MixedNormal,
     RegularLimitTheorem,
@@ -98,19 +97,19 @@ class TestSimulateFk:
     def test_point_mass_plain_is_zero(self):
         T = RegularLimitTheorem("clt")
         sample = simulate_fk(T, 8, DiscreteMeasure.point(3.0), 50, seed=4)
-        assert all(v == 0.0 for v in sample.values)
+        assert all(v == 0.0 for v in sample)
 
     def test_deterministic(self):
         T = RegularLimitTheorem("clt")
         a = simulate_fk(T, 4, RADEMACHER, 100, seed=9)
         b = simulate_fk(T, 4, RADEMACHER, 100, seed=9)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_thread_invariance(self):
         T = RegularLimitTheorem("clt")
         a = simulate_fk(T, 4, RADEMACHER, 9000, seed=9, threads=1)
         b = simulate_fk(T, 4, RADEMACHER, 9000, seed=9, threads=4)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_k1_rademacher_ks_closed_form(self):
         T = RegularLimitTheorem("clt")
@@ -253,7 +252,7 @@ def _simulate_fk_chunk_reference(
     m: int,
     seed: int,
     threads: int = 1,
-) -> EmpiricalSample:
+) -> np.ndarray:
     """m independent evaluations of f_k on i.i.d. window draws from mu."""
     if m < 1:
         raise LabError("bad-count", "need M >= 1")
@@ -266,7 +265,7 @@ def _simulate_fk_chunk_reference(
         draws = mu.quantile_many(us)
         return T.evaluate(draws, mu, k)
 
-    return EmpiricalSample(map_chunks(m, run, threads))
+    return map_chunks(m, run, threads)
 
 
 # more atoms than measures._COUNT_MAX_ATOMS, so its quantiles take the binary search
@@ -292,4 +291,4 @@ def test_simulate_fk_bytes_do_not_depend_on_blocks(theorem, k, mu, elements, m, 
     want = _simulate_fk_chunk_reference(T, k, mu, m, seed, threads)
     with mock.patch.object(parallel, "BLOCK_ELEMENTS", elements):
         got = simulate_fk(T, k, mu, m, seed, threads)
-    assert got.values.tobytes() == want.values.tobytes()
+    assert got.tobytes() == want.tobytes()

@@ -41,7 +41,7 @@ from permutalab.lacunary import (
     ceil_log2,
     required_bits,
 )
-from permutalab.parallel import BLOCK_ELEMENTS, map_chunks
+from permutalab.parallel import BLOCK_ELEMENTS, CHUNK, map_chunks
 from permutalab.rng import GOLDEN, Stream, derive_seed, derive_seed_vec, mix64_vec
 from permutalab.sequences import (
     IndexSequence,
@@ -272,7 +272,7 @@ class TestCltSample:
 
     def test_single_term_arcsine_law(self):
         sample = clt_sample(gen_hadamard(2, 1, 1), 1, 20_000, seed=5)
-        vals = np.sort(sample.values)
+        vals = np.sort(sample)
         emp = np.arange(1, len(vals) + 1) / len(vals)
         want = np.array([arcsine_cdf(v) for v in vals])
         assert np.max(np.abs(emp - want)) < 0.015  # DKW at M=2e4
@@ -280,12 +280,12 @@ class TestCltSample:
     def test_deterministic(self):
         a = clt_sample(self.SEQ, 16, 100, seed=11)
         b = clt_sample(self.SEQ, 16, 100, seed=11)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_thread_count_invariance(self):
         a = clt_sample(self.SEQ, 16, 9000, seed=11, threads=1)
         b = clt_sample(self.SEQ, 16, 9000, seed=11, threads=4)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_permutation_fixing_prefix_is_identical(self):
         # any permutation mapping {1..N} onto itself gives bit-identical
@@ -294,20 +294,20 @@ class TestCltSample:
         perm = permutation("reverse", n)
         a = clt_sample(self.SEQ, n, 200, seed=3)
         b = clt_sample(self.SEQ, n, 200, perm=perm, seed=3)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_block_perm_changes_index_set(self):
         perm = block_interleave_permutation(32, 4)
         a = clt_sample(self.SEQ, 16, 200, seed=3)
         b = clt_sample(self.SEQ, 16, 200, perm=perm, seed=3)
-        assert a.values.tobytes() != b.values.tobytes()
+        assert a.tobytes() != b.tobytes()
 
     def test_variance_orthogonality(self):
         # distinct sine frequencies are orthogonal: Var S_N = N/2, so the
         # normalized variance is 1; quadrature oracle below confirms N/2
         n = 64
         sample = clt_sample(self.SEQ, n, 20_000, seed=21)
-        assert abs(sample.values.var() - 1.0) < 0.05
+        assert abs(sample.var() - 1.0) < 0.05
 
     def test_variance_quadrature_oracle(self):
         # integral of (sum sin(2 pi n x))^2 over [0,1] equals N/2 for
@@ -320,7 +320,7 @@ class TestCltSample:
     def test_norm_variants(self):
         a = clt_sample(self.SEQ, 8, 50, norm="sqrtN_over_2", seed=2)
         b = clt_sample(self.SEQ, 8, 50, norm="sqrtN", seed=2)
-        ratio = a.values / b.values
+        ratio = a / b
         assert np.allclose(ratio, math.sqrt(2.0))
 
     def test_ks_at_moderate_n(self):
@@ -430,7 +430,7 @@ def _with_top(seq: IndexSequence, n: int, top: int) -> IndexSequence:
 def test_clt_sample_matches_bigint_oracle(seq, n, perm, m, threads):
     got = clt_sample(seq, n, m, perm=perm, seed=7, threads=threads)
     want = _clt_bigint_reference(seq, n, m, perm=perm, seed=7, threads=threads)
-    assert got.values.tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 _Q15_DIGEST = """
@@ -440,7 +440,7 @@ from permutalab.sequences import permutation
 
 seq = gen_hadamard(1.5, 1, 512)
 sample = clt_sample(seq, 128, 4097, perm=permutation("block:32", 512), seed=7, threads=2)
-print(hashlib.sha256(sample.values.tobytes()).hexdigest())
+print(hashlib.sha256(sample.tobytes()).hexdigest())
 """
 
 
@@ -459,7 +459,7 @@ def test_clt_sample_bytes_do_not_depend_on_the_blas_threads():
     ]
     seq = gen_hadamard(1.5, 1, 512)
     here = clt_sample(seq, 128, 4097, perm=permutation("block:32", 512), seed=7, threads=2)
-    assert digests == [hashlib.sha256(here.values.tobytes()).hexdigest() + "\n"] * 2
+    assert digests == [hashlib.sha256(here.tobytes()).hexdigest() + "\n"] * 2
 
 
 def test_clt_sample_precision_is_set_by_the_largest_frequency():
@@ -469,7 +469,7 @@ def test_clt_sample_precision_is_set_by_the_largest_frequency():
     for n in (127, 128):
         got = clt_sample(seq, n, 300, seed=2)
         want = _clt_bigint_reference(seq, n, 300, seed=2)
-        assert got.values.tobytes() == np.asarray(want, dtype=float).tobytes()
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("bits", [256, 320, 384, 4160])
@@ -892,6 +892,27 @@ def test_lil_matches_bigint_oracle(q, n_max, xs, seed):
         for i in range(1, xs):
             rest = _lil_limbs(seq.values[:n_max], xl[:, i:])
             assert rest.first.tobytes() == _lil_oracle(seq, n_max, points[i:i + 1])[0].tobytes()
+
+
+def test_lil_points_run_in_chunks_with_the_bytes_of_one_call(monkeypatch):
+    # past one chunk of points: only a chunk's limbs are drawn at a time, and
+    # the trajectory and maxima are those of all points drawn at once
+    seq = gen_hadamard(1.5, 1, 40)
+    xs, n_max, seed = CHUNK + 3, 40, 9
+    bits = required_bits(seq.values[n_max - 1])
+    want = _lil_limbs(seq.values[:n_max], _x_limbs(seed, "lil-x", 0, xs, bits))
+    drawn = []
+
+    def spy(seed, label, start, count, bits):
+        drawn.append((start, count))
+        return _x_limbs(seed, label, start, count, bits)
+
+    monkeypatch.setattr(lacunary, "_x_limbs", spy)
+    got = lil_trajectory(seq, xs, n_max, seed)
+    assert drawn == [(0, CHUNK), (CHUNK, 3)]
+    assert got.bits == want.bits
+    assert got.first.tobytes() == want.first.tobytes()
+    assert got.max_values.tobytes() == want.max_values.tobytes()
 
 
 def _first_wins_max(values) -> float:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from permutalab import (
     DiscreteMeasure,
-    EmpiricalSample,
     LabError,
     MixedNormal,
     empirical_measure,
@@ -79,6 +78,46 @@ class TestDiscreteMeasure:
         with pytest.raises(LabError):
             DiscreteMeasure(((0.0, 1.5), (1.0, -0.5)))
 
+    def test_tuple_of_pairs_and_array_build_the_same_atoms(self):
+        pairs = ((-0.0, 0.25), (0.5, 0.25), (2.0, 0.5))
+        from_tuple = DiscreteMeasure(pairs)
+        from_array = DiscreteMeasure(np.column_stack(([-0.0, 0.5, 2.0], [0.25, 0.25, 0.5])))
+        assert from_tuple.atoms.tobytes() == from_array.atoms.tobytes()
+        assert from_tuple.atoms.tobytes() == np.array(pairs).tobytes()
+        assert [tuple(row) for row in from_tuple.atoms] == list(pairs)
+        for mu in (from_tuple, from_array):
+            assert mu.atoms.shape == (3, 2) and mu.atoms.dtype == np.float64
+            for arr in (mu.atoms, mu.positions, mu.masses, mu._cum0):
+                assert not arr.flags.writeable
+            for arr in (mu.positions, mu.masses, mu._cum0):
+                assert arr.flags.c_contiguous
+
+    def test_atoms_are_a_copy(self):
+        given = np.array([[0.0, 0.5], [1.0, 0.5]])
+        mu = DiscreteMeasure(given)
+        given[0, 0] = -5.0
+        assert mu.positions.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            ((0.0, 0.5), (1.0,)),  # ragged
+            ((0.0, 0.5, 1.0), (1.0, 0.5, 1.0)),  # three columns
+            (0.0, 1.0),  # 1-D
+            (),  # empty
+            np.empty((0, 2)),  # empty, as an array
+            None,
+        ],
+    )
+    def test_wrong_shape_is_bad_measure(self, atoms):
+        with pytest.raises(LabError) as err:
+            DiscreteMeasure(atoms)
+        assert err.value.token == "bad-measure"
+
+    def test_equality_is_identity(self):
+        assert COIN == COIN
+        assert DiscreteMeasure(((0.0, 0.5), (1.0, 0.5))) != COIN
+
     def test_cdf_point_mass(self):
         d0 = DiscreteMeasure.point(0.0)
         assert d0.cdf_many(np.array([-1.0, 0.0])).tolist() == [0.0, 1.0]  # right-continuity
@@ -137,20 +176,20 @@ class TestDiscreteMeasure:
 
     def test_sample_point_mass(self):
         s = DiscreteMeasure.point(2.0).sample(5, seed=1)
-        assert s.values.tobytes() == np.full(5, 2.0).tobytes()
+        assert s.tobytes() == np.full(5, 2.0).tobytes()
 
     def test_sample_deterministic(self):
         a = COIN.sample(100, seed=42)
         b = COIN.sample(100, seed=42)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_sample_binomial_oracle(self):
         s = COIN.sample(10_000, seed=1)
-        assert abs(s.values.mean() - 0.5) < 0.02
+        assert abs(s.mean() - 0.5) < 0.02
 
     def test_csv_round_trip(self):
         text = measure_to_csv(COIN)
-        assert measure_from_csv(text) == COIN
+        assert measure_from_csv(text).atoms.tobytes() == COIN.atoms.tobytes()
 
     @pytest.mark.parametrize("line", ["0.5", "0.5,1,2", "x,0.5"])
     def test_csv_line_not_a_pair_is_malformed_input(self, line):
@@ -162,40 +201,29 @@ class TestDiscreteMeasure:
     def test_from_pairs_merges_equal_doubles_keeping_first(self):
         for first, second in ((-0.0, 0.0), (0.0, -0.0)):
             m = DiscreteMeasure.from_pairs([(first, 0.5), (second, 0.5)])
-            assert m.atoms == ((0.0, 1.0),)
+            assert m.atoms.tolist() == [[0.0, 1.0]]
             assert math.copysign(1.0, m.atoms[0][0]) == math.copysign(1.0, first)
 
 
 class TestEmpiricalMeasure:
     def test_counting(self):
-        m = empirical_measure(EmpiricalSample((1.0, 1.0, 2.0)))
-        assert m.atoms == ((1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0))
+        m = empirical_measure(np.array([1.0, 1.0, 2.0]))
+        assert m.atoms.tolist() == [[1.0, 2.0 / 3.0], [2.0, 1.0 / 3.0]]
 
     def test_single_value(self):
-        assert empirical_measure(EmpiricalSample((0.0,))).atoms == ((0.0, 1.0),)
+        assert empirical_measure(np.array([0.0])).atoms.tolist() == [[0.0, 1.0]]
 
-    def test_empty_sample_rejected(self):
+    @pytest.mark.parametrize("values", [np.array([]), np.ones((2, 2)), np.float64(1.0)])
+    def test_empty_or_not_1d_sample_is_bad_measure(self, values):
         with pytest.raises(LabError) as err:
-            EmpiricalSample(())
-        assert err.value.token == "empty-sample"
-
-    def test_values_read_only_float64_view(self):
-        given = np.array([3, 1, 2])
-        s = EmpiricalSample(given)
-        assert s.values.dtype == np.float64 and not s.values.flags.writeable
-        floats = np.array([1.0, 2.0])
-        s = EmpiricalSample(floats)
-        assert np.shares_memory(s.values, floats)
-        assert floats.flags.writeable  # only the sample's view is frozen
-        with pytest.raises(LabError) as err:
-            EmpiricalSample(np.ones((2, 2)))
-        assert err.value.token == "empty-sample"
+            empirical_measure(values)
+        assert err.value.token == "bad-measure"
 
     def test_sampler_counts(self):
         s = COIN.sample(1000, seed=7)
         m = empirical_measure(s)
         counts = {v: 0 for v, _ in m.atoms}
-        for v in s.values:
+        for v in s:
             counts[v] += 1  # independent direct count
         for v, mass in m.atoms:
             assert mass == counts[v] / 1000
@@ -240,15 +268,15 @@ class TestMixedNormal:
 
 class TestMixture:
     def test_identity(self):
-        assert DiscreteMeasure.mixture(((1.0, COIN),)) == COIN
+        assert DiscreteMeasure.mixture(((1.0, COIN),)).atoms.tobytes() == COIN.atoms.tobytes()
 
     def test_merges(self):
         d0 = DiscreteMeasure.point(0.0)
-        assert DiscreteMeasure.mixture(((0.5, d0), (0.5, d0))) == d0
+        assert DiscreteMeasure.mixture(((0.5, d0), (0.5, d0))).atoms.tobytes() == d0.atoms.tobytes()
 
     def test_two_points(self):
         comps = ((0.5, DiscreteMeasure.point(0.0)), (0.5, DiscreteMeasure.point(1.0)))
-        assert DiscreteMeasure.mixture(comps) == COIN
+        assert DiscreteMeasure.mixture(comps).atoms.tobytes() == COIN.atoms.tobytes()
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -256,7 +284,8 @@ class TestMixture:
         laws = data.draw(st.lists(measures(), min_size=1, max_size=4))
         raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(laws), max_size=len(laws)))
         comps = tuple(zip((np.array(raw) / sum(raw)).tolist(), laws))
-        assert DiscreteMeasure.mixture(comps) == flatten_reference(comps)
+        want = flatten_reference(comps)
+        assert DiscreteMeasure.mixture(comps).atoms.tobytes() == want.atoms.tobytes()
 
     def test_rescales_only_a_total_between_the_tolerances(self):
         a = DiscreteMeasure(((0.0, 0.5 + 9e-13), (1.0, 0.5)))
@@ -265,7 +294,7 @@ class TestMixture:
         assert abs(flat.masses.sum() - 1.0) <= MASS_TOL
         # off by 9e-13, within MASS_TOL: the merged masses, untouched
         comps = ((0.5 + 9e-13, DiscreteMeasure.point(0.0)), (0.5, DiscreteMeasure.point(1.0)))
-        assert DiscreteMeasure.mixture(comps).atoms == ((0.0, 0.5 + 9e-13), (1.0, 0.5))
+        assert DiscreteMeasure.mixture(comps).atoms.tolist() == [[0.0, 0.5 + 9e-13], [1.0, 0.5]]
         # off by 3.2e-12: beyond both, still bad-measure
         with pytest.raises(LabError) as err:
             DiscreteMeasure.mixture(((0.5 + 2.3e-12, a), (0.5, a)))
@@ -358,8 +387,7 @@ def reference_mixed_cdf_loop(mn: MixedNormal, ts, left: bool) -> np.ndarray:
     return out
 
 
-def reference_empirical_measure(sample: EmpiricalSample) -> DiscreteMeasure:
-    vals = sample.values
+def reference_empirical_measure(vals: np.ndarray) -> DiscreteMeasure:
     uniq, counts = np.unique(vals, return_counts=True)
     m = len(vals)
     return DiscreteMeasure(tuple((float(v), float(c) / m) for v, c in zip(uniq, counts)))
@@ -380,10 +408,16 @@ class TestArrayPathsMatchLoops:
     @given(values=sample_values())
     @settings(max_examples=60, deadline=None)
     def test_empirical_measure(self, values):
-        sample = EmpiricalSample(np.array(values))
+        sample = np.array(values)
         got, want = empirical_measure(sample), reference_empirical_measure(sample)
-        # repr tells -0.0 from 0.0, which tuple equality does not
-        assert repr(got.atoms) == repr(want.atoms)
+        # bytes tell -0.0 from 0.0, which float equality does not
+        assert got.atoms.tobytes() == want.atoms.tobytes()
+
+    def test_empirical_measure_duplicates_and_signed_zeros(self):
+        sample = np.array([0.0, -0.0, 2.5, -1.0, 2.5, 0.0, -1.0, 2.5])
+        got, want = empirical_measure(sample), reference_empirical_measure(sample)
+        assert got.atoms.tobytes() == want.atoms.tobytes()
+        assert len(got.atoms) == 3
 
     def test_empty_points(self):
         for mn in (MixedNormal.standard(), MixedNormal(((0.0, 0.5), (2.0, 0.5)))):
@@ -445,8 +479,7 @@ class TestCdfOracles:
 
     def test_discrete_empirical_and_signed_zero_laws(self):
         stream = Stream(6)
-        sample = EmpiricalSample(np.array([round(6.0 * stream.uniform() - 3.0, 2)
-                                           for _ in range(2000)]))
+        sample = np.array([round(6.0 * stream.uniform() - 3.0, 2) for _ in range(2000)])
         extra = [8.0 * stream.uniform() - 4.0 for _ in range(300)]
         for m in (empirical_measure(sample), TENTHS, DiscreteMeasure.point(-0.0),
                   DiscreteMeasure.from_pairs([(-0.0, 0.5), (0.0, 0.5)])):

@@ -32,7 +32,7 @@ from permutalab import (
     prohorov_oracle,
     strassen_coupling,
 )
-from permutalab.measures import MASS_TOL, EmpiricalSample
+from permutalab.measures import MASS_TOL
 from permutalab.metrics import MASS_SCALE, _integer_masses, _transport
 from permutalab.rng import Stream
 
@@ -719,7 +719,7 @@ class TestKsDistance:
         assert err.value.token == "ks-not-discrete"
 
     def test_empirical_vs_step(self):
-        emp = empirical_measure(EmpiricalSample((0.0, 0.0, 1.0, 2.0)))
+        emp = empirical_measure(np.array([0.0, 0.0, 1.0, 2.0]))
         assert ks_distance(emp, D0) == 0.5
 
     def test_zero_variance_atom_keeps_its_left_limit(self):
@@ -743,7 +743,7 @@ def _second_laws(draw):
     """A mixed normal with or without a zero-variance atom, or an empirical law."""
     kind = draw(st.sampled_from(["normal", "zero-atom", "empirical"]))
     if kind == "empirical":
-        return empirical_measure(EmpiricalSample(np.array(draw(sample_values(2_000)))))
+        return empirical_measure(np.array(draw(sample_values(2_000))))
     return draw(mixed_normals(kind == "zero-atom"))
 
 
@@ -751,7 +751,7 @@ class TestKsDistanceOracle:
     @given(values=sample_values(), g=_second_laws())
     @settings(max_examples=80, deadline=None)
     def test_matches_two_sided_evaluation(self, values, g):
-        f = empirical_measure(EmpiricalSample(np.array(values)))
+        f = empirical_measure(np.array(values))
         assert repr(ks_distance(f, g)) == repr(reference_ks_distance(f, g))
 
 

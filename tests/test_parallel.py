@@ -17,7 +17,8 @@ from permutalab import (
     simulate_fk,
 )
 from permutalab.errors import LabError
-from permutalab.parallel import BLOCK_ELEMENTS, CHUNK, map_chunks, row_blocks
+from permutalab import parallel
+from permutalab.parallel import BLOCK_ELEMENTS, CHUNK, MAX_TOTAL, map_chunks, row_blocks
 
 
 def _recorded(total: int, threads: int, width: int | None):
@@ -67,8 +68,23 @@ class TestChunks:
         with pytest.raises(LabError) as err:
             map_chunks(total, lambda s, c: calls.append((s, c)), threads)
         assert err.value.token == "bad-count"
-        assert str(err.value) == "need M >= 1"
+        assert str(err.value) == f"need a count >= 1, not {total}"
         assert calls == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_total_past_the_cap_is_too_large_before_any_chunk(self, threads, monkeypatch):
+        assert MAX_TOTAL >= 100_000  # the README's --M 100000 runs
+        calls = []
+        for total in (MAX_TOTAL + 1, 10**12):
+            with pytest.raises(LabError) as err:
+                map_chunks(total, lambda s, c: calls.append((s, c)), threads)
+            assert err.value.token == "too-large"
+        assert calls == []
+        monkeypatch.setattr(parallel, "MAX_TOTAL", CHUNK + 1)
+        assert _recorded(CHUNK + 1, threads, None)[0].tolist() == list(range(CHUNK + 1))
+        with pytest.raises(LabError) as err:
+            _recorded(CHUNK + 2, threads, None)
+        assert err.value.token == "too-large"
 
 
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
