@@ -10,8 +10,8 @@ every JSON file is written by :func:`json_text`.
 sequences, and formats them in blocks of :data:`BLOCK_ROWS` rows, so only
 one block's Python objects are alive next to the finished text.  The
 result is one ``str``, as the CLI's atomic write takes it.  Integers
-longer than Python's int-str digit limit are refused before formatting or
-parsing with ``too-large`` (``sequences``), and a permutation of more than
+longer than Python's int-str digit limit are refused when generated,
+formatted or parsed with ``too-large`` (``sequences``), and a permutation of more than
 ``sequences.PERM_MAX_TERMS`` terms with ``perm-size`` before it is built.
 """
 

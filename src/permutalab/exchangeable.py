@@ -241,7 +241,7 @@ def permuted_statistic(
     as the measure argument.
     """
     p, q = T.window(k)
-    window_idx = np.array(perm.window(p - 1, q))
+    window_idx = perm.window(p - 1, q)
 
     def run(start: int, count: int) -> np.ndarray:
         seeds = derive_seed_vec(seed, np.arange(start, start + count), "perm-stat")
@@ -358,6 +358,6 @@ def model_from_json(text: str) -> ExchangeableModel:
         grid = float(obj.get("grid", DEFAULT_GRID))
     except KeyError as exc:
         raise LabError("malformed-input", f"model JSON: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise LabError("malformed-input", f"model JSON: {exc}") from None
     return ExchangeableModel(atoms, bad_mass, perturb, grid)

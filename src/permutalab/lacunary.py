@@ -160,8 +160,7 @@ def _x_limbs(seed: int, label: str, start: int, count: int, bits: int) -> np.nda
 
     Row ``i`` of the ``B/32`` rows holds bits ``[32 i, 32 i + 32)`` of every
     point.  Point ``s`` is the little-endian concatenation of words
-    ``1..B/64`` (``rng._words``) of the stream ``derive_seed(seed, label, s)``:
-    the value ``Stream(derive_seed(seed, label, s)).bits(B)``.
+    ``1..B/64`` (``rng._words``) of the stream ``derive_seed(seed, label, s)``.
     """
     words = bits // 64
     seeds = derive_seed_vec(seed, np.arange(start, start + count), label)
@@ -410,7 +409,8 @@ class LilTrajectory:
 def lil_trajectory(seq: IndexSequence, xs: int, n_max: int, seed: int = 0) -> LilTrajectory:
     """L_N = S_N / sqrt(N log log N) for N = 3..n_max at xs seeded points.
 
-    Point i is ``Stream(derive_seed(seed, "lil-x", i)).bits(B)`` with B
+    Point i is the B-bit little-endian concatenation of words 1..B/64
+    (``rng._words``) of the stream ``derive_seed(seed, "lil-x", i)``, with B
     ``required_bits(n_{n_max})``; points run in ``map_chunks`` chunks, which bound xs.
     """
     if n_max < 3:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LabError, table_rows, table_text
-from .rng import Stream, derive_seed
+from .rng import derive_seed, uniform_columns
 
 MASS_TOL = 1e-12
 
@@ -163,9 +163,8 @@ class DiscreteMeasure:
         """m i.i.d. draws; deterministic for a fixed seed."""
         if m < 1:
             raise LabError("bad-count", "need m >= 1")
-        stream = Stream(derive_seed(seed, "measure-sample"))
-        us = stream.uniform_block(m)
-        return self.quantile_many(us)
+        seeds = np.array([derive_seed(seed, "measure-sample")], dtype=np.uint64)
+        return self.quantile_many(uniform_columns(seeds, np.arange(m))[0])
 
     def mean_var(self) -> tuple[float, float]:
         """Exact first moment and central second moment.

@@ -1,14 +1,14 @@
 """Deterministic random streams built on the splitmix64 counter generator.
 
-All Monte Carlo code in this package draws from :class:`Stream` objects
-whose seeds come from :func:`derive_seed`.  splitmix64 is counter-based:
-the ``t``-th output of a stream is ``mix64(seed + (t+1) * GOLDEN)``, a pure
-function of ``(seed, t)``.  The rule is stated twice, for one word
-(``Stream.u64``) and for a matrix of words (``_words``); every other draw
-reads one of the two.  Two consequences we rely on everywhere:
+All Monte Carlo code in this package draws counter words of streams whose
+seeds come from :func:`derive_seed`.  splitmix64 is counter-based: word
+``t = 1, 2, ...`` of the stream ``seed`` is ``mix64(seed + t * GOLDEN)``, a
+pure function of ``(seed, t)``.  The rule is stated once, in ``_words``, for
+a matrix of words; every draw reads it.  Two consequences we rely on
+everywhere:
 
 * any block of draws can be produced in one vectorized numpy call
-  (:func:`uniform_columns`), bit-identical to the scalar path;
+  (:func:`uniform_columns`);
 * per-task streams are derived as ``derive_seed(master, task, index)``,
   so results never depend on how work is chunked across threads.
 
@@ -20,7 +20,7 @@ for 64-bit non-negative integers, and an FNV-1a hash of the UTF-8 bytes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -90,46 +90,8 @@ def derive_seed_vec(master: int, indices: np.ndarray, *prefix: int | str) -> np.
     return mix64_vec(base + indices.astype(np.uint64))
 
 
-@dataclass
-class Stream:
-    """Sequential splitmix64 stream; scalar and block draws interleave freely."""
-
-    seed: int
-    _count: int = field(default=0, repr=False)
-
-    def u64(self) -> int:
-        self._count += 1
-        return mix64((self.seed + self._count * GOLDEN) & _MASK64)
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.u64() >> 11) * 2.0**-53
-
-    def bits(self, nbits: int) -> int:
-        """Uniform integer in [0, 2**nbits)."""
-        words = (nbits + 63) // 64
-        v = 0
-        for w in range(words):
-            v |= self.u64() << (64 * w)
-        return v & ((1 << nbits) - 1)
-
-    def below(self, n: int) -> int:
-        """Unbiased uniform integer in [0, n) via rejection, for 1 <= n <= 2**64."""
-        if not 0 < n <= _MASK64 + 1:
-            raise ValueError("below() needs 1 <= n <= 2**64")
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
-        while True:
-            u = self.u64()
-            if u < limit:
-                return u % n
-
-    def uniform_block(self, count: int) -> np.ndarray:
-        start, self._count = self._count, self._count + count
-        return uniform_columns(np.array([self.seed]), np.arange(start, self._count))[0]
-
-
 def _words(seeds: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """uint64 matrix: entry (i, j) is ``Stream(seeds[i])``'s ``columns[j]+1``-th ``u64()``."""
+    """uint64 matrix: entry (i, j) is word ``columns[j]+1`` of the stream ``seeds[i]``."""
     c = (columns.astype(np.uint64) + _U(1)) * _U(GOLDEN)
     return mix64_vec(seeds.astype(np.uint64)[:, None] + c[None, :])
 
@@ -137,7 +99,14 @@ def _words(seeds: np.ndarray, columns: np.ndarray) -> np.ndarray:
 def uniform_columns(seeds: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Matrix of uniforms: row i is draws ``columns`` of the stream ``seeds[i]``.
 
-    ``columns`` are zero-based draw indices; entry (i, j) equals what
-    ``Stream(seeds[i])`` would return as its ``columns[j]+1``-th uniform.
+    ``columns`` are zero-based draw indices; entry (i, j) holds the top 53
+    bits of word ``columns[j]+1`` of the stream ``seeds[i]``, scaled to [0, 1).
     """
     return (_words(seeds, columns) >> _U(11)) * 2.0**-53
+
+
+def _counter_words(seed: int):
+    """Words 1, 2, ... of the stream ``seed`` as ints, read from ``_words`` 4,096 at a time."""
+    seeds = np.array([seed], dtype=np.uint64)
+    for start in count(0, 4096):
+        yield from _words(seeds, np.arange(start, start + 4096))[0].tolist()

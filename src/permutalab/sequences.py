@@ -14,8 +14,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import LabError, table_rows, table_text
-from .rng import Stream, derive_seed
+from .rng import _counter_words, derive_seed
 
 
 @dataclass(frozen=True)
@@ -67,25 +69,37 @@ def _max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-# the largest permutation: building a random one of 2**20 terms peaks near 100 MB
+# the most terms of a permutation or a generated sequence
 PERM_MAX_TERMS = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
-    """Bijection of {1..N}, stored as the image (sigma(1), ..., sigma(N))."""
+    """Bijection of {1..N}, stored as the image (sigma(1), ..., sigma(N)).
 
-    image: tuple[int, ...]
+    ``image`` is a read-only int64 copy of a 1-D integer array-like that
+    holds each of 1..N once; anything else raises ``bad-permutation``.
+    """
+
+    image: np.ndarray
 
     def __post_init__(self):
-        if tuple(sorted(self.image)) != tuple(range(1, len(self.image) + 1)):
+        try:
+            image = np.array(self.image)
+            ok = image.ndim == 1 and image.dtype.kind in "iu"
+        except ValueError:
+            ok = False
+        if not (ok and np.array_equal(np.sort(image), np.arange(1, len(image) + 1))):
             raise LabError("bad-permutation", "image is not a bijection of 1..N")
+        image = image.astype(np.int64, copy=False)
+        image.flags.writeable = False
+        object.__setattr__(self, "image", image)
 
     def __len__(self) -> int:
         return len(self.image)
 
-    def window(self, start: int, stop: int) -> list[int]:
-        """The 0-based images of positions start+1..stop.
+    def window(self, start: int, stop: int) -> np.ndarray:
+        """The 0-based images of positions start+1..stop, as an int64 array.
 
         A permutation shorter than ``stop`` raises ``perm-size``.
         """
@@ -93,7 +107,7 @@ class Permutation:
             raise LabError(
                 "perm-size", f"a permutation of {len(self.image)} terms has no position {stop}"
             )
-        return [i - 1 for i in self.image[start:stop]]
+        return self.image[start:stop] - 1
 
 
 def _check_q(q: float) -> None:
@@ -109,13 +123,23 @@ def _check_c_alpha(c: float, alpha: float) -> None:
 
 
 def _grow(bound, n1: int, count: int) -> IndexSequence:
-    """n_{k+1} = max(ceil(n_k * bound(k)), n_k + 1) from n1, for a Fraction ``bound``."""
+    """n_{k+1} = max(ceil(n_k * bound(k)), n_k + 1) from n1, for a Fraction ``bound``.
+
+    More than PERM_MAX_TERMS terms raise ``too-large`` before any is built, and
+    so does the first term with more digits than Python's int-str limit.
+    """
     if n1 < 1 or count < 1:
         raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
+    if count > PERM_MAX_TERMS:
+        raise LabError("too-large", f"a sequence of {count} terms is longer than {PERM_MAX_TERMS}")
+    limit = _max_digits()
+    widest = 10**limit if limit else math.inf
     vals = [n1]
-    for k in range(1, count):
-        r = bound(k)
+    while len(vals) < count and vals[-1] < widest:
+        r = bound(len(vals))
         vals.append(max(-((-r.numerator * vals[-1]) // r.denominator), vals[-1] + 1))
+    if vals[-1] >= widest:
+        raise LabError("too-large", f"term {len(vals)} has more than {limit} digits")
     return IndexSequence(tuple(vals))
 
 
@@ -214,21 +238,26 @@ def block_interleave_permutation(n: int, block: int) -> Permutation:
         raise LabError("bad-block", f"block must be >= 1, got {block}")
     if n % block != 0:
         raise LabError("bad-block", "block must divide N")
-    cols = n // block
-    image = tuple(r * cols + c + 1 for c in range(cols) for r in range(block))
-    return Permutation(image)
+    return Permutation(np.arange(1, n + 1).reshape(block, n // block).T.ravel())
 
 
 def random_permutation(n: int, seed: int) -> Permutation:
-    """Fisher-Yates with descending index, deterministic per seed."""
+    """Fisher-Yates with descending index, deterministic per seed.
+
+    Step i swaps i with u mod (i + 1), u the next counter word of the stream
+    ``derive_seed(seed, "permutation")`` below the largest multiple of i + 1
+    up to 2**64.
+    """
     if n < 1:
         raise LabError("bad-count", "need N >= 1")
-    stream = Stream(derive_seed(seed, "permutation"))
-    arr = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = stream.below(i + 1)
-        arr[i], arr[j] = arr[j], arr[i]
-    return Permutation(tuple(arr))
+    words = _counter_words(derive_seed(seed, "permutation"))
+    image = list(range(1, n + 1))
+    for i, u in zip(range(n - 1, 0, -1), words):
+        while u >= 2**64 - 2**64 % (i + 1):
+            u = next(words)
+        j = u % (i + 1)
+        image[i], image[j] = image[j], image[i]
+    return Permutation(image)
 
 
 def permutation(pattern: str, n: int) -> Permutation:
@@ -241,9 +270,9 @@ def permutation(pattern: str, n: int) -> Permutation:
     if not 1 <= n <= PERM_MAX_TERMS:
         raise LabError("perm-size", f"--perm-n {n} is not in 1..{PERM_MAX_TERMS} terms")
     if pattern == "identity":
-        return Permutation(tuple(range(1, n + 1)))
+        return Permutation(np.arange(1, n + 1))
     if pattern == "reverse":
-        return Permutation(tuple(range(n, 0, -1)))
+        return Permutation(np.arange(n, 0, -1))
     kind, _, arg = pattern.partition(":")
     if kind not in ("block", "random"):
         raise LabError("bad-config", f"unknown permutation pattern {pattern!r}")
@@ -265,6 +294,6 @@ def apply_permutation(seq: IndexSequence, perm: Permutation, n: int) -> tuple[in
     if n < 1:
         raise LabError("bad-count", "need n >= 1")
     window = perm.window(0, n)
-    if max(window) >= len(seq):
+    if window.max() >= len(seq):
         raise LabError("perm-size", "permutation reaches past the sequence")
-    return tuple(seq.values[i] for i in window)
+    return tuple(seq.values[i] for i in window.tolist())

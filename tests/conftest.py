@@ -7,7 +7,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from permutalab import DiscreteMeasure, MixedNormal
-from permutalab.rng import Stream
+
+from stream import Stream
 
 
 def random_discrete_measure(

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import permutalab as pl
-from permutalab.rng import Stream
 from permutalab.cli import main as cli_main
 
 from conftest import perturbed_measure, random_discrete_measure
+from stream import Stream
 from test_metrics import max_marginal_error, violation
 from thinning import mixture_approximation_check, plan_thinning, statistic_stability_check, tail_bound
 

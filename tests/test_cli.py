@@ -388,6 +388,17 @@ class TestExitCodes:
         )
         self._assert_config_error(rc, capsys, "'atoms'")
 
+    @pytest.mark.parametrize("command", ["strong-law", "exchangeable"])
+    def test_model_json_nested_too_deeply_is_malformed_input(self, tmp_path, seq_file, capsys,
+                                                              command):
+        # the JSON parser recurses once per level: 100,000 levels used to end
+        # in a RecursionError traceback
+        argv = self._argv(tmp_path, seq_file, command)
+        (tmp_path / "model.json").write_text("[" * 100_000 + "]" * 100_000)
+        rc = run_cli(*argv)
+        self._assert_config_error(rc, capsys, "model JSON")
+        assert not (tmp_path / "out").exists()
+
     def test_sequence_csv_line_not_an_integer(self, tmp_path, capsys):
         seq = tmp_path / "s.csv"
         seq.write_text("1\n2\n\nabc\n8\n")
@@ -534,6 +545,25 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path))
         self._assert_runtime_error(rc, capsys, "too-large")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int digit limit")
+    @pytest.mark.parametrize("n", [200_000, PERM_MAX_TERMS + 1, 10**9])
+    def test_gen_seq_stops_before_its_terms_outgrow_memory(self, tmp_path, capsys, n):
+        # past the term cap nothing is built; below it, doubling stops at the
+        # first term past the digit limit (near term 14,285 at 4,300 digits),
+        # where 200,000 terms used to end in a MemoryError traceback
+        t0 = time.monotonic()
+        tracemalloc.start()
+        try:
+            rc = run_cli("gen-seq", "--kind", "hadamard", "--q", "2", "--N", str(n),
+                         "--out-dir", str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - t0 < 2.0
+        assert peak < 24 * 2**20
+        self._assert_runtime_error(rc, capsys, "too-large")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, flag", [("dio-count", "--N-list"), ("framework-check", "--k-list")]

@@ -34,9 +34,10 @@ from permutalab.exchangeable import _BAD_ATOM_SHIFT, _noise_is_read, _quantize
 from permutalab.measures import _COUNT_MAX_ATOMS
 from permutalab import parallel
 from permutalab.parallel import map_chunks
-from permutalab.rng import Stream, derive_seed, derive_seed_vec, uniform_columns
+from permutalab.rng import derive_seed, derive_seed_vec, uniform_columns
 from permutalab.sequences import PERM_MAX_TERMS
 
+from stream import Stream
 from thinning import conditional_noise_check, mixture_approximation_check, plan_thinning, tail_bound
 
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))

@@ -22,10 +22,11 @@ from permutalab import (
 )
 from permutalab import framework, parallel
 from permutalab.parallel import map_chunks
-from permutalab.rng import Stream, derive_seed_vec, uniform_columns
+from permutalab.rng import derive_seed_vec, uniform_columns
 from permutalab.sequences import PERM_MAX_TERMS
 
 from conftest import random_discrete_measure
+from stream import Stream
 from thinning import lipschitz_probe, mc_tolerance, plan_thinning, statistic_stability_check
 
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))

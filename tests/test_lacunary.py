@@ -42,12 +42,14 @@ from permutalab.lacunary import (
     required_bits,
 )
 from permutalab.parallel import BLOCK_ELEMENTS, CHUNK, map_chunks
-from permutalab.rng import GOLDEN, Stream, derive_seed, derive_seed_vec, mix64_vec
+from permutalab.rng import GOLDEN, derive_seed, derive_seed_vec, mix64_vec
 from permutalab.sequences import (
     IndexSequence,
     block_interleave_permutation,
     permutation,
 )
+
+from stream import Stream
 
 
 # -- bigint oracles ---------------------------------------------------------

@@ -21,9 +21,10 @@ from permutalab.measures import (
     measure_from_csv,
     measure_to_csv,
 )
-from permutalab.rng import Stream
+from permutalab.rng import derive_seed
 
 from conftest import flatten_reference, mixed_normals, random_discrete_measure, sample_values
+from stream import Stream
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
@@ -182,6 +183,12 @@ class TestDiscreteMeasure:
         a = COIN.sample(100, seed=42)
         b = COIN.sample(100, seed=42)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 5, 4097])
+    def test_sample_is_the_quantiles_of_the_scalar_uniforms(self, m):
+        law = DiscreteMeasure(((-1.5, 0.2), (0.0, 0.3), (2.0, 0.5)))
+        want = law.quantile_many(Stream(derive_seed(11, "measure-sample")).uniform_block(m))
+        assert law.sample(m, seed=11).tobytes() == want.tobytes()
 
     def test_sample_binomial_oracle(self):
         s = COIN.sample(10_000, seed=1)

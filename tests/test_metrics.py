@@ -34,7 +34,6 @@ from permutalab import (
 )
 from permutalab.measures import MASS_TOL
 from permutalab.metrics import MASS_SCALE, _integer_masses, _transport
-from permutalab.rng import Stream
 
 from conftest import (
     flatten_reference,
@@ -43,6 +42,7 @@ from conftest import (
     random_discrete_measure,
     sample_values,
 )
+from stream import Stream
 from thinning import wasserstein2
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from permutalab.rng import Stream, derive_seed, derive_seed_vec, uniform_columns
+from permutalab.rng import _counter_words, derive_seed, derive_seed_vec, uniform_columns
+
+from stream import Stream
 
 
 class TestBelow:
@@ -38,6 +40,14 @@ def test_uniform_block_continues_the_scalar_draws():
     got = [stream.uniform()] + stream.uniform_block(5).tolist() + [stream.uniform()]
     assert got == [ref.uniform() for _ in range(7)]
     assert stream._count == ref._count == 7
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 3])
+def test_counter_words_are_the_scalar_words_across_blocks(seed):
+    # the reader takes 4,096 words at a time: three blocks are read here
+    words, ref = _counter_words(seed), Stream(seed)
+    for _ in range(2 * 4096 + 3):
+        assert next(words) == ref.u64()
 
 
 @pytest.mark.parametrize("master", [0, 7, -1, -(2**70), 2**64, 2**64 + 5, 2**90])

@@ -27,8 +27,20 @@ from permutalab import (
     random_permutation,
 )
 from permutalab import sequences
+from permutalab.rng import derive_seed
 from permutalab.sequences import _check_c_alpha, _check_q, gap_report
-from permutalab.rng import Stream
+
+from stream import Stream
+
+
+def fisher_yates_reference(n, stream):
+    """The former ``random_permutation`` loop, verbatim but for its stream
+    argument: the oracle of the counter-word reader."""
+    arr = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        j = stream.below(i + 1)
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr
 
 
 def brute_force_count(seq, a, b, c, n):
@@ -359,10 +371,10 @@ class TestDiophantine:
 
 class TestPermutations:
     def test_reverse(self):
-        assert permutation("reverse", 3).image == (3, 2, 1)
+        assert permutation("reverse", 3).image.tolist() == [3, 2, 1]
 
     def test_block_interleave(self):
-        assert block_interleave_permutation(4, 2).image == (1, 3, 2, 4)
+        assert block_interleave_permutation(4, 2).image.tolist() == [1, 3, 2, 4]
 
     def test_block_divides(self):
         with pytest.raises(LabError) as err:
@@ -370,31 +382,69 @@ class TestPermutations:
         assert err.value.token == "bad-block"
 
     def test_random_deterministic(self):
-        assert random_permutation(5, 9).image == random_permutation(5, 9).image
+        assert random_permutation(5, 9).image.tolist() == random_permutation(5, 9).image.tolist()
 
     def test_random_is_bijection(self):
         for seed in range(10):
             p = random_permutation(37, seed)
             assert sorted(p.image) == list(range(1, 38))
 
-    @pytest.mark.parametrize("image", [(1, 1, 3), (0, 1), (2, 3)])
+    @pytest.mark.parametrize(
+        "image",
+        [(1, 1, 3), (0, 1), (2, 3), (1.0, 2.0), ((1, 2), (2, 1)), ((1,), (2, 1)), (), 1,
+         (True,), ("1", "2"), (2**64, 1), (-(2**63), 1)],
+    )
     def test_bad_image_rejected(self, image):
         with pytest.raises(LabError) as err:
             Permutation(image)
         assert err.value.token == "bad-permutation"
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.int64])
+    def test_image_is_a_read_only_int64_copy(self, dtype):
+        given = np.array([2, 3, 1], dtype=dtype)
+        perm = Permutation(given)
+        given[0] = 1
+        assert perm.image.dtype == np.int64 and perm.image.tolist() == [2, 3, 1]
+        assert not perm.image.flags.writeable
+        with pytest.raises(ValueError):
+            perm.image[0] = 1
+
+    @pytest.mark.parametrize("n", [1, 2, 4097, 70_000])
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 + 3])
+    def test_random_is_the_scalar_fisher_yates(self, n, seed):
+        # 4,097 terms take exactly one 4,096-word block of counter words, 70,000 take 18
+        want = fisher_yates_reference(n, Stream(derive_seed(seed, "permutation")))
+        assert random_permutation(n, seed).image.tolist() == want
+
+    @pytest.mark.parametrize("n", [3, 7, 100])
+    def test_random_skips_a_word_at_or_above_the_limit(self, monkeypatch, n):
+        # each step i whose range i + 1 does not divide 2**64 is first fed the
+        # rejection limit itself and 2**64 - 1; both must be skipped
+        fill = Stream(77)
+        words = []
+        for size in range(n, 1, -1):
+            if 2**64 % size:
+                words += [2**64 - 2**64 % size, 2**64 - 1]
+            words.append(fill.u64())
+        fed = iter(words)
+        monkeypatch.setattr(sequences, "_counter_words", lambda seed: fed)
+        oracle = Stream(0)
+        oracle.u64 = iter(words).__next__
+        assert random_permutation(n, 5).image.tolist() == fisher_yates_reference(n, oracle)
+        assert next(fed, None) is None
+
     @pytest.mark.parametrize(
         "pattern, image",
         [
-            ("identity", (1, 2, 3, 4, 5, 6)),
-            ("reverse", (6, 5, 4, 3, 2, 1)),
-            ("block:2", (1, 4, 2, 5, 3, 6)),
-            ("block:3", (1, 3, 5, 2, 4, 6)),
-            ("random:9", random_permutation(6, 9).image),
+            ("identity", [1, 2, 3, 4, 5, 6]),
+            ("reverse", [6, 5, 4, 3, 2, 1]),
+            ("block:2", [1, 4, 2, 5, 3, 6]),
+            ("block:3", [1, 3, 5, 2, 4, 6]),
+            ("random:9", random_permutation(6, 9).image.tolist()),
         ],
     )
     def test_pattern_images(self, pattern, image):
-        assert permutation(pattern, 6).image == image
+        assert permutation(pattern, 6).image.tolist() == image
 
     @pytest.mark.parametrize("n", [0, -1])
     @pytest.mark.parametrize("pattern", ["identity", "reverse", "block:2", "random:3"])
@@ -413,9 +463,9 @@ class TestPermutations:
 
     def test_window_is_the_zero_based_images(self):
         perm = Permutation((3, 1, 4, 2, 5))
-        assert perm.window(0, 5) == [2, 0, 3, 1, 4]
-        assert perm.window(1, 3) == [0, 3]
-        assert perm.window(2, 2) == []
+        assert perm.window(0, 5).tolist() == [2, 0, 3, 1, 4]
+        assert perm.window(1, 3).tolist() == [0, 3]
+        assert perm.window(2, 2).tolist() == []
 
     def test_window_past_the_permutation_is_perm_size(self):
         with pytest.raises(LabError) as err:

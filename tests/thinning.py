@@ -38,7 +38,9 @@ from permutalab import (
     simulate_fk,
 )
 from permutalab.exchangeable import _BAD_ATOM_SHIFT
-from permutalab.rng import Stream, derive_seed
+from permutalab.rng import derive_seed
+
+from stream import Stream
 
 
 def mc_tolerance(m: int) -> float:
