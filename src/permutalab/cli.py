@@ -6,7 +6,15 @@ resolved config (plus artifact version and wall time), the named CSV/JSON
 tables, and optional SVG plots.  All files are written atomically (temp
 file + rename); ``errors.table_text`` writes every table and
 ``errors.json_text`` every JSON file, so rerunning a manifest reproduces
-every table byte for byte, for any ``--threads`` value.
+every table byte for byte, for any ``--threads`` value.  Every input
+table (a sequence, a measure, a table to plot) is read by
+``errors.table_values``.
+
+``main`` builds the parser of the one subcommand named by ``argv[0]``:
+all ten names are registered, so the top-level usage and messages do not
+change, but only that subcommand gets its arguments and ``-h``.  Any other
+``argv`` (empty, ``-h``, ``--version``, an unknown name) gets the full
+build.
 
 Exit codes: 0 ok; 2 for ``bad-config`` (a bad flag, an unreadable input
 file or an unwritable ``--out-dir``), ``malformed-input`` or ``empty-table``
@@ -28,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import LabError, json_text, table_rows, table_text
+from .errors import LabError, json_text, table_text, table_values
 from .exchangeable import model_from_json, strong_law_trajectory, permutation_invariance_check
 from .framework import THEOREMS, RegularLimitTheorem, limit_convergence_check
 from .lacunary import clt_sample, lil_trajectory
@@ -224,17 +232,14 @@ def _cmd_strong_law(args) -> tuple[dict, dict]:
 def _cmd_plot(args) -> tuple[dict, dict]:
     trajectory = args.kind == "trajectory"
     need = 2 if trajectory else 1
-
-    def parse(line: str) -> float | list[float]:
-        row = [float(t) for t in line.split(",")]
-        if len(row) < need or not all(map(math.isfinite, row)):
-            raise ValueError(line)
-        return row[-2:] if trajectory else row[0]
-
     expected = f"comma-separated finite numbers (at least {need})"
-    drawn = np.array(table_rows(_read_text(getattr(args, "in")), "table", expected, parse))
-    svg = render_trajectory(*drawn.T) if trajectory else render_cdf_overlay(drawn)
-    return {args.out: svg}, {"kind": args.kind, "points": len(drawn)}
+    text = _read_text(getattr(args, "in"))
+    values, ends = table_values(text, "table", expected, fields=(need, math.inf), finite=True)
+    if trajectory:
+        svg = render_trajectory(values[ends - 2], values[ends - 1])
+    else:
+        svg = render_cdf_overlay(values[np.concatenate(([0], ends[:-1]))])
+    return {args.out: svg}, {"kind": args.kind, "points": len(ends)}
 
 
 _HANDLERS = {
@@ -251,20 +256,7 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
-
-    parser = argparse.ArgumentParser(
-        prog="permutalab",
-        description="laboratory for permutation-invariant limit theorems",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-seq", parents=[common], help="generate an index sequence")
+def _gen_seq_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=["hadamard", "erdos"])
     p.add_argument("--q", type=float)
     p.add_argument("--c", type=float)
@@ -273,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out", default="seq.csv")
 
-    p = sub.add_parser("dio-count", parents=[common], help="count pair equation solutions")
+
+def _dio_count_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seq", required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -281,37 +274,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N-list", dest="N_list", required=True)
     p.add_argument("--out", default="counts.csv")
 
-    for name in ("clt", "permute-clt"):
-        p = sub.add_parser(name, parents=[common], help="sine-sum distribution sample")
-        p.add_argument("--seq", required=True)
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--M", type=int, required=True)
-        p.add_argument("--perm", default="identity", help="identity|reverse|block:k|random:seed")
-        p.add_argument("--perm-n", dest="perm_n", type=int, default=None,
-                       help="permutation domain size (default N)")
-        p.add_argument("--norm", default="sqrtN_over_2", choices=["sqrtN_over_2", "sqrtN"])
-        p.add_argument("--out", default="dist.csv")
 
-    p = sub.add_parser("lil", parents=[common], help="iterated-logarithm trajectories")
+def _clt_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seq", required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--M", type=int, required=True)
+    p.add_argument("--perm", default="identity", help="identity|reverse|block:k|random:seed")
+    p.add_argument("--perm-n", dest="perm_n", type=int, default=None,
+                   help="permutation domain size (default N)")
+    p.add_argument("--norm", default="sqrtN_over_2", choices=["sqrtN_over_2", "sqrtN"])
+    p.add_argument("--out", default="dist.csv")
+
+
+def _lil_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seq", required=True)
     p.add_argument("--Nmax", type=int, required=True)
     p.add_argument("--xs", type=int, required=True, help="number of sample points")
     p.add_argument("--out", default="lil.csv")
 
-    p = sub.add_parser("prohorov", parents=[common], help="distance of two CSV measures")
+
+def _prohorov_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check against the subset oracle")
     p.add_argument("--coupling", default=None, help="write the coupling matrix CSV")
 
-    p = sub.add_parser("framework-check", parents=[common], help="limit-theorem convergence table")
+
+def _framework_check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--mu", required=True)
     p.add_argument("--k-list", dest="k_list", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--out", default="table.csv")
 
-    p = sub.add_parser("exchangeable", parents=[common], help="permuted-statistic report")
+
+def _exchangeable_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--k", type=int, required=True)
@@ -320,17 +317,59 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--out", default="report.json")
 
-    p = sub.add_parser("strong-law", parents=[common], help="strong-law trajectory")
+
+def _strong_law_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out", default="traj.csv")
 
-    p = sub.add_parser("plot", parents=[common], help="emit an SVG from a table")
+
+def _plot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="in", required=True)
     p.add_argument("--kind", required=True, choices=["cdf-overlay", "trajectory"])
     p.add_argument("--out", default="plot.svg")
 
+
+# each subcommand, in help order: its help line and the builder of its own arguments
+_SUBCOMMANDS = {
+    "gen-seq": ("generate an index sequence", _gen_seq_args),
+    "dio-count": ("count pair equation solutions", _dio_count_args),
+    "clt": ("sine-sum distribution sample", _clt_args),
+    "permute-clt": ("sine-sum distribution sample", _clt_args),
+    "lil": ("iterated-logarithm trajectories", _lil_args),
+    "prohorov": ("distance of two CSV measures", _prohorov_args),
+    "framework-check": ("limit-theorem convergence table", _framework_check_args),
+    "exchangeable": ("permuted-statistic report", _exchangeable_args),
+    "strong-law": ("strong-law trajectory", _strong_law_args),
+    "plot": ("emit an SVG from a table", _plot_args),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, the parser of that one subcommand.
+
+    Every subcommand name is registered either way, so the top-level usage
+    and an invalid-choice message do not change.  With ``command`` only that
+    subcommand gets its arguments and ``-h``: each ``add_argument`` builds an
+    argparse ``HelpFormatter``, which asks for the terminal size, and the
+    other subcommands' arguments cost about 1.3 ms per command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="permutalab",
+        description="laboratory for permutation-invariant limit theorems",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master seed")
+    common.add_argument("--out-dir", default=".", help="output directory")
+    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    for name, (text, add_arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, parents=[common], help=text))
+        else:
+            sub.add_parser(name, add_help=False, help=text)
     return parser
 
 
@@ -362,9 +401,10 @@ def run(args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

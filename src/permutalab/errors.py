@@ -1,10 +1,14 @@
 """Error type shared by all modules, and the one reader and writer of text.
 
 Every failure mode that is part of a module contract carries a stable
-short token (e.g. ``"bad-eps"``) that the CLI prints on stderr.  Tables
-are read by :func:`table_rows`, so a bad line or an empty table ends in
+short token (e.g. ``"bad-eps"``) that the CLI prints on stderr.  Every
+numeric table (a sequence, a measure, a table to plot) is read by
+:func:`table_values`, so a bad line or an empty table ends in
 ``malformed-input`` or ``empty-table``, and written by :func:`table_text`;
-every JSON file is written by :func:`json_text`.
+every JSON file is written by :func:`json_text`.  The reader converts the
+fields of :data:`BLOCK_ROWS` lines at a time in one ``map`` and checks
+field counts and finiteness on arrays; it walks a block line by line only
+when that fails, to name the first bad line.
 
 :func:`table_text` takes a table's columns, numpy arrays or Python
 sequences, and formats them in blocks of :data:`BLOCK_ROWS` rows, so only
@@ -18,7 +22,11 @@ formatted or parsed with ``too-large`` (``sequences``), and a permutation of mor
 from __future__ import annotations
 
 import json
-from typing import Callable
+import math
+import sys
+from itertools import chain, repeat
+
+import numpy as np
 
 
 class LabError(Exception):
@@ -29,33 +37,110 @@ class LabError(Exception):
         super().__init__(message if message is not None else token)
 
 
-def table_rows(text: str, what: str, expected: str, parse: Callable[[str], object]) -> list:
-    """``parse`` of each nonblank stripped line of ``text``, in order.
+# rows read or formatted at a time: a block's Python objects and field
+# strings are alive only while its lines are converted or joined, so the
+# writer's peak stays near twice the finished text (the block strings and
+# their join)
+BLOCK_ROWS = 4096
 
-    A line that ``parse`` rejects with ``ValueError`` raises
+
+def _max_digits() -> int:
+    """Python's limit on the digits of an int-str conversion; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def table_values(
+    text: str, what: str, expected: str, number=float, fields=(1, 1), finite: bool = False
+):
+    """The fields of the nonblank lines of ``text``, each converted by ``number``.
+
+    The lines are those of ``text.splitlines()``, stripped; blank ones are
+    skipped.  A line's fields are its comma-separated parts, each read by
+    ``number`` (``float`` or ``int``).  Returns ``(values, ends)``: every
+    field's value in order (a float64 array for ``float``, a list of ints for
+    ``int``), and the int64 array of the index past each row's last field.
+
+    A row of fewer than ``fields[0]`` or more than ``fields[1]`` fields, a
+    field that ``number`` rejects, or with ``finite`` a non-finite one, raises
     ``malformed-input`` with ``what``, the line number, ``expected`` and the
-    line's ``repr``; a text without a nonblank line raises ``empty-table``.
+    line's ``repr``; an ``int`` line with more digits than Python's int-str
+    limit raises ``too-large``; the first bad line is the one reported.  A
+    text without a nonblank line raises ``empty-table``.
+
+    Lines are read :data:`BLOCK_ROWS` at a time, each block's fields
+    converted in one ``map`` and checked on arrays; only a block that fails
+    is walked line by line, to name its first bad line.
     """
-    rows = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    # a text without a comma has one field per row, and needs no split
+    single = "," not in text
+    values, counts = [], []
+    for start in range(0, len(lines), BLOCK_ROWS):
+        block = lines[start : start + BLOCK_ROWS]
+        rows = list(filter(None, map(str.strip, block)))
+        if not rows:
+            continue
+        try:
+            block_values, block_counts = _convert(rows, number, fields, finite, single)
+        except ValueError:
+            block_values, block_counts = _walk(block, start, what, expected, number, fields, finite)
+        values.append(block_values)
+        counts.append(block_counts)
+    if not counts:
+        raise LabError("empty-table", f"empty {what}")
+    ends = np.cumsum(np.concatenate(counts))
+    if number is int:
+        return list(chain.from_iterable(values)), ends
+    return np.concatenate(values), ends
+
+
+def _convert(rows: list[str], number, fields, finite: bool, single: bool):
+    """The values and field counts of nonblank stripped ``rows``, in one pass;
+    ``ValueError`` when any row is bad, or is an ``int`` row too long to tell
+    without counting its digits."""
+    if single:
+        counts, parts = np.ones(len(rows), dtype=np.int64), rows
+    else:
+        counts = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows)) + 1
+        parts = ",".join(rows).split(",")
+    if counts.min() < fields[0] or counts.max() > fields[1]:
+        raise ValueError("field count")
+    if number is int:
+        limit = _max_digits()
+        if limit and max(map(len, rows)) > limit:
+            raise ValueError("long row")
+        return list(map(int, parts)), counts
+    values = np.fromiter(map(number, parts), np.float64, len(parts))
+    if finite and not np.isfinite(values).all():
+        raise ValueError("non-finite field")
+    return values, counts
+
+
+def _walk(block: list[str], start: int, what: str, expected: str, number, fields, finite: bool):
+    """The values and field counts of the lines ``block``, read one line at a
+    time, or the error of its first bad line (line ``start + 1`` is its first)."""
+    limit = _max_digits() if number is int else 0
+    values, counts = [], []
+    for lineno, line in enumerate(block, start=start + 1):
         line = line.strip()
         if not line:
             continue
+        # int() counts the digits without the sign and the underscores
+        if limit and len(line) > limit and len(line.lstrip("+-").replace("_", "")) > limit:
+            raise LabError("too-large", f"an index has more than {limit} digits")
         try:
-            rows.append(parse(line))
+            row = [number(t) for t in line.split(",")]
         except ValueError:
+            row = []
+        if not fields[0] <= len(row) <= fields[1] or finite and not all(map(math.isfinite, row)):
             raise LabError(
-                "malformed-input", f"{what} line {number}: expected {expected}, got {line!r}"
-            ) from None
-    if not rows:
-        raise LabError("empty-table", f"empty {what}")
-    return rows
-
-
-# rows formatted at a time: a block's Python objects and field strings are
-# alive only while its lines are joined, so the writer's peak stays near
-# twice the finished text (the block strings and their join)
-BLOCK_ROWS = 4096
+                "malformed-input", f"{what} line {lineno}: expected {expected}, got {line!r}"
+            )
+        values += row
+        counts.append(len(row))
+    if number is not int:
+        values = np.array(values, dtype=np.float64)
+    return values, np.array(counts, dtype=np.int64)
 
 
 def _fields(column, start: int, stop: int):

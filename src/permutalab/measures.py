@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabError, table_rows, table_text
+from .errors import LabError, table_text, table_values
 from .rng import derive_seed, uniform_columns
 
 MASS_TOL = 1e-12
@@ -270,12 +270,7 @@ def measure_to_csv(measure: DiscreteMeasure) -> str:
     return table_text(measure.positions, measure.masses)
 
 
-def _atom(line: str) -> tuple[float, float]:
-    p, m = line.split(",")
-    return float(p), float(m)
-
-
 def measure_from_csv(text: str) -> DiscreteMeasure:
-    """Parse ``position,mass`` lines (:func:`~permutalab.errors.table_rows`)."""
-    return DiscreteMeasure(table_rows(text, "measure CSV", "'position,mass'", _atom))
-
+    """Parse ``position,mass`` lines (:func:`~permutalab.errors.table_values`)."""
+    values, _ = table_values(text, "measure CSV", "'position,mass'", fields=(2, 2))
+    return DiscreteMeasure(values.reshape(-1, 2))

@@ -10,13 +10,13 @@ fraction, so generators always pass their own checkers).
 from __future__ import annotations
 
 import math
-import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import LabError, table_rows, table_text
+from .errors import LabError, _max_digits, table_text, table_values
 from .rng import _counter_words, derive_seed
 
 
@@ -48,29 +48,22 @@ class IndexSequence:
 
     @classmethod
     def from_csv(cls, text: str) -> "IndexSequence":
-        """Parse one integer per line (:func:`~permutalab.errors.table_rows`).
+        """Parse one integer per line (:func:`~permutalab.errors.table_values`).
 
         A line with more digits than Python's string-to-int limit raises
         ``too-large``.
         """
-        limit = _max_digits()
-
-        def parse(line: str) -> int:
-            # int() counts the digits without the sign and the underscores
-            if limit and len(line) > limit and len(line.lstrip("+-").replace("_", "")) > limit:
-                raise LabError("too-large", f"an index has more than {limit} digits")
-            return int(line)
-
-        return cls(tuple(table_rows(text, "sequence CSV", "an integer", parse)))
-
-
-def _max_digits() -> int:
-    """Python's limit on the digits of an int-str conversion; 0 means none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        values, _ = table_values(text, "sequence CSV", "an integer", number=int)
+        return cls(tuple(values))
 
 
 # the most terms of a permutation or a generated sequence
 PERM_MAX_TERMS = 2**20
+
+# the most characters of a generated sequence's table: gen-seq of a table
+# just below it (537 MB of text) peaks near 1.5 GB of RSS (terms, text and
+# its blocks)
+TABLE_MAX_CHARS = 2**29
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +119,11 @@ def _grow(bound, n1: int, count: int) -> IndexSequence:
     """n_{k+1} = max(ceil(n_k * bound(k)), n_k + 1) from n1, for a Fraction ``bound``.
 
     More than PERM_MAX_TERMS terms raise ``too-large`` before any is built, and
-    so does the first term with more digits than Python's int-str limit.
+    so does the first term with more digits than Python's int-str limit, or
+    the first that takes the table past TABLE_MAX_CHARS characters.  The
+    table's characters are counted from above, as a running total of
+    floor(0.30103 * b) + 2 for a term of b bits: at least its digits (0.30103
+    exceeds log10(2)) and its newline.
     """
     if n1 < 1 or count < 1:
         raise LabError("bad-sequence", "need n1 >= 1 and count >= 1")
@@ -135,11 +132,17 @@ def _grow(bound, n1: int, count: int) -> IndexSequence:
     limit = _max_digits()
     widest = 10**limit if limit else math.inf
     vals = [n1]
-    while len(vals) < count and vals[-1] < widest:
+    chars = n1.bit_length() * 30103 // 100000 + 2
+    while len(vals) < count and vals[-1] < widest and chars <= TABLE_MAX_CHARS:
         r = bound(len(vals))
         vals.append(max(-((-r.numerator * vals[-1]) // r.denominator), vals[-1] + 1))
+        chars += vals[-1].bit_length() * 30103 // 100000 + 2
     if vals[-1] >= widest:
         raise LabError("too-large", f"term {len(vals)} has more than {limit} digits")
+    if chars > TABLE_MAX_CHARS:
+        raise LabError(
+            "too-large", f"term {len(vals)} takes the table past {TABLE_MAX_CHARS} characters"
+        )
     return IndexSequence(tuple(vals))
 
 
@@ -246,12 +249,13 @@ def random_permutation(n: int, seed: int) -> Permutation:
 
     Step i swaps i with u mod (i + 1), u the next counter word of the stream
     ``derive_seed(seed, "permutation")`` below the largest multiple of i + 1
-    up to 2**64.
+    up to 2**64.  The shuffle runs on an ``array('q')``: 8 bytes a term,
+    where a list of Python ints takes about 36.
     """
     if n < 1:
         raise LabError("bad-count", "need N >= 1")
     words = _counter_words(derive_seed(seed, "permutation"))
-    image = list(range(1, n + 1))
+    image = array("q", range(1, n + 1))
     for i, u in zip(range(n - 1, 0, -1), words):
         while u >= 2**64 - 2**64 % (i + 1):
             u = next(words)

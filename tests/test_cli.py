@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from permutalab import cli as cli_module
-from permutalab import metrics
+from permutalab import metrics, sequences
 from permutalab.cli import main
 from permutalab.errors import LabError
 from permutalab.exchangeable import ExchangeableModel, model_to_json
@@ -564,6 +564,21 @@ class TestExitCodes:
         assert peak < 24 * 2**20
         self._assert_runtime_error(rc, capsys, "too-large")
         assert not (tmp_path / "out").exists()
+
+    def test_gen_seq_past_the_table_character_cap_is_too_large(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # slowly growing terms stay below the digit limit, but 2**20 of them
+        # used to end in a MemoryError traceback while the table was formatted;
+        # a cap of 20,000 characters stops at term 1,061
+        monkeypatch.setattr(sequences, "TABLE_MAX_CHARS", 20_000)
+        rc = run_cli("gen-seq", "--kind", "erdos", "--c", "1", "--alpha", "0.5",
+                     "--N", str(PERM_MAX_TERMS), "--out-dir", str(tmp_path / "out"))
+        self._assert_runtime_error(rc, capsys, "too-large")
+        assert not (tmp_path / "out").exists()
+        rc = run_cli("gen-seq", "--kind", "erdos", "--c", "1", "--alpha", "0.5",
+                     "--N", "500", "--out-dir", str(tmp_path / "out"))
+        assert rc == 0
+        assert len((tmp_path / "out" / "seq.csv").read_text()) <= 20_000
 
     @pytest.mark.parametrize(
         "command, flag", [("dio-count", "--N-list"), ("framework-check", "--k-list")]

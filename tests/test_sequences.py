@@ -79,6 +79,32 @@ class TestGenerators:
         seq = gen_hadamard(2, 1, 200)
         assert seq.values[-1] == 2**199
 
+    @pytest.mark.parametrize("cap", [50, 2000, 30_000])
+    @pytest.mark.parametrize("make", [lambda n: gen_erdos(1, 0.5, 1, n),
+                                      lambda n: gen_hadamard(1.5, 7, n)],
+                             ids=["erdos", "hadamard"])
+    def test_table_character_cap(self, monkeypatch, make, cap):
+        # the cap bounds the table from the terms' bit lengths: a table that
+        # passes it stops with too-large at the term that crosses it, and the
+        # table one term shorter is written, within the cap
+        monkeypatch.setattr(sequences, "TABLE_MAX_CHARS", cap)
+        with pytest.raises(LabError) as err:
+            make(10**5)
+        assert err.value.token == "too-large"
+        stop = int(str(err.value).split()[1])
+        assert str(err.value) == f"term {stop} takes the table past {cap} characters"
+        seq = make(stop - 1)
+        bound = [v.bit_length() * 30103 // 100000 + 2 for v in seq.values]
+        assert all(len(line) + 1 <= b for line, b in zip(seq.to_csv().splitlines(), bound))
+        assert len(seq.to_csv()) <= sum(bound) <= cap
+        with pytest.raises(LabError):
+            make(stop)
+
+    def test_table_character_cap_leaves_the_doubling_digit_limit_first(self):
+        # doubling reaches the 4,300-digit limit near 30 million characters
+        assert sequences.TABLE_MAX_CHARS == 2**29
+        assert len(gen_hadamard(2, 1, 14_000)) == 14_000
+
 
 class TestCheckers:
     def test_hadamard_true(self):
