@@ -67,31 +67,55 @@ def table_values(
     limit raises ``too-large``; the first bad line is the one reported.  A
     text without a nonblank line raises ``empty-table``.
 
-    Lines are read :data:`BLOCK_ROWS` at a time, each block's fields
-    converted in one ``map`` and checked on arrays; only a block that fails
-    is walked line by line, to name its first bad line.
+    The text is split into lines one piece at a time (see :func:`_pieces`),
+    so only one piece's lines are alive at once.  A piece's lines are read
+    :data:`BLOCK_ROWS` at a time, each block's fields converted in one
+    ``map`` and checked on arrays; only a block that fails is walked line by
+    line, to name its first bad line.
     """
-    lines = text.splitlines()
     # a text without a comma has one field per row, and needs no split
     single = "," not in text
     values, counts = [], []
-    for start in range(0, len(lines), BLOCK_ROWS):
-        block = lines[start : start + BLOCK_ROWS]
-        rows = list(filter(None, map(str.strip, block)))
-        if not rows:
-            continue
-        try:
-            block_values, block_counts = _convert(rows, number, fields, finite, single)
-        except ValueError:
-            block_values, block_counts = _walk(block, start, what, expected, number, fields, finite)
-        values.append(block_values)
-        counts.append(block_counts)
+    start = 0
+    for piece in _pieces(text):
+        lines = piece.splitlines()
+        for first in range(0, len(lines), BLOCK_ROWS):
+            block = lines[first : first + BLOCK_ROWS]
+            rows = list(filter(None, map(str.strip, block)))
+            if not rows:
+                continue
+            try:
+                block_values, block_counts = _convert(rows, number, fields, finite, single)
+            except ValueError:
+                block_values, block_counts = _walk(
+                    block, start + first, what, expected, number, fields, finite
+                )
+            values.append(block_values)
+            counts.append(block_counts)
+        start += len(lines)
     if not counts:
         raise LabError("empty-table", f"empty {what}")
     ends = np.cumsum(np.concatenate(counts))
     if number is int:
         return list(chain.from_iterable(values)), ends
     return np.concatenate(values), ends
+
+
+def _pieces(text: str):
+    """``text`` in consecutive pieces, each cut after the first ``"\\n"`` at
+    least ``64 * BLOCK_ROWS`` characters past its start, or at the end.
+
+    A cut after ``"\\n"`` never splits ``"\\r\\n"``, so the pieces' lines
+    are the text's.  Finding the cut is one ``str.find``; cutting after
+    every ``BLOCK_ROWS``-th ``"\\n"`` costs a pass over every character
+    (0.7 to 1.8 ns each with a regular expression, about 2 ms more for
+    a 2.5 MB sequence table on 2-vCPU x86-64).
+    """
+    start, size = 0, len(text)
+    while start < size:
+        stop = text.find("\n", start + 64 * BLOCK_ROWS - 1) + 1 or size
+        yield text[start:stop]
+        start = stop
 
 
 def _convert(rows: list[str], number, fields, finite: bool, single: bool):

@@ -48,6 +48,32 @@ flow with the largest distance inside the windows and the smallest outside
 them: the candidates next to ``d``.  At ``d = inf`` every pair is in range
 and the fill is the northwest corner rule, which ships a coupling's residual.
 
+From ``_ARRAY_MIN_ATOMS`` atoms together, ``prohorov_distance`` probes on
+numpy arrays instead (``_array_transport``), with the loop's ``(flow,
+inside, outside)`` bit for bit.  Each window starts from ``np.searchsorted``
+of ``fl(x_i - d)`` and ``fl(x_i + d)``, which can be a column off where that
+rounding disagrees with ``fl(x_i - y_j)``; so each end then moves by one
+column until the loop's own predicates hold: ``fl(x_i - y_j) > d`` just left
+of ``lo_i`` and not at it, ``fl(y_j - x_i) <= d`` just left of ``end_i`` and
+not at it.  The flow comes from a scan.  Let ``C[j]`` be the mass of the
+columns left of ``j``, ``S_i`` that of rows ``0..i`` and ``a_i`` that of row
+``i``.  As a mass position, the fill pointer after row ``i`` is ``pos_i =
+min(max(pos_{i-1}, C[lo_i]) + a_i, C[end_i])``, so ``Q_i = pos_i - S_i`` is
+``min(max(Q_{i-1}, l_i), u_i)`` with ``l_i = C[lo_i] - S_{i-1}``, ``u_i =
+C[end_i] - S_i`` and ``Q_{-1} = 0``.  The clamp ``(l1, u1)`` followed by
+``(l2, u2)`` is the clamp ``(max(l1, l2), min(max(u1, l2), u2))``, also when
+``l > u`` (a constant); so log2(n) numpy passes compose every prefix (a
+Hillis-Steele scan), and the flow is the sum of ``pos_i - max(pos_{i-1},
+C[lo_i])``.  Every value, these terms and their sum (the flow) included,
+is an integer of magnitude at most ``MASS_SCALE`` = 10**12 < 2**63, as the
+masses on either side sum to it, so int64 holds all of them exactly.  A
+probe costs O(n log n + n log m) on arrays.  Measured on 2-vCPU x86-64 with
+numpy 2.4, a whole ``prohorov_distance`` of two normal laws with the same
+number of atoms a side took 1.07 ms by the loop against 1.18 ms on arrays
+at 200 atoms a side, 1.40 against 1.28 ms at 250, and 16.7 against 5.1 ms
+at 2,000; so the arrays take over at 500 atoms together.  Smaller laws,
+``strassen_coupling``'s shipments and the tests' oracles keep the loop.
+
 ``prohorov_oracle`` is the independent verification path: it enumerates
 subsets of the supports and bisects on the defining inequalities directly.
 
@@ -55,7 +81,8 @@ The stability bound (component laws within eps outside a weight of at most
 eps give mixtures within 2 eps) is checked in one place,
 ``mixture_bound_check``.  A finite random measure on atoms A_1..A_r is such
 a mixture with weights P(A_i), so a coupled pair of random measures is
-checked as the triples ``(P(A_i), law_i, law'_i)``.
+checked as the triples ``(P(A_i), law_i, law'_i)``.  Whether a pair is
+within eps needs no distance: ``_at_least`` decides it by one probe.
 
 ``ks_distance`` is exact and has one path: its first law is discrete, so
 the supremum lies at a jump point of either law or at its left limit, and a
@@ -77,6 +104,9 @@ ORACLE_MAX_ATOMS = 14
 # the most atom pairs of a coupling: prohorov --coupling peaks near 31 MB plus
 # 54-58 B per pair (85 MB at 10**6, 246-265 MB at 4 * 10**6), so about 1.2 GB
 COUPLING_MAX_PAIRS = 2 * 10**7
+# Laws with at least this many atoms together are probed on arrays, smaller
+# ones by the loop; see the module docstring for the measurement.
+_ARRAY_MIN_ATOMS = 500
 
 
 def _integer_masses(mass: np.ndarray) -> list[int]:
@@ -160,6 +190,79 @@ def _transport(x, y, ia, ib, d: float, triples: list | None = None):
     return sum(ib) - sum(rem), inside, outside
 
 
+def _settle(idx: np.ndarray, back, ahead) -> None:
+    """Move each index down by one while ``back()`` holds for it, then up by
+    one while ``ahead()`` does; both are re-evaluated after every step."""
+    for test, move in ((back, np.subtract), (ahead, np.add)):
+        step = test()
+        while step.any():
+            move(idx, step, out=idx)
+            step = test()
+
+
+def _array_transport(x: np.ndarray, y: np.ndarray, ia: list[int], ib: list[int]):
+    """``_transport``'s ``(flow, inside, outside)`` on numpy arrays, bit for bit.
+
+    Returns ``probe(d)``; the cumulative masses and the padded columns are
+    built once.  Each probe finds the windows by ``np.searchsorted`` and
+    settles their ends on the loop's own predicates, then gets the flow of
+    the leftmost-first fill from a scan of clamps (see the module
+    docstring).  Memory O(n + m) per probe.
+    """
+    n = len(x)
+    rows = np.array(ia, dtype=np.int64)
+    after = np.cumsum(rows)
+    before = after - rows
+    cols = np.zeros(len(y) + 1, dtype=np.int64)
+    np.cumsum(np.array(ib, dtype=np.int64), out=cols[1:])
+    # yp[j + 1] is y[j]; a comparison with a NaN pad is false, and the
+    # fmax/fmin reductions skip it
+    yp = np.concatenate(([math.nan], y, [math.nan]))
+
+    def probe(d: float) -> tuple[int, float, float]:
+        with np.errstate(over="ignore"):  # distances past the double range are inf
+            lo = np.searchsorted(y, x - d, "left")
+            _settle(lo, lambda: x - yp[lo] <= d, lambda: x - yp[lo + 1] > d)
+            end = np.searchsorted(y, x + d, "right")
+            _settle(end, lambda: yp[end] - x > d, lambda: yp[end + 1] - x <= d)
+            # a row with an empty window gives two negative distances here
+            inside = np.fmax(np.fmax.reduce(x - yp[lo + 1]), np.fmax.reduce(yp[end] - x))
+            outside = np.fmin(np.fmin.reduce(x - yp[lo]), np.fmin.reduce(yp[end + 1] - x))
+        low = cols[lo] - before
+        high = cols[end] - after
+        s = 1
+        while s < n:  # compose the clamps of rows i - s and i (Hillis-Steele)
+            np.minimum(np.maximum(high[:-s], low[s:]), high[s:], out=high[s:])
+            np.maximum(low[:-s], low[s:], out=low[s:])
+            s += s
+        pos = np.minimum(np.maximum(low, 0), high) + after
+        start = cols[lo]
+        np.maximum(start[1:], pos[:-1], out=start[1:])
+        # as in the loop: NaN (no such pair) reads 0.0 and inf, -0.0 reads 0.0
+        return int((pos - start).sum()), max(0.0, float(inside)), min(math.inf, float(outside))
+
+    return probe
+
+
+def _prober(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """``probe(t) -> (deficit(t), inside, outside)`` for the pair: on arrays
+    from ``_ARRAY_MIN_ATOMS`` atoms together, else by the ``_transport`` loop."""
+    ia, ib = _integer_masses(mu.masses), _integer_masses(nu.masses)
+    if len(ia) + len(ib) >= _ARRAY_MIN_ATOMS:
+        transport = _array_transport(mu.positions, nu.positions, ia, ib)
+    else:
+        x, y = mu.positions.tolist(), nu.positions.tolist()
+
+        def transport(t: float):
+            return _transport(x, y, ia, ib, t)
+
+    def probe(t: float) -> tuple[float, float, float]:
+        flow, inside, outside = transport(t)
+        return (MASS_SCALE - flow) / MASS_SCALE, inside, outside
+
+    return probe
+
+
 def _bits(t: float) -> int:
     return struct.unpack("<q", struct.pack("<d", t))[0]
 
@@ -174,16 +277,10 @@ def prohorov_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     Returns the smallest double ``t >= 0`` with ``deficit(t) <= t`` (see the
     module docstring), found by bisection on the bit pattern between the
     next candidate above the last failing probe and a candidate where the
-    predicate holds: one O(n + m) pass of ``_transport`` per probe, at most
-    64 probes.  Memory O(n + m).
+    predicate holds: one O(n + m) transport per probe, at most 64 probes.
+    Memory O(n + m).
     """
-    x, y = mu.positions.tolist(), nu.positions.tolist()
-    ia, ib = _integer_masses(mu.masses), _integer_masses(nu.masses)
-
-    def probe(t: float) -> tuple[float, float, float]:
-        flow, inside, outside = _transport(x, y, ia, ib, t)
-        return (MASS_SCALE - flow) / MASS_SCALE, inside, outside
-
+    probe = _prober(mu, nu)
     deficit, _, nxt = probe(0.0)
     if deficit <= 0.0:
         return 0.0
@@ -192,7 +289,8 @@ def prohorov_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     # it fails everywhere below nxt, unless deficit < nxt, which is then the
     # answer.  It holds at the candidate b: at the largest pair distance
     # every pair is inside its window and the deficit is 0.
-    b = max(x[-1] - y[0], y[-1] - x[0])
+    x, y = mu.positions, nu.positions
+    b = max(float(x[-1]) - float(y[0]), float(y[-1]) - float(x[0]))
     while nxt < b and deficit >= nxt:
         mid = _from_bits((_bits(nxt) + _bits(b)) // 2)
         d_mid, inside, outside = probe(mid)
@@ -205,6 +303,19 @@ def prohorov_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         else:
             deficit, nxt = d_mid, outside
     return min(deficit, b)
+
+
+def _at_least(mu: DiscreteMeasure, nu: DiscreteMeasure, eps: float) -> bool:
+    """Whether ``prohorov_distance(mu, nu) >= eps``, by one probe.
+
+    The predicate ``deficit(t) <= t`` is false below the distance and true
+    from it on, so the distance is at least ``eps > 0`` exactly when the
+    predicate fails at the largest double below ``eps``.
+    """
+    if eps == 0:
+        return True
+    t = math.nextafter(eps, 0.0)
+    return _prober(mu, nu)(t)[0] > t
 
 
 def prohorov_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -328,7 +439,7 @@ def mixture_bound_check(
     if not eps >= 0:
         raise LabError("bad-eps", f"eps={eps!r} must be >= 0")
     pairs = [(c, a, b) for c, a, b in pairs if c > 0]
-    heavy = sum(c for c, a, b in pairs if prohorov_distance(a, b) >= eps)
+    heavy = sum(c for c, a, b in pairs if _at_least(a, b, eps))
     if heavy > eps + MASS_TOL:
         raise LabError(
             "mixture-bound-precondition",

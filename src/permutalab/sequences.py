@@ -71,7 +71,9 @@ class Permutation:
     """Bijection of {1..N}, stored as the image (sigma(1), ..., sigma(N)).
 
     ``image`` is a read-only int64 copy of a 1-D integer array-like that
-    holds each of 1..N once; anything else raises ``bad-permutation``.
+    holds each of 1..N once; anything else raises ``bad-permutation``.  The
+    check is a range test and a boolean mask of the values seen: N + 1
+    bytes beside the copy.
     """
 
     image: np.ndarray
@@ -82,7 +84,14 @@ class Permutation:
             ok = image.ndim == 1 and image.dtype.kind in "iu"
         except ValueError:
             ok = False
-        if not (ok and np.array_equal(np.sort(image), np.arange(1, len(image) + 1))):
+        if ok and len(image):
+            n = len(image)
+            ok = 1 <= image.min() and image.max() <= n
+            if ok:
+                seen = np.zeros(n + 1, dtype=bool)
+                seen[image] = True
+                ok = bool(seen[1:].all())
+        if not ok:
             raise LabError("bad-permutation", "image is not a bijection of 1..N")
         image = image.astype(np.int64, copy=False)
         image.flags.writeable = False

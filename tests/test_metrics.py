@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +33,15 @@ from permutalab import (
     prohorov_oracle,
     strassen_coupling,
 )
+from permutalab import metrics
 from permutalab.measures import MASS_TOL
-from permutalab.metrics import MASS_SCALE, _integer_masses, _transport
+from permutalab.metrics import (
+    MASS_SCALE,
+    _array_transport,
+    _at_least,
+    _integer_masses,
+    _transport,
+)
 
 from conftest import (
     flatten_reference,
@@ -207,7 +215,8 @@ def _dense_prepare(mu: DiscreteMeasure, nu: DiscreteMeasure):
     y = nu.positions
     if x.size * y.size > 2 * 10**8:
         raise LabError("too-large", "atom count product too large for exact scan")
-    dist = np.abs(x[:, None] - y[None, :])
+    with np.errstate(over="ignore"):  # distances past the double range are inf
+        dist = np.abs(x[:, None] - y[None, :])
     ia = _integer_masses_reference(mu.masses)
     ib = _integer_masses_reference(nu.masses)
     return dist, ia, ib
@@ -246,7 +255,8 @@ def _prohorov_dense_reference(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float
 
 def _dense_transport(x, y, ia, ib, d: float):
     """``_transport``'s results from dense windows and the union-find fill."""
-    dist = np.abs(np.asarray(x)[:, None] - np.asarray(y)[None, :])
+    with np.errstate(over="ignore"):
+        dist = np.abs(np.asarray(x)[:, None] - np.asarray(y)[None, :])
     lo, hi = _dense_windows(dist, d)
     flow, triples = _greedy_transport_reference(ia, ib, lo, hi, collect=True)
     # the candidates on either side of d
@@ -295,6 +305,12 @@ def _cluster(stream: Stream) -> float:
     return 1e-7 * stream.uniform()
 
 
+def _near_max(stream: Stream) -> float:
+    """About +-1.7e308: pairs of opposite signs are farther apart than the
+    largest double, so their rounded distance is inf."""
+    return (2.0 * stream.below(2) - 1.0) * (1.6e308 + 1e307 * stream.uniform())
+
+
 def _far_law(stream: Stream) -> DiscreteMeasure:
     """Atoms in [0, 1) or, half the time, in [2, 3): two laws drawn apart are
     farther apart than their spread, and most of their coupling is residual."""
@@ -326,12 +342,16 @@ class TestProhorovAgainstDenseScan:
             (2, lambda s: _law(s, 1 + s.below(29), _wide)),
             (3, lambda s: _law(s, 1 + s.below(29), _cluster)),
             (4, lambda s: random_discrete_measure(s, max_atoms=29)),
+            (8, lambda s: _law(s, 1 + s.below(29), _near_max)),
         ],
-        ids=["ties", "wide-magnitudes", "1e-7-clusters", "uniform"],
+        ids=["ties", "wide-magnitudes", "1e-7-clusters", "uniform", "near-max"],
     )
-    def test_equal_on_random_instances(self, seed, draw):
+    def test_equal_on_random_instances(self, seed, draw, monkeypatch):
         for mu, nu in self._pairs(seed, draw, 150):
-            assert prohorov_distance(mu, nu) == _prohorov_dense_reference(mu, nu)
+            want = _prohorov_dense_reference(mu, nu)
+            for size in (0, 10**9):  # probes on arrays, then by the loop
+                monkeypatch.setattr(metrics, "_ARRAY_MIN_ATOMS", size)
+                assert prohorov_distance(mu, nu) == want
 
     def test_single_atom(self):
         stream = Stream(5)
@@ -342,12 +362,14 @@ class TestProhorovAgainstDenseScan:
                 assert prohorov_distance(mu, nu) == _prohorov_dense_reference(mu, nu)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_equal_on_benchmark_sized_normal_pair(self, seed):
+    def test_equal_on_benchmark_sized_normal_pair(self, seed, monkeypatch):
         mu = _normal_law(seed, 2000, 0.0, 1.0)
         nu = _normal_law(seed, 2000, 0.05, 1.1)
-        got = prohorov_distance(mu, nu)
-        assert 0.0 < got < 1.0
-        assert got == _prohorov_dense_reference(mu, nu)
+        want = _prohorov_dense_reference(mu, nu)
+        assert 0.0 < want < 1.0
+        for size in (0, 10**9):  # probes on arrays, then by the loop
+            monkeypatch.setattr(metrics, "_ARRAY_MIN_ATOMS", size)
+            assert prohorov_distance(mu, nu) == want
 
     @pytest.mark.parametrize("draw", [_wide, _cluster, lambda t: t.below(17) / 8.0])
     def test_windows_equal_dense_mask(self, draw):
@@ -362,9 +384,9 @@ class TestProhorovAgainstDenseScan:
             for d in (exact, float(dist.max()) * stream.uniform()):
                 assert _fused(x, y, ia, ib, d) == _dense_transport(x, y, ia, ib, d)
 
-    def test_no_atom_pair_limit(self):
-        # 2.25e8 pairs: the dense scan refuses them, the two-pointer scan
-        # needs O(n + m) memory
+    def test_no_atom_pair_limit(self, monkeypatch):
+        # 2.25e8 pairs: the dense scan refuses them, either probe needs
+        # O(n + m) memory
         mu = _normal_law(7, 15_000, 0.0, 1.0)
         nu = _normal_law(7, 15_000, 0.02, 1.05)
         with pytest.raises(LabError) as err:
@@ -372,7 +394,9 @@ class TestProhorovAgainstDenseScan:
         assert err.value.token == "too-large"
         got = prohorov_distance(mu, nu)
         assert 0.0 < got < 1.0
-        assert got == prohorov_distance(nu, mu)
+        for size in (0, 10**9):  # probes on arrays, then by the loop
+            monkeypatch.setattr(metrics, "_ARRAY_MIN_ATOMS", size)
+            assert prohorov_distance(mu, nu) == prohorov_distance(nu, mu) == got
 
 
 class TestGreedyTransportAgainstLP:
@@ -404,7 +428,20 @@ _POSITIONS = {
     "ties": st.integers(0, 16).map(lambda c: (c - 8) / 8.0),
     "wide": st.builds(lambda u, e: u * 10.0**e, st.floats(-1.0, 1.0), st.integers(-12, 3)),
     "1e-7-cluster": st.floats(0.0, 1e-7),
+    # opposite signs are farther apart than the largest double
+    "near-max": st.builds(
+        lambda sign, u: sign * u, st.sampled_from([-1.0, 1.0]), st.floats(1.6e308, 1.7e308)
+    ),
 }
+
+# the searchsorted windows of these are one column off at each end in turn:
+# lo too far right, end too far right, end too far left, lo too far left
+FIX_UPS = [
+    ([0.5, 2.7], [0.2], [1, 1], [1], 2.5),
+    ([0.3], [0.1, 0.5], [1], [1, 1], 0.3 - 0.1),
+    ([0.8], [3.4], [1], [1], 3.4 - 0.8),
+    ([1.7, 3.9], [2.8], [1, 1], [1], 2.8 - 1.7),
+]
 
 
 @st.composite
@@ -426,16 +463,32 @@ def _transport_cases(draw):
 
 class TestOnePassTransport:
     """``_transport`` gives the union-find fill's flow and shipments, and the
-    candidates next to d, exactly."""
+    candidates next to d, exactly; so does the array probe, but for the
+    shipments."""
 
     @given(case=_transport_cases())
     # column 0 has capacity left but lies left of row 1's window: row 0
     # ships nothing, or less than column 0 holds
     @example(case=([0.0, 1.0], [0.0, 1.0], [0, 1], [1, 0], 0.0))
     @example(case=([0.0, 1.0], [0.0, 1.0], [1, 1], [2, 1], 0.5))
+    @example(case=FIX_UPS[0])
+    @example(case=FIX_UPS[1])
+    @example(case=FIX_UPS[2])
+    @example(case=FIX_UPS[3])
     @settings(max_examples=500, deadline=None)
     def test_equal_to_union_find_on_dense_windows(self, case):
-        assert _fused(*case) == _dense_transport(*case)
+        want = _dense_transport(*case)
+        assert _fused(*case) == want
+        x, y, ia, ib, d = case
+        assert _array_transport(np.array(x), np.array(y), ia, ib)(d) == want[:3]
+
+    @pytest.mark.parametrize("case", FIX_UPS)
+    def test_array_windows_need_the_fix_up(self, case, monkeypatch):
+        x, y, ia, ib, d = case
+        want = _transport(x, y, ia, ib, d)
+        assert _array_transport(np.array(x), np.array(y), ia, ib)(d) == want
+        monkeypatch.setattr(metrics, "_settle", lambda idx, back, ahead: None)
+        assert _array_transport(np.array(x), np.array(y), ia, ib)(d) != want
 
     @pytest.mark.parametrize(
         "seed, draw",
@@ -755,7 +808,40 @@ class TestKsDistanceOracle:
         assert repr(ks_distance(f, g)) == repr(reference_ks_distance(f, g))
 
 
+@st.composite
+def _threshold_cases(draw):
+    """Two small laws and the thresholds next to their distance: the distance,
+    its neighbouring doubles, 0 and a pair distance."""
+    a, b = draw(_small_laws()), draw(_small_laws())
+    dist = prohorov_distance(a, b)
+    x, y = draw(st.sampled_from(a.positions.tolist())), draw(st.sampled_from(b.positions.tolist()))
+    pair = abs(x - y)
+    return a, b, [dist, math.nextafter(dist, 0.0), math.nextafter(dist, math.inf), 0.0, pair]
+
+
 class TestMixtureBounds:
+    @given(case=_threshold_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_one_probe_decides_a_threshold(self, case):
+        a, b, thresholds = case
+        for size in (0, 10**9):  # probes on arrays, then by the loop
+            with mock.patch.object(metrics, "_ARRAY_MIN_ATOMS", size):
+                for eps in thresholds:
+                    assert _at_least(a, b, eps) == (prohorov_distance(a, b) >= eps)
+
+    def test_precondition_computes_no_distance(self, monkeypatch):
+        calls = []
+
+        def counted(mu, nu):
+            calls.append(1)
+            return prohorov_distance(mu, nu)
+
+        monkeypatch.setattr(metrics, "prohorov_distance", counted)
+        near = DiscreteMeasure(((0.05, 0.5), (1.05, 0.5)))
+        pairs = [(0.25, COIN, near), (0.25, COIN, COIN), (0.5, RADEMACHER, RADEMACHER)]
+        assert mixture_bound_check(pairs, 0.1)[1]
+        assert len(calls) == 1  # the mixtures' distance only
+
     def test_mixture_identity(self):
         pairs = [(0.5, COIN, COIN), (0.5, RADEMACHER, RADEMACHER)]
         lhs, holds = mixture_bound_check(pairs, 0.2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -424,6 +425,22 @@ class TestPermutations:
         with pytest.raises(LabError) as err:
             Permutation(image)
         assert err.value.token == "bad-permutation"
+
+    def test_bijection_check_holds_no_int64_copy(self):
+        random_permutation(8, 3)
+        tracemalloc.start()
+        try:
+            perm = random_permutation(2**20, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(perm) == 2**20
+        # the 8 MiB shuffle array, its 8 MiB int64 copy and a 1 MiB mask;
+        # np.sort, np.arange and np.array_equal took it to 33.5 MiB
+        assert peak <= 18.5 * 2**20
+
+    def test_empty_integer_image_is_accepted(self):
+        assert len(Permutation(np.array([], dtype=np.int64))) == 0
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.int64])
     def test_image_is_a_read_only_int64_copy(self, dtype):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from typing import Callable
 from unittest import mock
 
@@ -211,3 +212,18 @@ def test_an_underscored_index_within_the_digit_limit_is_read():
     text = "1\n" + "1_" * (LIMIT // 2) + "1\n"
     values, _ = table_values(text, "t", "x", number=int)
     assert values == [1, int("1" * (LIMIT // 2 + 1))]
+
+
+def test_peak_memory_is_at_most_two_and_a_half_times_the_text():
+    # 100,000 (int, float) rows, as a strong-law trajectory table is written
+    traj = np.cumsum(np.random.default_rng(0).standard_normal(100_000))
+    text = errors.table_text(range(1, len(traj) + 1), traj)
+    tracemalloc.start()
+    try:
+        values, ends = table_values(text, "table", "x", fields=(2, 2), finite=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[1::2].tolist() == traj.tolist() and ends[-1] == 2 * len(traj)
+    # splitting the whole text into lines first peaked at 5.1 times the text
+    assert peak <= 2.5 * len(text)
