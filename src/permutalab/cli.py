@@ -10,11 +10,12 @@ every table byte for byte, for any ``--threads`` value.  Every input
 table (a sequence, a measure, a table to plot) is read by
 ``errors.table_values``.
 
-``main`` builds the parser of the one subcommand named by ``argv[0]``:
-all ten names are registered, so the top-level usage and messages do not
-change, but only that subcommand gets its arguments and ``-h``.  Any other
-``argv`` (empty, ``-h``, ``--version``, an unknown name) gets the full
-build.
+The ten subcommands are listed once, in ``_SUBCOMMANDS``: each one's help
+line, the builder of its arguments and its handler.  ``main`` builds the
+parser of the one subcommand named by ``argv[0]``: all ten names are
+registered, so the top-level usage and messages do not change, but only
+that subcommand gets its arguments and ``-h``.  Any other ``argv``
+(empty, ``-h``, ``--version``, an unknown name) gets the full build.
 
 Exit codes: 0 ok; 2 for ``bad-config`` (a bad flag, an unreadable input
 file or an unwritable ``--out-dir``), ``malformed-input`` or ``empty-table``
@@ -242,20 +243,6 @@ def _cmd_plot(args) -> tuple[dict, dict]:
     return {args.out: svg}, {"kind": args.kind, "points": len(ends)}
 
 
-_HANDLERS = {
-    "gen-seq": _cmd_gen_seq,
-    "dio-count": _cmd_dio_count,
-    "clt": _cmd_clt,
-    "permute-clt": _cmd_clt,
-    "lil": _cmd_lil,
-    "prohorov": _cmd_prohorov,
-    "framework-check": _cmd_framework_check,
-    "exchangeable": _cmd_exchangeable,
-    "strong-law": _cmd_strong_law,
-    "plot": _cmd_plot,
-}
-
-
 def _gen_seq_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=["hadamard", "erdos"])
     p.add_argument("--q", type=float)
@@ -331,18 +318,21 @@ def _plot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="plot.svg")
 
 
-# each subcommand, in help order: its help line and the builder of its own arguments
+# each subcommand, in help order: its help line, the builder of its own
+# arguments, and its handler
 _SUBCOMMANDS = {
-    "gen-seq": ("generate an index sequence", _gen_seq_args),
-    "dio-count": ("count pair equation solutions", _dio_count_args),
-    "clt": ("sine-sum distribution sample", _clt_args),
-    "permute-clt": ("sine-sum distribution sample", _clt_args),
-    "lil": ("iterated-logarithm trajectories", _lil_args),
-    "prohorov": ("distance of two CSV measures", _prohorov_args),
-    "framework-check": ("limit-theorem convergence table", _framework_check_args),
-    "exchangeable": ("permuted-statistic report", _exchangeable_args),
-    "strong-law": ("strong-law trajectory", _strong_law_args),
-    "plot": ("emit an SVG from a table", _plot_args),
+    "gen-seq": ("generate an index sequence", _gen_seq_args, _cmd_gen_seq),
+    "dio-count": ("count pair equation solutions", _dio_count_args, _cmd_dio_count),
+    "clt": ("sine-sum distribution sample", _clt_args, _cmd_clt),
+    "permute-clt": ("sine-sum distribution sample", _clt_args, _cmd_clt),
+    "lil": ("iterated-logarithm trajectories", _lil_args, _cmd_lil),
+    "prohorov": ("distance of two CSV measures", _prohorov_args, _cmd_prohorov),
+    "framework-check": (
+        "limit-theorem convergence table", _framework_check_args, _cmd_framework_check
+    ),
+    "exchangeable": ("permuted-statistic report", _exchangeable_args, _cmd_exchangeable),
+    "strong-law": ("strong-law trajectory", _strong_law_args, _cmd_strong_law),
+    "plot": ("emit an SVG from a table", _plot_args, _cmd_plot),
 }
 
 
@@ -365,7 +355,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1, help="worker threads")
-    for name, (text, add_arguments) in _SUBCOMMANDS.items():
+    for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
         if command in (None, name):
             add_arguments(sub.add_parser(name, parents=[common], help=text))
         else:
@@ -376,8 +366,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> None:
     """Execute one resolved command; write tables, summary and manifest."""
     out_dir = Path(args.out_dir)
+    _, _, handler = _SUBCOMMANDS[args.command]
     t0 = time.monotonic()
-    tables, summary = _HANDLERS[args.command](args)
+    tables, summary = handler(args)
     wall = time.monotonic() - t0
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("command",)

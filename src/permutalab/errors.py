@@ -5,10 +5,11 @@ short token (e.g. ``"bad-eps"``) that the CLI prints on stderr.  Every
 numeric table (a sequence, a measure, a table to plot) is read by
 :func:`table_values`, so a bad line or an empty table ends in
 ``malformed-input`` or ``empty-table``, and written by :func:`table_text`;
-every JSON file is written by :func:`json_text`.  The reader converts the
-fields of :data:`BLOCK_ROWS` lines at a time in one ``map`` and checks
-field counts and finiteness on arrays; it walks a block line by line only
-when that fails, to name the first bad line.
+every JSON file is written by :func:`json_text`.  The reader's row rules
+are stated once, in :func:`_convert`: it converts the fields of a piece
+of the text in one ``map`` and checks field counts and finiteness on
+arrays.  A piece that fails is read again line by line, through the same
+function, only to name its first bad line.
 
 :func:`table_text` takes a table's columns, numpy arrays or Python
 sequences, and formats them in blocks of :data:`BLOCK_ROWS` rows, so only
@@ -22,7 +23,6 @@ formatted or parsed with ``too-large`` (``sequences``), and a permutation of mor
 from __future__ import annotations
 
 import json
-import math
 import sys
 from itertools import chain, repeat
 
@@ -37,10 +37,10 @@ class LabError(Exception):
         super().__init__(message if message is not None else token)
 
 
-# rows read or formatted at a time: a block's Python objects and field
-# strings are alive only while its lines are converted or joined, so the
-# writer's peak stays near twice the finished text (the block strings and
-# their join)
+# rows formatted at a time: a block's Python objects and field strings are
+# alive only while its lines are joined, so the writer's peak stays near
+# twice the finished text (the block strings and their join); the reader
+# splits the text in pieces of 64 times as many characters
 BLOCK_ROWS = 4096
 
 
@@ -68,10 +68,10 @@ def table_values(
     text without a nonblank line raises ``empty-table``.
 
     The text is split into lines one piece at a time (see :func:`_pieces`),
-    so only one piece's lines are alive at once.  A piece's lines are read
-    :data:`BLOCK_ROWS` at a time, each block's fields converted in one
-    ``map`` and checked on arrays; only a block that fails is walked line by
-    line, to name its first bad line.
+    so only one piece's lines are alive at once.  One parser,
+    :func:`_convert`, reads each piece's fields in one ``map`` and checks
+    them on arrays; a piece that fails is read again line by line, by the
+    same parser, only to name its first bad line.
     """
     # a text without a comma has one field per row, and needs no split
     single = "," not in text
@@ -79,19 +79,16 @@ def table_values(
     start = 0
     for piece in _pieces(text):
         lines = piece.splitlines()
-        for first in range(0, len(lines), BLOCK_ROWS):
-            block = lines[first : first + BLOCK_ROWS]
-            rows = list(filter(None, map(str.strip, block)))
-            if not rows:
-                continue
+        rows = list(filter(None, map(str.strip, lines)))
+        if rows:
             try:
-                block_values, block_counts = _convert(rows, number, fields, finite, single)
+                piece_values, piece_counts = _convert(rows, number, fields, finite, single)
             except ValueError:
-                block_values, block_counts = _walk(
-                    block, start + first, what, expected, number, fields, finite
-                )
-            values.append(block_values)
-            counts.append(block_counts)
+                raise _first_error(
+                    lines, start, what, expected, number, fields, finite, single
+                ) from None
+            values.append(piece_values)
+            counts.append(piece_counts)
         start += len(lines)
     if not counts:
         raise LabError("empty-table", f"empty {what}")
@@ -120,8 +117,7 @@ def _pieces(text: str):
 
 def _convert(rows: list[str], number, fields, finite: bool, single: bool):
     """The values and field counts of nonblank stripped ``rows``, in one pass;
-    ``ValueError`` when any row is bad, or is an ``int`` row too long to tell
-    without counting its digits."""
+    ``ValueError`` when any row is bad.  These are the reader's only row rules."""
     if single:
         counts, parts = np.ones(len(rows), dtype=np.int64), rows
     else:
@@ -130,9 +126,7 @@ def _convert(rows: list[str], number, fields, finite: bool, single: bool):
     if counts.min() < fields[0] or counts.max() > fields[1]:
         raise ValueError("field count")
     if number is int:
-        limit = _max_digits()
-        if limit and max(map(len, rows)) > limit:
-            raise ValueError("long row")
+        # int() itself refuses a field of more digits than Python's limit
         return list(map(int, parts)), counts
     values = np.fromiter(map(number, parts), np.float64, len(parts))
     if finite and not np.isfinite(values).all():
@@ -140,31 +134,22 @@ def _convert(rows: list[str], number, fields, finite: bool, single: bool):
     return values, counts
 
 
-def _walk(block: list[str], start: int, what: str, expected: str, number, fields, finite: bool):
-    """The values and field counts of the lines ``block``, read one line at a
-    time, or the error of its first bad line (line ``start + 1`` is its first)."""
+def _first_error(lines, start: int, what: str, expected: str, number, fields, finite, single):
+    """The error of the first of ``lines`` that :func:`_convert` rejects on its
+    own (line ``start + 1`` is the first)."""
     limit = _max_digits() if number is int else 0
-    values, counts = [], []
-    for lineno, line in enumerate(block, start=start + 1):
+    for lineno, line in enumerate(lines, start=start + 1):
         line = line.strip()
-        if not line:
-            continue
-        # int() counts the digits without the sign and the underscores
-        if limit and len(line) > limit and len(line.lstrip("+-").replace("_", "")) > limit:
-            raise LabError("too-large", f"an index has more than {limit} digits")
         try:
-            row = [number(t) for t in line.split(",")]
+            if line:
+                _convert([line], number, fields, finite, single)
         except ValueError:
-            row = []
-        if not fields[0] <= len(row) <= fields[1] or finite and not all(map(math.isfinite, row)):
-            raise LabError(
+            # int() counts the digits without the sign and the underscores
+            if limit and len(line.lstrip("+-").replace("_", "")) > limit:
+                return LabError("too-large", f"an index has more than {limit} digits")
+            return LabError(
                 "malformed-input", f"{what} line {lineno}: expected {expected}, got {line!r}"
             )
-        values += row
-        counts.append(len(row))
-    if number is not int:
-        values = np.array(values, dtype=np.float64)
-    return values, np.array(counts, dtype=np.int64)
 
 
 def _fields(column, start: int, stop: int):

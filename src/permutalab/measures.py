@@ -11,7 +11,7 @@ centered normals, the canonical limit object for thin subsequences.
 Conventions fixed here and relied on by the metric and simulation modules:
 
 * atom positions merge when they are equal as doubles (so ``-0.0`` and
-  ``0.0`` merge; ``from_pairs`` keeps the first one seen,
+  ``0.0`` merge; :meth:`DiscreteMeasure.mixture` keeps the first one seen,
   ``empirical_measure`` the one ``np.unique`` sorts first), with no fuzzy
   dedup, so the exact transport oracles see exactly what the constructor
   saw;
@@ -114,24 +114,21 @@ class DiscreteMeasure:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, pairs) -> "DiscreteMeasure":
-        """Build from unsorted (position, mass) pairs, merging equal positions.
+    def mixture(cls, components) -> "DiscreteMeasure":
+        """The mixture sum_i w_i law_i of ``(w, law)`` pairs.
 
         Positions merge when they are equal as doubles; the merged atom keeps
-        the first position seen, so ``(-0.0, a), (0.0, b)`` gives ``-0.0``.
-        """
-        return cls(_merged(pairs))
-
-    @classmethod
-    def mixture(cls, components) -> "DiscreteMeasure":
-        """The mixture sum_i w_i law_i of ``(w, law)`` pairs, merged as in :meth:`from_pairs`.
-
+        the first position seen, so ``-0.0`` before ``0.0`` gives ``-0.0``.
         A total off 1 by more than ``MASS_TOL`` but at most ``(1 + MASS_TOL)**2 - 1`` is rescaled.
         """
-        atoms = _merged((p, w * m) for w, law in components for p, m in law.atoms.tolist())
+        merged: dict[float, float] = {}
+        for w, law in components:
+            for p, m in law.atoms.tolist():
+                merged[p] = merged.get(p, 0.0) + float(w * m)
+        atoms = sorted(merged.items())
         total = float(np.sum([m for _, m in atoms]))
         if MASS_TOL < abs(total - 1.0) <= (1.0 + MASS_TOL) ** 2 - 1.0:
-            atoms = tuple((p, m / total) for p, m in atoms)
+            atoms = [(p, m / total) for p, m in atoms]
         return cls(atoms)
 
     @classmethod
@@ -181,13 +178,6 @@ class DiscreteMeasure:
 
     def jump_points(self) -> np.ndarray:
         return self.positions
-
-
-def _merged(pairs) -> tuple[tuple[float, float], ...]:
-    merged: dict[float, float] = {}
-    for p, m in pairs:
-        merged[float(p)] = merged.get(float(p), 0.0) + float(m)
-    return tuple(sorted(merged.items()))
 
 
 def empirical_measure(values: np.ndarray) -> DiscreteMeasure:

@@ -8,8 +8,9 @@ at a time, so that each block's arrays stay near a core's L2 cache.  Chunk
 and block sizes depend only on the sample count and the row width, never
 on ``threads``, and every sample is computed from seeds derived from its
 own index, so outputs are bit-identical for any ``threads`` value and any
-block size.  :func:`map_chunks` rejects a total below 1 (``bad-count``) or
-above ``MAX_TOTAL`` (``too-large``) before any chunk runs.
+block size.  :func:`map_chunks` rejects a total below 1 (``bad-count``), or
+one above ``MAX_TOTAL`` or a ``threads`` above ``MAX_THREADS``
+(``too-large``), before any chunk runs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ CHUNK = 4096
 # the most samples or points of one map: clt --N 4 --M m peaks at 124 MB of RSS
 # at m = 10**6 and 882 MB at 10**7 (x86-64, numpy 2.4), so about 1.4 GB here
 MAX_TOTAL = 2**24
+
+# the most worker threads of one map: the pool starts a thread for each chunk
+# submitted while none is idle, so up to MAX_TOTAL / CHUNK = 4,096 threads
+# uncapped; the standard library's default pool stops at 32
+MAX_THREADS = 64
 
 # Elements per block, one budget for the row blocks of row_blocks (256 rows
 # of 400 columns) and the blocks of the n*x mod 1 kernel (the lacunary
@@ -45,6 +51,8 @@ def map_chunks(
         raise LabError("bad-count", f"need a count >= 1, not {total}")
     if total > MAX_TOTAL:
         raise LabError("too-large", f"a count of {total} is above {MAX_TOTAL}")
+    if threads > MAX_THREADS:
+        raise LabError("too-large", f"{threads} threads are above {MAX_THREADS}")
     tasks = [(start, min(CHUNK, total - start)) for start in range(0, total, CHUNK)]
     if threads <= 1 or len(tasks) <= 1:
         parts = [fn(s, c) for s, c in tasks]

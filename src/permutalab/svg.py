@@ -7,9 +7,10 @@ input produces identical bytes.
 
 Coordinates are mapped on numpy arrays, with the same IEEE operations per
 point as a scalar map, and written with ``%.3f`` in blocks of
-``errors.BLOCK_ROWS`` points.  A plot range whose width in pixels
-overflows the double range raises ``non-finite`` before anything is
-mapped, so no coordinate is ever NaN or infinite.
+``errors.BLOCK_ROWS`` points; a document is joined once from its parts,
+so its peak memory stays near twice its length.  A plot range whose width
+in pixels overflows the double range raises ``non-finite`` before
+anything is mapped, so no coordinate is ever NaN or infinite.
 """
 
 from __future__ import annotations
@@ -59,20 +60,23 @@ def _axes() -> str:
     )
 
 
-def _path(px: np.ndarray, py: np.ndarray, color: str) -> str:
-    """One path ``M x y L x y ...`` through the points ``(px[i], py[i])``, 3 decimals each.
+def _path(px: np.ndarray, py: np.ndarray, color: str) -> list[str]:
+    """The parts of one path ``M x y L x y ...`` through the points ``(px[i], py[i])``,
+    3 decimals each; the element is their join.
 
     Points are formatted in blocks of ``BLOCK_ROWS``, one ``%`` of a
     ``" L %.3f %.3f"`` template per block, so only one block's floats are
-    alive next to the finished text.
+    alive next to the finished parts.  The caller joins the parts into its
+    document once, so the path is never copied on its own.
     """
-    xy = np.column_stack((px, py)).ravel()
-    blocks = []
-    for start in range(0, len(xy), 2 * BLOCK_ROWS):
-        part = xy[start : start + 2 * BLOCK_ROWS].tolist()
-        blocks.append(" L %.3f %.3f" * (len(part) // 2) % tuple(part))
-    blocks[0] = "M" + blocks[0][2:]
-    return f'<path d="{"".join(blocks)}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+    parts = ['<path d="']
+    for start in range(0, len(px), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        xy = np.column_stack((px[start:stop], py[start:stop])).ravel().tolist()
+        parts.append(" L %.3f %.3f" * (len(xy) // 2) % tuple(xy))
+    parts[1] = "M" + parts[1][2:]
+    parts.append(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+    return parts
 
 
 def render_cdf_overlay(values: np.ndarray) -> str:
@@ -93,13 +97,9 @@ def render_cdf_overlay(values: np.ndarray) -> str:
     stair_y = np.repeat(np.arange(m + 1) / m, 2)
     grid = lo + (hi - lo) * np.arange(201) / 200
     ref_y = MixedNormal.standard().cdf_many(grid)
-    return (
-        _HEADER.format(w=_W, h=_H)
-        + _axes()
-        + _path(fx(stair_x), fy(stair_y), "steelblue")
-        + _path(fx(grid), fy(ref_y), "crimson")
-        + "</svg>\n"
-    )
+    stair = _path(fx(stair_x), fy(stair_y), "steelblue")
+    reference = _path(fx(grid), fy(ref_y), "crimson")
+    return "".join([_HEADER.format(w=_W, h=_H), _axes(), *stair, *reference, "</svg>\n"])
 
 
 def render_trajectory(xs: np.ndarray, ys: np.ndarray) -> str:
@@ -109,4 +109,4 @@ def render_trajectory(xs: np.ndarray, ys: np.ndarray) -> str:
     fx = _x_map(float(xs.min()), float(xs.max()))
     fy = _y_map(min(float(ys.min()), 0.0), max(float(ys.max()), 1e-9))
     line = _path(fx(xs), fy(ys), "steelblue")
-    return _HEADER.format(w=_W, h=_H) + _axes() + line + "</svg>\n"
+    return "".join([_HEADER.format(w=_W, h=_H), _axes(), *line, "</svg>\n"])

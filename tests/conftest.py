@@ -33,15 +33,30 @@ def perturbed_measure(stream: Stream, base: DiscreteMeasure, shift: float) -> Di
     return DiscreteMeasure(tuple((p + delta, m) for p, m in base.atoms))
 
 
+def from_pairs(pairs) -> DiscreteMeasure:
+    """The law of unsorted ``(position, mass)`` pairs, equal positions merged.
+
+    Positions merge when they are equal as doubles; the merged atom keeps
+    the first position seen, so ``(-0.0, a), (0.0, b)`` gives ``-0.0``.  Its
+    own dict merge, so that ``flatten_reference`` shares no code with
+    ``DiscreteMeasure.mixture``, which it checks.
+    """
+    merged: dict[float, float] = {}
+    for p, m in pairs:
+        merged[float(p)] = merged.get(float(p), 0.0) + float(m)
+    return DiscreteMeasure(tuple(sorted(merged.items())))
+
+
 def flatten_reference(components) -> DiscreteMeasure:
     """The mean measure of ``(w, law)`` components: atoms merged across
     components, re-sorted.  The body of the former ``RandomMeasure.flatten``,
-    verbatim but for its argument; oracle for ``DiscreteMeasure.mixture``."""
+    verbatim but for its argument and :func:`from_pairs` in place of
+    ``DiscreteMeasure.from_pairs``; oracle for ``DiscreteMeasure.mixture``."""
     pairs = []
     for w, comp in components:
         for p, m in comp.atoms:
             pairs.append((p, w * m))
-    return DiscreteMeasure.from_pairs(pairs)
+    return from_pairs(pairs)
 
 
 @st.composite

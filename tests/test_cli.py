@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from permutalab import cli as cli_module
-from permutalab import metrics, sequences
+from permutalab import metrics, parallel, sequences
 from permutalab.cli import main
 from permutalab.errors import LabError
 from permutalab.exchangeable import ExchangeableModel, model_to_json
@@ -523,6 +523,17 @@ class TestExitCodes:
         self._assert_runtime_error(rc, capsys, "too-large")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["clt", "permute-clt", "framework-check", "exchangeable"])
+    def test_threads_past_the_cap_start_no_thread(self, tmp_path, seq_file, capsys, monkeypatch,
+                                                   command):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+        argv = self._argv(tmp_path, seq_file, command, **{"--threads": parallel.MAX_THREADS + 1})
+        self._assert_runtime_error(run_cli(*argv), capsys, "too-large")
+        assert not (tmp_path / "out").exists()
+
     def test_coupling_one_pair_past_the_limit_is_too_large(self, tmp_path, capsys, monkeypatch):
         # 4 x 5 atom pairs: refused one pair past the limit, written at it
         (tmp_path / "mu.csv").write_text("".join(f"{i}.0,0.25\n" for i in range(4)))
@@ -701,7 +712,8 @@ class TestExitCodes:
         def nan_summary(args):
             return {"table.csv": "1\n"}, {"final": math.nan}
 
-        monkeypatch.setitem(cli_module._HANDLERS, "strong-law", nan_summary)
+        text, add_arguments, _ = cli_module._SUBCOMMANDS["strong-law"]
+        monkeypatch.setitem(cli_module._SUBCOMMANDS, "strong-law", (text, add_arguments, nan_summary))
         out = tmp_path / "out"
         out.mkdir()
         rc = run_cli("strong-law", "--model", "unused.json", "--p", "1.0", "--N", "10",

@@ -23,7 +23,9 @@ from permutalab.measures import (
 )
 from permutalab.rng import derive_seed
 
-from conftest import flatten_reference, mixed_normals, random_discrete_measure, sample_values
+from conftest import (
+    flatten_reference, from_pairs, mixed_normals, random_discrete_measure, sample_values,
+)
 from stream import Stream
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))
@@ -205,11 +207,13 @@ class TestDiscreteMeasure:
         assert err.value.token == "malformed-input"
         assert "line 3" in str(err.value)
 
-    def test_from_pairs_merges_equal_doubles_keeping_first(self):
+    def test_mixture_merges_equal_doubles_keeping_first(self):
         for first, second in ((-0.0, 0.0), (0.0, -0.0)):
-            m = DiscreteMeasure.from_pairs([(first, 0.5), (second, 0.5)])
+            components = [(0.5, DiscreteMeasure.point(first)), (0.5, DiscreteMeasure.point(second))]
+            m = DiscreteMeasure.mixture(components)
             assert m.atoms.tolist() == [[0.0, 1.0]]
             assert math.copysign(1.0, m.atoms[0][0]) == math.copysign(1.0, first)
+            assert m.atoms.tobytes() == flatten_reference(components).atoms.tobytes()
 
 
 class TestEmpiricalMeasure:
@@ -489,7 +493,7 @@ class TestCdfOracles:
         sample = np.array([round(6.0 * stream.uniform() - 3.0, 2) for _ in range(2000)])
         extra = [8.0 * stream.uniform() - 4.0 for _ in range(300)]
         for m in (empirical_measure(sample), TENTHS, DiscreteMeasure.point(-0.0),
-                  DiscreteMeasure.from_pairs([(-0.0, 0.5), (0.0, 0.5)])):
+                  from_pairs([(-0.0, 0.5), (0.0, 0.5)])):
             assert_cdfs_match(
                 m, cdf_points(m.positions, extra), reference_discrete_cdf,
                 reference_discrete_cdf_many, reference_discrete_cdf_left_many,

@@ -45,6 +45,7 @@ from permutalab.metrics import (
 
 from conftest import (
     flatten_reference,
+    from_pairs,
     mixed_normals,
     perturbed_measure,
     random_discrete_measure,
@@ -963,7 +964,8 @@ class TestMixtureBounds:
 # -- stability-bound oracles: the mixture check and the random-measure check
 # as they were before the checks shared one path, copied verbatim
 # (``rm.components`` reads as the component list ``rm``, ``rm.flatten()``
-# as ``flatten_reference(rm)`` from conftest), plus the
+# as ``flatten_reference(rm)`` and ``DiscreteMeasure.from_pairs`` as
+# ``from_pairs``, both from conftest), plus the
 # ``bad-eps`` check on an eps that is not >= 0, made after the weight
 # checks as in the library.  A random measure on atoms A_i is now checked
 # as the ``(P(A_i), law_i, law'_i)`` triples of ``mixture_bound_check``.
@@ -988,7 +990,7 @@ def mixture_bound_check_reference(
     mix_mu = [(p, c * m) for c, a, _ in pairs if c > 0 for p, m in a.atoms]
     mix_nu = [(p, c * m) for c, _, b in pairs if c > 0 for p, m in b.atoms]
     lhs = prohorov_distance(
-        DiscreteMeasure.from_pairs(mix_mu), DiscreteMeasure.from_pairs(mix_nu)
+        from_pairs(mix_mu), from_pairs(mix_nu)
     )
     return lhs, lhs <= 2.0 * eps + 1e-9
 
@@ -1043,7 +1045,7 @@ def _component_pairs(draw, eps: float) -> tuple[DiscreteMeasure, DiscreteMeasure
     if kind == "unrelated":
         return a, draw(_small_laws())
     shift = 10.0 if kind == "far" else eps * draw(st.floats(-1.2, 1.2))
-    return a, DiscreteMeasure.from_pairs((p + shift, m) for p, m in a.atoms)
+    return a, from_pairs((p + shift, m) for p, m in a.atoms)
 
 
 @st.composite

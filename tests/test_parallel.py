@@ -86,6 +86,19 @@ class TestChunks:
             _recorded(CHUNK + 2, threads, None)
         assert err.value.token == "too-large"
 
+    def test_threads_past_the_cap_are_too_large_before_any_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+        calls = []
+        for threads in (parallel.MAX_THREADS + 1, 100_000):
+            with pytest.raises(LabError) as err:
+                map_chunks(MAX_TOTAL, lambda s, c: calls.append((s, c)), threads)
+            assert err.value.token == "too-large"
+            assert str(err.value) == f"{threads} threads are above {parallel.MAX_THREADS}"
+        assert calls == []
+
 
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
 WIDE = DiscreteMeasure(((-2.0, 0.5), (2.0, 0.5)))

@@ -4,6 +4,7 @@ of the per-point renderers they replaced."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -215,3 +216,19 @@ def test_widest_range_that_fits_renders_finite_coordinates():
     assert _trajectory(rows) == reference_render_trajectory(rows)
     vertices = _path_points(_trajectory(rows))
     _assert_in_viewport(vertices)
+
+
+def test_trajectory_peak_memory_is_at_most_two_and_a_half_times_the_svg():
+    # 100,000 rows, as a strong-law trajectory of --N 100000 is plotted
+    xs = np.arange(1.0, 100_001.0)
+    ys = np.cumsum(np.random.default_rng(0).standard_normal(len(xs))) / xs
+    tracemalloc.start()
+    try:
+        svg = render_trajectory(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.count(" L ") == len(xs) - 1
+    # joining the path on its own, then adding it to the document, peaked
+    # at 4.9 times the SVG
+    assert peak <= 2.5 * len(svg)

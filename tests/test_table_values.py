@@ -208,7 +208,7 @@ def test_int_values_are_python_ints_past_64_bits():
 
 @pytest.mark.skipif(LIMIT == 0, reason="no int digit limit")
 def test_an_underscored_index_within_the_digit_limit_is_read():
-    # longer than the limit as a string, not in digits: the line walk reads it
+    # longer than the limit as a string, not in digits: int() reads it
     text = "1\n" + "1_" * (LIMIT // 2) + "1\n"
     values, _ = table_values(text, "t", "x", number=int)
     assert values == [1, int("1" * (LIMIT // 2 + 1))]
