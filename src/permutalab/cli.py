@@ -234,8 +234,10 @@ def _cmd_plot(args) -> tuple[dict, dict]:
     trajectory = args.kind == "trajectory"
     need = 2 if trajectory else 1
     expected = f"comma-separated finite numbers (at least {need})"
-    text = _read_text(getattr(args, "in"))
-    values, ends = table_values(text, "table", expected, fields=(need, math.inf), finite=True)
+    # the input text is a temporary, freed before the SVG renders
+    values, ends = table_values(
+        _read_text(getattr(args, "in")), "table", expected, fields=(need, math.inf), finite=True
+    )
     if trajectory:
         svg = render_trajectory(values[ends - 2], values[ends - 1])
     else:

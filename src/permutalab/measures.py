@@ -131,10 +131,6 @@ class DiscreteMeasure:
             atoms = [(p, m / total) for p, m in atoms]
         return cls(atoms)
 
-    @classmethod
-    def point(cls, c: float) -> "DiscreteMeasure":
-        return cls(((float(c), 1.0),))
-
     # -- queries ------------------------------------------------------
 
     def cdf_many(self, ts: np.ndarray) -> np.ndarray:

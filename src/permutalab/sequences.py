@@ -3,8 +3,8 @@
 Index values are arbitrary-precision integers: geometric-gap sequences
 overflow 64 bits near the 63rd term already, and the experiments need a
 few thousand.  Gap checks compare consecutive ratios against the bound in
-exact rational arithmetic (the float bound is converted to an exact
-fraction, so generators always pass their own checkers).
+exact rational arithmetic: a kind's generator and checker read one exact
+bound, so generators always pass their own checkers.
 """
 
 from __future__ import annotations
@@ -112,16 +112,21 @@ class Permutation:
         return self.image[start:stop] - 1
 
 
-def _check_q(q: float) -> None:
+def _hadamard_bound(q: float):
+    """The bound ``k -> Fraction(q)``; a q that is not finite and above 1 raises ``bad-q``."""
     if not 1 < q < math.inf:
         raise LabError("bad-q", "q must be finite and exceed 1")
+    qf = Fraction(q)
+    return lambda k: qf
 
 
-def _check_c_alpha(c: float, alpha: float) -> None:
+def _erdos_bound(c: float, alpha: float):
+    """The bound ``k -> Fraction(1.0 + c * k**(-alpha))``; raises ``bad-c`` or ``bad-alpha``."""
     if not 0 < c < math.inf:
         raise LabError("bad-c", "c must be finite and positive")
     if not 0 < alpha < 1:
         raise LabError("bad-alpha", "alpha must be in (0,1)")
+    return lambda k: Fraction(1.0 + c * k ** (-alpha))
 
 
 def _grow(bound, n1: int, count: int) -> IndexSequence:
@@ -169,28 +174,22 @@ def _holds(seq: IndexSequence, bound) -> bool:
 
 def gen_hadamard(q: float, n1: int, count: int) -> IndexSequence:
     """n_{k+1} = max(ceil(q * n_k), n_k + 1) starting from n1."""
-    _check_q(q)
-    qf = Fraction(q)
-    return _grow(lambda k: qf, n1, count)
+    return _grow(_hadamard_bound(q), n1, count)
 
 
 def gen_erdos(c: float, alpha: float, n1: int, count: int) -> IndexSequence:
     """n_{k+1} = max(ceil(n_k * (1 + c * k**(-alpha))), n_k + 1)."""
-    _check_c_alpha(c, alpha)
-    return _grow(lambda k: Fraction(1.0 + c * k ** (-alpha)), n1, count)
+    return _grow(_erdos_bound(c, alpha), n1, count)
 
 
 def check_hadamard(seq: IndexSequence, q: float) -> bool:
     """True iff n_{k+1}/n_k >= q for every consecutive pair (exact compare)."""
-    _check_q(q)
-    qf = Fraction(q)
-    return _holds(seq, lambda k: qf)
+    return _holds(seq, _hadamard_bound(q))
 
 
 def check_erdos(seq: IndexSequence, c: float, alpha: float) -> bool:
     """True iff n_{k+1}/n_k >= 1 + c * k**(-alpha) for all k (exact compare)."""
-    _check_c_alpha(c, alpha)
-    return _holds(seq, lambda k: Fraction(1.0 + c * k ** (-alpha)))
+    return _holds(seq, _erdos_bound(c, alpha))
 
 
 def gap_report(seq: IndexSequence) -> float:

@@ -93,11 +93,11 @@ def render_cdf_overlay(values: np.ndarray) -> str:
     hi = max(float(vals[-1]), 3.5)
     fx, fy = _x_map(lo, hi), _y_map(0.0, 1.0)
     m = len(vals)
-    stair_x = np.concatenate(([lo], np.repeat(vals, 2), [hi]))
-    stair_y = np.repeat(np.arange(m + 1) / m, 2)
+    # temporaries: the unmapped staircase is freed before formatting, the mapped one after
+    stair = _path(fx(np.concatenate(([lo], np.repeat(vals, 2), [hi]))),
+                  fy(np.repeat(np.arange(m + 1) / m, 2)), "steelblue")
     grid = lo + (hi - lo) * np.arange(201) / 200
     ref_y = MixedNormal.standard().cdf_many(grid)
-    stair = _path(fx(stair_x), fy(stair_y), "steelblue")
     reference = _path(fx(grid), fy(ref_y), "crimson")
     return "".join([_HEADER.format(w=_W, h=_H), _axes(), *stair, *reference, "</svg>\n"])
 

@@ -33,6 +33,12 @@ def perturbed_measure(stream: Stream, base: DiscreteMeasure, shift: float) -> Di
     return DiscreteMeasure(tuple((p + delta, m) for p, m in base.atoms))
 
 
+def point_mass(c: float) -> DiscreteMeasure:
+    """The law with all its mass at ``c``: the former ``DiscreteMeasure.point``,
+    which no package code called."""
+    return DiscreteMeasure(((float(c), 1.0),))
+
+
 def from_pairs(pairs) -> DiscreteMeasure:
     """The law of unsorted ``(position, mass)`` pairs, equal positions merged.
 

@@ -22,6 +22,8 @@ from permutalab.metrics import COUPLING_MAX_PAIRS
 from permutalab.parallel import MAX_TOTAL
 from permutalab.sequences import PERM_MAX_TERMS, permutation
 
+from conftest import point_mass
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
@@ -166,7 +168,7 @@ class TestProhorov:
         mu = tmp_path / "mu.csv"
         nu = tmp_path / "nu.csv"
         mu.write_text(measure_to_csv(DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))))
-        nu.write_text(measure_to_csv(DiscreteMeasure.point(0.0)))
+        nu.write_text(measure_to_csv(point_mass(0.0)))
         rc = run_cli(
             "prohorov", "--mu", str(mu), "--nu", str(nu), "--oracle",
             "--coupling", "coupling.csv", "--out-dir", str(tmp_path),
@@ -220,7 +222,7 @@ class TestExchangeableCli:
 
 class TestStrongLawCli:
     def test_rows(self, tmp_path):
-        model = ExchangeableModel(((1.0, DiscreteMeasure.point(1.5)),), grid=0.0)
+        model = ExchangeableModel(((1.0, point_mass(1.5)),), grid=0.0)
         model_path = tmp_path / "model.json"
         model_path.write_text(model_to_json(model))
         rc = run_cli(
@@ -268,6 +270,35 @@ class TestPlot:
             )
             assert rc == 0
         assert (tmp_path / "a" / "t.svg").read_bytes() == (tmp_path / "b" / "t.svg").read_bytes()
+
+    def test_trajectory_input_text_is_freed_before_rendering(self, tmp_path, monkeypatch):
+        # 100,000 rows, as a strong-law trajectory of --N 100000 is written
+        rows = 100_000
+        text = "".join(f"{k},{math.sin(k) / k!r}\n" for k in range(1, rows + 1))
+        data = tmp_path / "traj.csv"
+        data.write_text(text)
+        held = []
+
+        def spy(xs, ys):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return render(xs, ys)
+
+        render = cli_module.render_trajectory
+        monkeypatch.setattr(cli_module, "render_trajectory", spy)
+        tracemalloc.start()
+        try:
+            rc = run_cli(
+                "plot", "--in", str(data), "--kind", "trajectory",
+                "--out", "t.svg", "--out-dir", str(tmp_path),
+            )
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        # 40 bytes a row are the parsed table (two doubles and an int64 row
+        # end) and the two plotted columns; the 2.8 MB input text must not be
+        # held beside them
+        assert len(text) > 2**21
+        assert held[0] <= 40 * rows + 2**20
 
     @pytest.mark.parametrize(
         "argv",
@@ -632,7 +663,7 @@ class TestExitCodes:
 
     def test_grid_too_fine_for_the_values_is_bad_model(self, tmp_path, capsys):
         # value / grid overflows at grid 1e-320: the run used to write NaN
-        obj = json.loads(model_to_json(ExchangeableModel(((1.0, DiscreteMeasure.point(1.0)),))))
+        obj = json.loads(model_to_json(ExchangeableModel(((1.0, point_mass(1.0)),))))
         obj["grid"] = 1e-320
         model = tmp_path / "model.json"
         model.write_text(json.dumps(obj))

@@ -37,6 +37,7 @@ from permutalab.parallel import map_chunks
 from permutalab.rng import derive_seed, derive_seed_vec, uniform_columns
 from permutalab.sequences import PERM_MAX_TERMS
 
+from conftest import point_mass
 from stream import Stream
 from thinning import conditional_noise_check, mixture_approximation_check, plan_thinning, tail_bound
 
@@ -90,13 +91,13 @@ class TestModel:
         spec = PerturbSpec((0.5,), 0.05, 1e300)
         for kwargs in ({"grid": 1e-320}, {"atoms": ((1.0, big),), "grid": 1e-300},
                        {"perturb": spec, "grid": 1e-10},
-                       {"atoms": ((0.1, DiscreteMeasure.point(0.0)), (0.9, RADEMACHER)),
+                       {"atoms": ((0.1, point_mass(0.0)), (0.9, RADEMACHER)),
                         "bad_mass": 0.1, "grid": 5e-324}):
             with pytest.raises(LabError) as err:
                 ExchangeableModel(**{"atoms": TWO_ATOM.atoms, **kwargs})
             assert err.value.token == "bad-model"
         ExchangeableModel(TWO_ATOM.atoms, grid=1e-300)
-        ExchangeableModel(((1.0, DiscreteMeasure.point(0.0)),), grid=5e-324)
+        ExchangeableModel(((1.0, point_mass(0.0)),), grid=5e-324)
 
     def test_quantize_in_place_matches_the_expression(self):
         stream = Stream(12)
@@ -142,7 +143,7 @@ class TestDrawSequence:
         assert np.array_equal(d.x, d.z)
 
     def test_point_mass_law(self):
-        m = ExchangeableModel(((1.0, DiscreteMeasure.point(0.0)),), grid=0.0)
+        m = ExchangeableModel(((1.0, point_mass(0.0)),), grid=0.0)
         d = draw_sequence(m, 50, seed=1)
         assert np.all(d.z == 0.0)
 
@@ -180,7 +181,7 @@ class TestDrawSequence:
 
     def test_bad_atom_shifted(self):
         model = ExchangeableModel(
-            ((0.05, DiscreteMeasure.point(0.0)), (0.95, RADEMACHER)),
+            ((0.05, point_mass(0.0)), (0.95, RADEMACHER)),
             bad_mass=0.05,
             grid=0.0,
         )
@@ -246,7 +247,7 @@ class TestPermutationInvariance:
         # all statistics deterministic: pairwise distance 0, distance to the
         # unit step recorded
         T = RegularLimitTheorem("trimmed-clt")
-        model = ExchangeableModel(((1.0, DiscreteMeasure.point(0.0)),), grid=0.0)
+        model = ExchangeableModel(((1.0, point_mass(0.0)),), grid=0.0)
         perms = [permutation("identity", 16), permutation("reverse", 16)]
         rep = permutation_invariance_check(model, T, 16, perms, 500, seed=2)
         assert rep.max_pairwise_ks == 0.0
@@ -280,7 +281,7 @@ class TestPropositionBound:
 
 class TestStrongLaw:
     def test_point_mass_constant(self):
-        model = ExchangeableModel(((1.0, DiscreteMeasure.point(2.5)),), grid=0.0)
+        model = ExchangeableModel(((1.0, point_mass(2.5)),), grid=0.0)
         traj = strong_law_trajectory(model, 1.0, 100, seed=1)
         assert traj.shape == (100,)
         assert (traj == 2.5).all()
@@ -412,7 +413,7 @@ def _permuted_statistic_full_layout_reference(
     return map_chunks(m, run, threads)
 
 
-NEG_ZERO = DiscreteMeasure.point(-0.0)
+NEG_ZERO = point_mass(-0.0)
 # more atoms than _COUNT_MAX_ATOMS, so its quantiles take the binary search
 WIDE_100 = DiscreteMeasure(tuple((i / 8.0 - 6.0, 0.01) for i in range(100)))
 

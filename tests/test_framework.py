@@ -25,7 +25,7 @@ from permutalab.parallel import map_chunks
 from permutalab.rng import derive_seed_vec, uniform_columns
 from permutalab.sequences import PERM_MAX_TERMS
 
-from conftest import random_discrete_measure
+from conftest import point_mass, random_discrete_measure
 from stream import Stream
 from thinning import lipschitz_probe, mc_tolerance, plan_thinning, statistic_stability_check
 
@@ -36,7 +36,7 @@ NO_TAIL = lambda t: 0.0  # noqa: E731 - bounded inputs
 class TestCltInstances:
     def test_f1_centers(self):
         T = RegularLimitTheorem("clt")
-        got = T.evaluate(np.array([[2.0]]), DiscreteMeasure.point(0.5), 1)
+        got = T.evaluate(np.array([[2.0]]), point_mass(0.5), 1)
         assert got[0] == 1.5
 
     def test_f4_hand_value(self):
@@ -63,7 +63,7 @@ class TestCltInstances:
         k, c = 16, 0.7
         p, q = T.window(k)
         x = np.full((1, q - p + 1), c)
-        got = T.evaluate(x, DiscreteMeasure.point(c), k)
+        got = T.evaluate(x, point_mass(c), k)
         assert got[0] == pytest.approx(-(p - 1) * c / math.sqrt(k), abs=1e-12)
 
     def test_unknown_name(self):
@@ -97,7 +97,7 @@ class TestCltInstances:
 class TestSimulateFk:
     def test_point_mass_plain_is_zero(self):
         T = RegularLimitTheorem("clt")
-        sample = simulate_fk(T, 8, DiscreteMeasure.point(3.0), 50, seed=4)
+        sample = simulate_fk(T, 8, point_mass(3.0), 50, seed=4)
         assert all(v == 0.0 for v in sample)
 
     def test_deterministic(self):

@@ -24,7 +24,8 @@ from permutalab.measures import (
 from permutalab.rng import derive_seed
 
 from conftest import (
-    flatten_reference, from_pairs, mixed_normals, random_discrete_measure, sample_values,
+    flatten_reference, from_pairs, mixed_normals, point_mass, random_discrete_measure,
+    sample_values,
 )
 from stream import Stream
 
@@ -122,19 +123,19 @@ class TestDiscreteMeasure:
         assert DiscreteMeasure(((0.0, 0.5), (1.0, 0.5))) != COIN
 
     def test_cdf_point_mass(self):
-        d0 = DiscreteMeasure.point(0.0)
+        d0 = point_mass(0.0)
         assert d0.cdf_many(np.array([-1.0, 0.0])).tolist() == [0.0, 1.0]  # right-continuity
 
     def test_cdf_coin(self):
         assert COIN.cdf_many(np.array([0.5])).tolist() == [0.5]
 
     def test_quantile_examples(self):
-        assert DiscreteMeasure.point(3.0).quantile_many(np.array([0.5])).tolist() == [3.0]
+        assert point_mass(3.0).quantile_many(np.array([0.5])).tolist() == [3.0]
         # inf convention: a tie u == F(0) goes to the atom at 0
         assert COIN.quantile_many(np.array([0.5, 0.75])).tolist() == [0.0, 1.0]
 
     def test_mean_var_examples(self):
-        assert DiscreteMeasure.point(2.5).mean_var() == (2.5, 0.0)
+        assert point_mass(2.5).mean_var() == (2.5, 0.0)
         assert RADEMACHER.mean_var() == (0.0, 1.0)
         mean, var = COIN.mean_var()
         assert mean == 0.5 and abs(var - 0.25) < 1e-15
@@ -178,7 +179,7 @@ class TestDiscreteMeasure:
         assert_quantiles_match_reference(TENTHS, [0.9999999999999999, 0.95])
 
     def test_sample_point_mass(self):
-        s = DiscreteMeasure.point(2.0).sample(5, seed=1)
+        s = point_mass(2.0).sample(5, seed=1)
         assert s.tobytes() == np.full(5, 2.0).tobytes()
 
     def test_sample_deterministic(self):
@@ -209,7 +210,7 @@ class TestDiscreteMeasure:
 
     def test_mixture_merges_equal_doubles_keeping_first(self):
         for first, second in ((-0.0, 0.0), (0.0, -0.0)):
-            components = [(0.5, DiscreteMeasure.point(first)), (0.5, DiscreteMeasure.point(second))]
+            components = [(0.5, point_mass(first)), (0.5, point_mass(second))]
             m = DiscreteMeasure.mixture(components)
             assert m.atoms.tolist() == [[0.0, 1.0]]
             assert math.copysign(1.0, m.atoms[0][0]) == math.copysign(1.0, first)
@@ -282,11 +283,11 @@ class TestMixture:
         assert DiscreteMeasure.mixture(((1.0, COIN),)).atoms.tobytes() == COIN.atoms.tobytes()
 
     def test_merges(self):
-        d0 = DiscreteMeasure.point(0.0)
+        d0 = point_mass(0.0)
         assert DiscreteMeasure.mixture(((0.5, d0), (0.5, d0))).atoms.tobytes() == d0.atoms.tobytes()
 
     def test_two_points(self):
-        comps = ((0.5, DiscreteMeasure.point(0.0)), (0.5, DiscreteMeasure.point(1.0)))
+        comps = ((0.5, point_mass(0.0)), (0.5, point_mass(1.0)))
         assert DiscreteMeasure.mixture(comps).atoms.tobytes() == COIN.atoms.tobytes()
 
     @given(data=st.data())
@@ -304,7 +305,7 @@ class TestMixture:
         flat = DiscreteMeasure.mixture(((0.5 + 9e-13, a), (0.5, a)))
         assert abs(flat.masses.sum() - 1.0) <= MASS_TOL
         # off by 9e-13, within MASS_TOL: the merged masses, untouched
-        comps = ((0.5 + 9e-13, DiscreteMeasure.point(0.0)), (0.5, DiscreteMeasure.point(1.0)))
+        comps = ((0.5 + 9e-13, point_mass(0.0)), (0.5, point_mass(1.0)))
         assert DiscreteMeasure.mixture(comps).atoms.tolist() == [[0.0, 0.5 + 9e-13], [1.0, 0.5]]
         # off by 3.2e-12: beyond both, still bad-measure
         with pytest.raises(LabError) as err:
@@ -492,7 +493,7 @@ class TestCdfOracles:
         stream = Stream(6)
         sample = np.array([round(6.0 * stream.uniform() - 3.0, 2) for _ in range(2000)])
         extra = [8.0 * stream.uniform() - 4.0 for _ in range(300)]
-        for m in (empirical_measure(sample), TENTHS, DiscreteMeasure.point(-0.0),
+        for m in (empirical_measure(sample), TENTHS, point_mass(-0.0),
                   from_pairs([(-0.0, 0.5), (0.0, 0.5)])):
             assert_cdfs_match(
                 m, cdf_points(m.positions, extra), reference_discrete_cdf,

@@ -48,6 +48,7 @@ from conftest import (
     from_pairs,
     mixed_normals,
     perturbed_measure,
+    point_mass,
     random_discrete_measure,
     sample_values,
 )
@@ -56,7 +57,7 @@ from thinning import wasserstein2
 
 COIN = DiscreteMeasure(((0.0, 0.5), (1.0, 0.5)))
 RADEMACHER = DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
-D0 = DiscreteMeasure.point(0.0)
+D0 = point_mass(0.0)
 
 
 def lp_max_inrange_mass(mu, nu, d):
@@ -357,7 +358,7 @@ class TestProhorovAgainstDenseScan:
     def test_single_atom(self):
         stream = Stream(5)
         for _ in range(40):
-            point = DiscreteMeasure.point(2.0 * stream.uniform() - 1.0)
+            point = point_mass(2.0 * stream.uniform() - 1.0)
             other = _law(stream, 1 + stream.below(12), lambda t: 2.0 * t.uniform() - 1.0)
             for mu, nu in ((point, other), (other, point), (point, point)):
                 assert prohorov_distance(mu, nu) == _prohorov_dense_reference(mu, nu)
@@ -579,15 +580,15 @@ class TestProhorovDistance:
             assert prohorov_distance(m, m) == 0.0
 
     def test_point_masses(self):
-        assert prohorov_distance(D0, DiscreteMeasure.point(0.3)) == pytest.approx(0.3, abs=1e-11)
-        assert prohorov_distance(D0, DiscreteMeasure.point(5.0)) == pytest.approx(1.0, abs=1e-11)
+        assert prohorov_distance(D0, point_mass(0.3)) == pytest.approx(0.3, abs=1e-11)
+        assert prohorov_distance(D0, point_mass(5.0)) == pytest.approx(1.0, abs=1e-11)
 
     def test_coin_vs_point(self):
         assert prohorov_distance(COIN, D0) == pytest.approx(0.5, abs=1e-11)
 
     def test_oracle_trivials(self):
         assert prohorov_oracle(D0, D0) == 0.0
-        assert prohorov_oracle(D0, DiscreteMeasure.point(0.3)) == pytest.approx(0.3, abs=1e-9)
+        assert prohorov_oracle(D0, point_mass(0.3)) == pytest.approx(0.3, abs=1e-9)
 
     def test_oracle_equivalence_random(self):
         stream = Stream(31337)
@@ -672,7 +673,7 @@ class TestStrassenCoupling:
         assert err.value.token == "bad-eps"
 
     def test_infeasible_points(self):
-        assert strassen_coupling(D0, DiscreteMeasure.point(1.0), 0.3) is None
+        assert strassen_coupling(D0, point_mass(1.0), 0.3) is None
 
     def test_coin_split(self):
         c = strassen_coupling(COIN, D0, 0.5)
@@ -736,7 +737,7 @@ class TestWasserstein2:
         assert wasserstein2(COIN, COIN) == 0.0
 
     def test_unit_shift(self):
-        assert wasserstein2(D0, DiscreteMeasure.point(1.0)) == 1.0
+        assert wasserstein2(D0, point_mass(1.0)) == 1.0
 
     def test_coin_vs_point(self):
         assert wasserstein2(COIN, D0) == pytest.approx(math.sqrt(0.5), abs=1e-12)
@@ -754,7 +755,7 @@ class TestKsDistance:
         assert ks_distance(COIN, COIN) == 0.0
 
     def test_disjoint_points(self):
-        assert ks_distance(D0, DiscreteMeasure.point(1.0)) == 1.0
+        assert ks_distance(D0, point_mass(1.0)) == 1.0
 
     def test_rademacher_vs_normal_closed_form(self):
         phi_1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
@@ -856,7 +857,7 @@ class TestMixtureBounds:
         assert holds and lhs <= 0.4002
 
     def test_mixture_precondition_error(self):
-        far = DiscreteMeasure.point(9.0)
+        far = point_mass(9.0)
         with pytest.raises(LabError) as err:
             mixture_bound_check([(1.0, D0, far)], 0.05)
         assert err.value.token == "mixture-bound-precondition"
@@ -865,13 +866,13 @@ class TestMixtureBounds:
     def test_mixture_bad_eps(self, eps):
         # NaN fails every comparison, so unchecked it passes the precondition
         with pytest.raises(LabError) as err:
-            mixture_bound_check([(1.0, D0, DiscreteMeasure.point(0.01))], eps)
+            mixture_bound_check([(1.0, D0, point_mass(0.01))], eps)
         assert err.value.token == "bad-eps"
 
     @pytest.mark.parametrize("eps", [-0.1, -math.inf, math.nan])
     def test_random_measure_bad_eps(self, eps):
         # a random measure on atoms A_i is checked as (P(A_i), law, law') triples
-        triples = [(0.3, D0, DiscreteMeasure.point(0.01)), (0.7, COIN, COIN)]
+        triples = [(0.3, D0, point_mass(0.01)), (0.7, COIN, COIN)]
         with pytest.raises(LabError) as err:
             mixture_bound_check(triples, eps)
         assert err.value.token == "bad-eps"
@@ -879,7 +880,7 @@ class TestMixtureBounds:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_mixture_non_finite_weight(self, bad):
         # a NaN weight used to pass both weight tests and drop its pair
-        for pairs in ([(bad, D0, DiscreteMeasure.point(9.0)), (1.0, D0, D0)],
+        for pairs in ([(bad, D0, point_mass(9.0)), (1.0, D0, D0)],
                       [(bad, D0, D0), (0.5, D0, D0)]):
             with pytest.raises(LabError) as err:
                 mixture_bound_check(pairs, 0.1)
@@ -918,7 +919,7 @@ class TestMixtureBounds:
 
     def test_random_measure_null_atom(self):
         # an atom A_i with P(A_i) = 0 is dropped, however far its laws are
-        triples = [(0.0, D0, DiscreteMeasure.point(9.0)), (1.0, COIN, COIN)]
+        triples = [(0.0, D0, point_mass(9.0)), (1.0, COIN, COIN)]
         assert mixture_bound_check(triples, 0.1) == (0.0, True)
 
     def test_random_measure_identity(self):
@@ -931,13 +932,13 @@ class TestMixtureBounds:
         assert mixture_bound_check([(0.5 + 9e-13, a, a), (0.5, a, a)], 0.1) == (0.0, True)
 
     def test_random_measure_one_far_component(self):
-        triples = [(0.08, D0, DiscreteMeasure.point(7.0)), (0.92, COIN, COIN)]
+        triples = [(0.08, D0, point_mass(7.0)), (0.92, COIN, COIN)]
         lhs, holds = mixture_bound_check(triples, 0.1)
         assert holds and lhs <= 0.2 + 1e-9
 
     def test_random_measure_precondition(self):
         with pytest.raises(LabError) as err:
-            mixture_bound_check([(1.0, D0, DiscreteMeasure.point(5.0))], 0.05)
+            mixture_bound_check([(1.0, D0, point_mass(5.0))], 0.05)
         assert err.value.token == "mixture-bound-precondition"
 
     def test_random_measure_random_instances(self):
@@ -1070,12 +1071,12 @@ def _random_measure_cases(draw):
     return [(r / sum(raw), *draw(_component_pairs(eps))) for r in raw], eps
 
 
-FAR = DiscreteMeasure.point(9.0)
+FAR = point_mass(9.0)
 # explicit instances of each case the strategies draw at random
 ZERO_WEIGHT = ([(0.0, D0, FAR), (1.0, COIN, RADEMACHER)], 0.5)
 FAR_PAIR = ([(0.3, D0, FAR), (0.7, COIN, COIN)], 0.1)
 # NaN fails every comparison, so unchecked it passes the precondition
-NAN_EPS_PAIR = ([(1.0, D0, DiscreteMeasure.point(0.01))], math.nan)
+NAN_EPS_PAIR = ([(1.0, D0, point_mass(0.01))], math.nan)
 
 
 class TestStabilityBoundOracle:

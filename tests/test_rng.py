@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from permutalab.rng import _counter_words, derive_seed, derive_seed_vec, uniform_columns
+from permutalab.rng import (
+    GOLDEN, _counter_words, derive_seed, derive_seed_vec, mix64, uniform_columns,
+)
 
 from stream import Stream
 
@@ -22,6 +26,25 @@ class TestBelow:
         with pytest.raises(ValueError):
             stream.below(n)
         assert stream._count == 0
+
+
+# the first three outputs of the reference splitmix64 generator (Vigna's
+# splitmix64.c) from state 0: an outside anchor for ``mix64``, which the
+# scalar ``Stream`` oracle imports from the package
+SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_mix64_gives_the_published_splitmix64_outputs():
+    assert [mix64(t * GOLDEN % 2**64) for t in (1, 2, 3)] == SPLITMIX64_SEED0
+    stream = Stream(0)
+    assert [stream.u64() for _ in range(3)] == SPLITMIX64_SEED0
+    assert list(islice(_counter_words(0), 3)) == SPLITMIX64_SEED0
+
+
+def test_uniform_columns_are_the_published_words():
+    want = [(w >> 11) * 2.0**-53 for w in SPLITMIX64_SEED0]
+    got = uniform_columns(np.array([0], dtype=np.uint64), np.array([0, 1, 2]))
+    assert got.tobytes() == np.array([want]).tobytes()
 
 
 def test_uniform_columns_match_stream_draws():

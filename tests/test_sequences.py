@@ -29,7 +29,7 @@ from permutalab import (
 )
 from permutalab import sequences
 from permutalab.rng import derive_seed
-from permutalab.sequences import _check_c_alpha, _check_q, gap_report
+from permutalab.sequences import gap_report
 
 from stream import Stream
 
@@ -160,7 +160,20 @@ class TestCheckers:
 
 
 # -- gap-condition oracles: the generators and checkers as they were before
-# they shared ``_grow`` and ``_holds``, copied verbatim
+# they shared ``_grow`` and ``_holds``, copied verbatim, with their own
+# copies of the parameter checks, so they share no code with ``sequences``
+
+
+def _check_q(q: float) -> None:
+    if not 1 < q < math.inf:
+        raise LabError("bad-q", "q must be finite and exceed 1")
+
+
+def _check_c_alpha(c: float, alpha: float) -> None:
+    if not 0 < c < math.inf:
+        raise LabError("bad-c", "c must be finite and positive")
+    if not 0 < alpha < 1:
+        raise LabError("bad-alpha", "alpha must be in (0,1)")
 
 
 def _ceil_frac_times_reference(q: Fraction, n: int) -> int:
@@ -273,6 +286,30 @@ class TestGapOracle:
         assert _outcome(check_erdos, seq, c, alpha) == _outcome(
             check_erdos_reference, seq, c, alpha
         )
+
+
+class TestGeneratorsPassCheckers:
+    """Every accepted generator input of at least two terms gives a sequence
+    its own checker accepts."""
+
+    @given(
+        q=st.floats(1.0, 1e6, exclude_min=True) | st.sampled_from([1.0000001, 1.5, 2.0]),
+        n1=st.integers(1, 10**6),
+        count=st.integers(2, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hadamard(self, q, n1, count):
+        assert check_hadamard(gen_hadamard(q, n1, count), q) is True
+
+    @given(
+        c=st.floats(0.0, 1e6, exclude_min=True) | st.sampled_from([5e-324, 1e-9, 1.0]),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        n1=st.integers(1, 10**6),
+        count=st.integers(2, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_erdos(self, c, alpha, n1, count):
+        assert check_erdos(gen_erdos(c, alpha, n1, count), c, alpha) is True
 
 
 class TestDiophantine:

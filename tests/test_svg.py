@@ -232,3 +232,18 @@ def test_trajectory_peak_memory_is_at_most_two_and_a_half_times_the_svg():
     # joining the path on its own, then adding it to the document, peaked
     # at 4.9 times the SVG
     assert peak <= 2.5 * len(svg)
+
+
+def test_cdf_overlay_peak_memory_is_at_most_two_and_a_half_times_the_svg():
+    # 100,000 values, as a clt table of --M 100000 is plotted
+    values = np.random.default_rng(0).standard_normal(100_000)
+    tracemalloc.start()
+    try:
+        svg = render_cdf_overlay(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.count(" L ") == 2 * len(values) + 1 + 200
+    # the unmapped staircase is not held beside its mapped copy while the
+    # path is formatted; with both held the peak was 3.15 times the SVG
+    assert peak <= 2.5 * len(svg)
